@@ -83,6 +83,9 @@ def _render_text(report: RunReport) -> bytes:
     lines.append("differential run report")
     lines.append("=======================")
     lines.append(f"complete:      {'yes' if report.complete else 'NO (aborted)'}")
+    if not report.complete:
+        lost = report.planned - len(report.records)
+        lines.append(f"lost:          {lost} of {report.planned} planned generations")
     lines.append(f"corpus hash:   {report.manifest_hash}")
     lines.append(f"backends:      {', '.join(report.config_echo['backends'])}")
     if report.seed_load_errors:

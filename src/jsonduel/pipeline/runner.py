@@ -1,27 +1,40 @@
 """The full loop: corpus -> summarize -> generate -> execute -> diff -> report.
 
+Summaries and generations share one pool of `in_flight` request slots.
+One summary per distinct seed text is queued first, then every
+generation, which waits for its seed's summary. The calling thread
+takes generations back in task order and executes, judges and writes
+each one (`records/`, `scripts/`) while later requests are still out;
+`verdicts.jsonl`, `bugs.jsonl` and `report.txt` are written once, at
+the end. With one slot the model sees every summary in seed order, then
+every generation in task order.
+
 Reproducibility contract: with a fixed config, corpus, replay scenario
 and RNG seed, two runs produce identical reports (verdicts.jsonl,
 report.txt, and bugs.jsonl up to the run timestamp, which is isolated
 to one header field). Per-record provenance files carry their own
-timestamps and are otherwise identical too.
+timestamps and are otherwise identical too. Verdicts stay in task
+order, so when the model's reply depends only on the conversation the
+reports (apart from the config echoed in the bugs.jsonl header) do not
+depend on `in_flight` either.
 """
 
 from __future__ import annotations
 
-import hashlib
+import json
 import logging
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from ..backends import resolve_backend
 from ..backends.executor import execute
-from ..backends.outcomes import Error, Fail, Pass, TestOutcome
-from ..corpus import Corpus, SeedTest, load_corpus, mine_seeds
+from ..backends.outcomes import Error, Fail, Pass, TestOutcome, outcome_to_dict
+from ..corpus import SeedTest, load_corpus, mine_seeds
 from ..diffcore import BugReport, DiffVerdict, VerdictStatus, dedup, make_verdict
 from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError
 from ..llm.generation import GenerationRecord, generate, pick_rule, summarize
@@ -73,12 +86,12 @@ class RunReport:
     started_at: str
     counts: dict[str, ModeCounts]
     records: list[tuple[str, GenerationRecord]]  # (script_id, record), in order
-    record_paths: dict[str, str]
     verdicts: list[DiffVerdict]
     bug_reports: list[BugReport]
     suppressed_signatures: list[str]
     op_counts: dict[str, dict[str, int]]
     seed_load_errors: list[str]
+    planned: int  # generations the run set out to make
     complete: bool
 
 
@@ -107,26 +120,12 @@ def _build_client(config: PipelineConfig) -> LlmClient:
     )
 
 
-def _overflow_record(task: _Task, summary: str, limit: int) -> GenerationRecord:
-    prompt = tuple(build_context(task.seed.script_text, summary, task.rule))
-    return GenerationRecord(
-        seed_id=task.seed.id,
-        rule=task.rule,
-        messages=prompt,
-        raw_response="",
-        extraction=ExtractionFailure(
-            CONTEXT_OVERFLOW,
-            f"prompt of {sum(len(m.content) for m in prompt)} chars exceeds "
-            f"the {limit}-char context limit",
-        ),
-    )
-
-
 def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     """Execute the whole pipeline and write artifacts under out_dir.
 
-    A transport failure aborts generation; the partial report is still
-    written, flagged incomplete.
+    A transport failure stops the run from sending further requests.
+    Every generation that already completed is still executed and
+    written, and the report is flagged incomplete.
     """
     config.validate()
     client = client if client is not None else _build_client(config)
@@ -150,37 +149,60 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
                     _Task(f"{_sanitize(seed.id)}-g{k}", seed, pick_rule(rng, config.mutation))
                 )
 
-    complete = True
+    for folder in ("records", "scripts"):
+        (config.out_dir / folder).mkdir(parents=True, exist_ok=True)
     records: list[tuple[str, GenerationRecord]] = []
-    try:
-        summaries = _summarize_seeds(corpus, client, config)
-        records = _generate_all(tasks, summaries, client, config)
-    except (TransportError, GenerationError) as exc:
-        log.error("aborting run, generation failed: %s", exc)
-        complete = False
-
     counts: dict[str, ModeCounts] = {}
     verdicts: list[DiffVerdict] = []
     op_counts: dict[str, dict[str, int]] = {b.name: {} for b in backends}
-    for script_id, record in records:
-        mode = MUTATE if record.rule is not None else PLAIN
-        mode_counts = counts.setdefault(mode, ModeCounts())
-        mode_counts.generated += 1
-        script = record.extracted_script
-        if script is None:
-            mode_counts.extraction_failures += 1
-            continue
-        outcomes: dict[str, TestOutcome] = {}
-        for backend in backends:
-            hits = op_counts[backend.name]
+    stop = threading.Event()
+    summaries: dict[str, Future] = {}
 
-            def count_op(op: str, hits=hits) -> None:
-                hits[op] = hits.get(op, 0) + 1
+    def generation(task: _Task) -> GenerationRecord:
+        summary = summaries[task.seed.script_text].result()
+        return _guarded(stop, _generate, task, summary, client, config)
 
-            outcome = execute(script, backend, config.limits, on_op=count_op)
-            outcomes[backend.name] = outcome
-            mode_counts.per_backend.setdefault(backend.name, OutcomeCounts()).add(outcome)
-        verdicts.append(make_verdict(script_id, script, outcomes))
+    with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
+        # One summary per distinct seed text, queued first: the pool takes
+        # work in submission order, so a generation only ever waits for a
+        # summary that is already running or done.
+        for seed in corpus.seeds:
+            if seed.script_text not in summaries:
+                summaries[seed.script_text] = pool.submit(
+                    _guarded, stop, summarize, seed.script_text, client, config.params
+                )
+        futures = [pool.submit(generation, task) for task in tasks]
+        try:
+            for task, future in zip(tasks, futures):
+                try:
+                    record = future.result()
+                except _Stopped:
+                    continue
+                except (TransportError, GenerationError) as exc:
+                    log.error("aborting run, generation %s failed: %s", task.script_id, exc)
+                    continue
+                records.append((task.script_id, record))
+                _write_record(config.out_dir, task.script_id, record)
+                mode = MUTATE if record.rule is not None else PLAIN
+                mode_counts = counts.setdefault(mode, ModeCounts())
+                mode_counts.generated += 1
+                script = record.extracted_script
+                if script is None:
+                    mode_counts.extraction_failures += 1
+                    continue
+                outcomes: dict[str, TestOutcome] = {}
+                for backend in backends:
+                    hits = op_counts[backend.name]
+
+                    def count_op(op: str, hits=hits) -> None:
+                        hits[op] = hits.get(op, 0) + 1
+
+                    outcome = execute(script, backend, config.limits, on_op=count_op)
+                    outcomes[backend.name] = outcome
+                    mode_counts.per_backend.setdefault(backend.name, OutcomeCounts()).add(outcome)
+                verdicts.append(make_verdict(task.script_id, script, outcomes))
+        finally:
+            stop.set()  # queued requests are dropped if the loop ends early
 
     inconsistent = [v for v in verdicts if v.status is VerdictStatus.INCONSISTENT]
     suppressed = sorted(
@@ -194,71 +216,69 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
         started_at=started_at,
         counts=counts,
         records=records,
-        record_paths={},
         verdicts=verdicts,
         bug_reports=bug_reports,
         suppressed_signatures=suppressed,
         op_counts=op_counts,
         seed_load_errors=[f"{e.path}: {e.error}" for e in load_errors],
-        complete=complete,
+        planned=len(tasks),
+        complete=len(records) == len(tasks),
     )
-    _write_artifacts(report, config.out_dir)
+    _write_reports(report, config.out_dir)
     return report
 
 
-def _summarize_seeds(
-    corpus: Corpus, client: LlmClient, config: PipelineConfig
-) -> dict[str, str]:
-    """One summary per seed, cached by content hash within the run."""
-    cache: dict[str, str] = {}
-    summaries: dict[str, str] = {}
-    for seed in corpus.seeds:
-        key = hashlib.sha256(seed.script_text.encode("utf-8")).hexdigest()
-        if key not in cache:
-            cache[key] = summarize(seed.script_text, client, config.params)
-        summaries[seed.id] = cache[key]
-    return summaries
+class _Stopped(Exception):
+    """A request not sent because an earlier one failed."""
 
 
-def _generate_all(
-    tasks: list[_Task],
-    summaries: dict[str, str],
-    client: LlmClient,
-    config: PipelineConfig,
-) -> list[tuple[str, GenerationRecord]]:
+def _guarded(stop: threading.Event, fn, *args):
+    """`fn(*args)` unless the run is stopping; any failure stops the run."""
+    if stop.is_set():
+        raise _Stopped
+    try:
+        return fn(*args)
+    except Exception:
+        stop.set()
+        raise
+
+
+def _generate(
+    task: _Task, summary: str, client: LlmClient, config: PipelineConfig
+) -> GenerationRecord:
     limit = config.context_limit_chars
-
-    def one(task: _Task) -> GenerationRecord:
-        summary = summaries[task.seed.id]
-        if limit:
-            prompt_chars = sum(
-                len(m.content)
-                for m in build_context(task.seed.script_text, summary, task.rule)
+    if limit:
+        prompt = tuple(build_context(task.seed.script_text, summary, task.rule))
+        prompt_chars = sum(len(m.content) for m in prompt)
+        if prompt_chars > limit:
+            return GenerationRecord(
+                seed_id=task.seed.id,
+                rule=task.rule,
+                messages=prompt,
+                raw_response="",
+                extraction=ExtractionFailure(
+                    CONTEXT_OVERFLOW,
+                    f"prompt of {prompt_chars} chars exceeds the {limit}-char context limit",
+                ),
             )
-            if prompt_chars > limit:
-                return _overflow_record(task, summary, limit)
-        return generate(
-            task.seed.id, task.seed.script_text, summary, task.rule, config.params, client
-        )
-
-    if config.in_flight == 1 or len(tasks) <= 1:
-        results = [one(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-            results = list(pool.map(one, tasks))
-    return [(task.script_id, record) for task, record in zip(tasks, results)]
+    return generate(
+        task.seed.id, task.seed.script_text, summary, task.rule, config.params, client
+    )
 
 
-def _record_to_dict(script_id: str, record: GenerationRecord) -> dict:
+def _write_record(out_dir: Path, script_id: str, record: GenerationRecord) -> None:
+    """Write `records/<id>.json` and, for an extracted script, `scripts/<id>.t`."""
     if isinstance(record.extraction, Script):
-        extraction = {"ok": True, "script": print_script(record.extraction)}
+        printed = print_script(record.extraction)
+        (out_dir / "scripts" / f"{script_id}.t").write_text(printed, encoding="utf-8")
+        extraction = {"ok": True, "script": printed}
     else:
         extraction = {
             "ok": False,
             "category": record.extraction.category,
             "error": record.extraction.error,
         }
-    return {
+    payload = {
         "script_id": script_id,
         "seed_id": record.seed_id,
         "rule": record.rule.value if record.rule else None,
@@ -267,32 +287,13 @@ def _record_to_dict(script_id: str, record: GenerationRecord) -> dict:
         "extraction": extraction,
         "timestamp": record.timestamp,
     }
+    (out_dir / "records" / f"{script_id}.json").write_text(
+        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+    )
 
 
-def _write_artifacts(report: RunReport, out_dir: Path) -> None:
-    import json
-
+def _write_reports(report: RunReport, out_dir: Path) -> None:
     from .report import report_render
-
-    records_dir = out_dir / "records"
-    scripts_dir = out_dir / "scripts"
-    records_dir.mkdir(parents=True, exist_ok=True)
-    scripts_dir.mkdir(parents=True, exist_ok=True)
-
-    for script_id, record in report.records:
-        record_path = records_dir / f"{script_id}.json"
-        record_path.write_text(
-            json.dumps(_record_to_dict(script_id, record), ensure_ascii=False, indent=2)
-            + "\n",
-            encoding="utf-8",
-        )
-        report.record_paths[script_id] = str(record_path)
-        if isinstance(record.extraction, Script):
-            (scripts_dir / f"{script_id}.t").write_text(
-                print_script(record.extraction), encoding="utf-8"
-            )
-
-    from ..backends.outcomes import outcome_to_dict
 
     with (out_dir / "verdicts.jsonl").open("w", encoding="utf-8") as fh:
         for verdict in report.verdicts:

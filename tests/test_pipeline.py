@@ -1,11 +1,15 @@
 """Tests for the pipeline: run loop, counts, artifacts, reports, CLI."""
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from jsonduel.llm import GenParams, MutationMode, ScriptedClient, TransportError
+from jsonduel.llm.messages import conversation_hash
+from jsonduel.llm.prompts import SUMMARIZE_PROMPT
 from jsonduel.pipeline import (
     ConfigError,
     CorpusSource,
@@ -82,9 +86,10 @@ class TestRun:
         assert (out / "bugs.jsonl").is_file()
         assert (out / "verdicts.jsonl").is_file()
         assert (out / "report.txt").is_file()
-        assert len(list((out / "records").glob("*.json"))) == 9
-        assert len(list((out / "scripts").glob("*.t"))) == 9
-        assert set(report.record_paths) == {sid for sid, _ in report.records}
+        ids = sorted(sid for sid, _ in report.records)
+        assert len(ids) == 9
+        assert sorted(p.stem for p in (out / "records").glob("*.json")) == ids
+        assert sorted(p.stem for p in (out / "scripts").glob("*.t")) == ids
 
     def test_suppression_removes_bug_but_keeps_verdict(self, tmp_path, fixture_corpus):
         first = run(planted_config(tmp_path, fixture_corpus))
@@ -137,6 +142,125 @@ class TestRun:
         config = planted_config(tmp_path, fixture_corpus)
         run(config, client=CountingClient(ReplayClient(scenario)))
         assert calls["n"] == 3 + 9  # 3 summaries + 9 generations
+
+
+class _SummaryBarrierClient:
+    """Summaries wait until two are in flight at once; generations pass."""
+
+    def __init__(self):
+        self.barrier = threading.Barrier(2, timeout=10)
+
+    def complete(self, messages, params):
+        if messages[-1].content.endswith(SUMMARIZE_PROMPT):
+            self.barrier.wait()
+            return "summary"
+        return wrap_response("assert_eq(1, 1);\n")
+
+
+class _GenerationBarrierClient:
+    """Generations wait until two are in flight; the one whose prompt
+    carries `failing_text` then fails."""
+
+    def __init__(self, failing_text):
+        self.failing_text = failing_text
+        self.barrier = threading.Barrier(2, timeout=10)
+
+    def complete(self, messages, params):
+        if messages[-1].content.endswith(SUMMARIZE_PROMPT):
+            return "summary"
+        self.barrier.wait()
+        if any(self.failing_text in m.content for m in messages):
+            raise TransportError("endpoint down")
+        return wrap_response("assert_eq(1, 1);\n")
+
+
+class _CountingClient:
+    def __init__(self):
+        self.summaries = 0
+        self.lock = threading.Lock()
+
+    def complete(self, messages, params):
+        if messages[-1].content.endswith(SUMMARIZE_PROMPT):
+            with self.lock:
+                self.summaries += 1
+            return "summary"
+        return wrap_response("assert_eq(1, 1);\n")
+
+
+class _ConversationClient:
+    """Replies with a conversation's first recording, whatever the call order."""
+
+    def __init__(self, scenario):
+        self.responses = scenario.responses
+
+    def complete(self, messages, params):
+        return self.responses[conversation_hash(messages)][0]
+
+
+class TestScheduling:
+    def _config(self, tmp_path, seeds_dir, in_flight, n_per_seed=2) -> PipelineConfig:
+        return PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=1, n_per_seed=n_per_seed),
+            mutation=MutationMode.NONE,
+            out_dir=tmp_path / "out",
+            in_flight=in_flight,
+        )
+
+    def test_summaries_share_the_request_slots(self, tmp_path, seeds_dir):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        (seeds_dir / "issue2.t").write_text("assert_eq(2, 2);\n")
+        client = _SummaryBarrierClient()
+        report = run(self._config(tmp_path, seeds_dir, 2), client=client)
+        assert report.complete
+        assert not client.barrier.broken
+        assert len(report.records) == 4
+
+    def test_identical_seed_texts_share_one_summary(self, tmp_path, seeds_dir):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        (seeds_dir / "issue2.t").write_text("assert_eq(1, 1);\n")
+        client = _CountingClient()
+        report = run(self._config(tmp_path, seeds_dir, 4), client=client)
+        assert report.complete
+        assert client.summaries == 1
+        assert len(report.records) == 4
+
+    def test_generation_after_a_failed_one_is_kept(self, tmp_path, seeds_dir):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        (seeds_dir / "issue2.t").write_text("assert_eq(2, 2);\n")
+        config = self._config(tmp_path, seeds_dir, 2, n_per_seed=1)
+        report = run(config, client=_GenerationBarrierClient("assert_eq(1, 1);"))
+        assert not report.complete
+        assert [sid for sid, _ in report.records] == ["issue2-g0"]
+        assert [v.script_id for v in report.verdicts] == ["issue2-g0"]
+        assert [p.name for p in (config.out_dir / "records").iterdir()] == ["issue2-g0.json"]
+        text = (config.out_dir / "report.txt").read_text()
+        assert "lost:          1 of 2 planned generations" in text
+
+    def test_reports_do_not_depend_on_in_flight(self, tmp_path, fixture_corpus):
+        import scenariofix
+
+        scenario = scenariofix.build_planted_scenario(fixture_corpus)
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for in_flight in (1, 8):
+                config = planted_config(
+                    tmp_path, fixture_corpus, in_flight=in_flight,
+                    out_dir=tmp_path / f"out{in_flight}",
+                )
+                report = run(config, client=_ConversationClient(scenario))
+                assert len(report.bug_reports) == 3
+                outs.append(config.out_dir)
+        finally:
+            sys.setswitchinterval(interval)
+        one, eight = outs
+        for name in ("verdicts.jsonl", "report.txt"):
+            assert (one / name).read_bytes() == (eight / name).read_bytes()
+        body = [(out / "bugs.jsonl").read_bytes().split(b"\n", 1)[1] for out in outs]
+        assert body[0] == body[1]
 
 
 class TestScriptedBuckets:
@@ -213,6 +337,31 @@ class TestFailureModes:
         assert report.records == []
         header = json.loads((tmp_path / "out" / "bugs.jsonl").read_text().splitlines()[0])
         assert header["complete"] is False
+
+    def test_late_transport_failure_keeps_completed_generations(self, tmp_path, seeds_dir):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        responses = (
+            ["summary"]
+            + [wrap_response("assert_eq(1, 1);\n")] * 9
+            + [TransportError("endpoint down")]
+        )
+        client = ScriptedClient(responses)
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=1, n_per_seed=12),
+            mutation=MutationMode.NONE,
+            out_dir=tmp_path / "out",
+            in_flight=1,
+        )
+        report = run(config, client=client)
+        assert not report.complete
+        assert client.calls == 11  # nothing is sent after the failure
+        assert [sid for sid, _ in report.records] == [f"issue1-g{k}" for k in range(9)]
+        assert len(report.verdicts) == 9
+        assert len(list((config.out_dir / "records").glob("*.json"))) == 9
+        text = (config.out_dir / "report.txt").read_text()
+        assert "lost:          3 of 12 planned generations" in text
 
     def test_empty_completion_aborts_like_transport_failure(self, tmp_path, seeds_dir):
         from jsonduel.llm import GenerationError
