@@ -18,7 +18,7 @@ from ..llm.client import LlmClient
 from ..llm.generation import GenParams
 from ..tdsl import Script, parse_script
 from .prompts import ClassifyMode
-from .voting import ClassificationResult, Verdict, classify
+from .voting import ClassificationAborted, ClassificationResult, Verdict, classify
 
 
 class Category(enum.Enum):
@@ -115,7 +115,11 @@ def evaluate_accuracy(
     client: LlmClient,
     params: GenParams = GenParams(),
 ) -> AccuracyReport:
-    """Classify every labeled case and tabulate per-category accuracy."""
+    """Classify every labeled case and tabulate per-category accuracy.
+
+    Cases go one at a time, in list order; each case's votes are sent at
+    once (see `classify`).
+    """
     if not cases:
         raise ValueError("nothing to evaluate: empty case list")
     for case in cases:
@@ -125,11 +129,22 @@ def evaluate_accuracy(
         CaseResult(
             category=case.category,
             expected=case.category.expected_verdict,
-            result=classify(case, mode, client, params),
+            result=classify_at(index, case, mode, client, params),
         )
-        for case in cases
+        for index, case in enumerate(cases)
     )
     return AccuracyReport(mode=mode, case_results=results)
+
+
+def classify_at(
+    index: int, case: FailedCase, mode: ClassifyMode, client: LlmClient, params: GenParams
+) -> ClassificationResult:
+    """`classify` for the case at `index` of a list; an abort names the index."""
+    try:
+        return classify(case, mode, client, params)
+    except ClassificationAborted as exc:
+        exc.case_index = index
+        raise
 
 
 def render_accuracy_text(report: AccuracyReport) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,11 +62,17 @@ class ClassificationResult:
 
 
 class ClassificationAborted(Exception):
-    """Transport gave out mid-vote; carries the votes gathered so far."""
+    """A vote's request failed in transport.
+
+    `votes` holds every vote that did arrive, in slot order; the failed
+    slot and any other failed slot are missing from it. `case_index` is
+    set by callers that classify a list of cases.
+    """
 
     def __init__(self, cause: Exception, votes: tuple[Verdict, ...]):
-        super().__init__(f"classification aborted after {len(votes)} votes: {cause}")
+        super().__init__(f"classification aborted with {len(votes)} votes: {cause}")
         self.votes = votes
+        self.case_index: int | None = None
 
 
 def classify(
@@ -75,20 +82,34 @@ def classify(
     params: GenParams = GenParams(),
     vote_count: int = VOTE_COUNT,
 ) -> ClassificationResult:
-    """Issue `vote_count` independent generations and majority-vote them."""
+    """Issue `vote_count` independent generations and majority-vote them.
+
+    All `vote_count` requests are open at once, one per slot; votes and
+    transcripts come back in slot order. A client with a `reserve`
+    method (the offline clients) has each slot's reply fixed in slot
+    order before the requests are sent, so its replies land in the same
+    slots on every run. If any slot fails, the first failed slot in slot
+    order decides: a `TransportError` becomes `ClassificationAborted`
+    carrying the votes of every slot that succeeded, and any other
+    exception propagates unchanged.
+    """
     prompt = tuple(build_classify_prompt(case, mode))
-    votes: list[Verdict] = []
-    transcripts: list[tuple[ChatMessage, ...]] = []
-    for _ in range(vote_count):
-        try:
-            response = client.complete(prompt, params)
-        except TransportError as exc:
-            raise ClassificationAborted(exc, tuple(votes)) from exc
-        votes.append(parse_verdict(response))
-        transcripts.append(prompt + (assistant(response),))
+    reserve = getattr(client, "reserve", None)
+    with ThreadPoolExecutor(max_workers=max(vote_count, 1)) as pool:
+        futures = [
+            pool.submit(reserve(prompt)) if reserve else pool.submit(client.complete, prompt, params)
+            for _ in range(vote_count)
+        ]
+    responses = [f.result() for f in futures if f.exception() is None]
+    votes = tuple(parse_verdict(response) for response in responses)
+    failure = next((f.exception() for f in futures if f.exception() is not None), None)
+    if isinstance(failure, TransportError):
+        raise ClassificationAborted(failure, votes) from failure
+    if failure is not None:
+        raise failure
     return ClassificationResult(
-        votes=tuple(votes),
+        votes=votes,
         final=tally_votes(votes),
         mode=mode,
-        transcripts=tuple(transcripts),
+        transcripts=tuple(prompt + (assistant(response),) for response in responses),
     )

@@ -16,13 +16,14 @@ from ..backends.executor import execute
 from ..backends.outcomes import describe
 from ..classify.evaluate import (
     Category,
+    classify_at,
     evaluate_accuracy,
     load_cases,
     render_accuracy_json,
     render_accuracy_text,
 )
 from ..classify.prompts import ClassifyMode
-from ..classify.voting import classify
+from ..classify.voting import ClassificationAborted
 from ..corpus import CorpusError, mine_seeds, write_manifest
 from ..llm.client import HttpChatClient
 from ..llm.generation import GenParams
@@ -116,7 +117,7 @@ def _cmd_classify(args) -> int:
             print(render_accuracy_json(report), end="")
     else:
         for i, case in enumerate(cases):
-            result = classify(case, mode, client, GenParams())
+            result = classify_at(i, case, mode, client, GenParams())
             votes = ",".join(v.value for v in result.votes)
             print(f"case {i}: {result.final.value}  votes=[{votes}]")
     return EXIT_CLEAN
@@ -145,6 +146,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ClassificationAborted as exc:
+        print(f"error: case {exc.case_index}: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
     except (ConfigError, CorpusError, BackendConfigError, DslError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,6 +32,7 @@ _READER_FEATURES = {f.value: f for f in ast.ReaderFeature}
 _WRITER_FEATURES = {f.value: f for f in ast.WriterFeature}
 
 _MAX_LITERAL_DEPTH = 256
+_MAX_EXPR_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,9 @@ class _Parser:
             return klass(expr)
         self.fail(f"unknown statement '{tok.value}'")
 
-    def expr(self) -> ast.Expr:
+    def expr(self, depth: int = 0) -> ast.Expr:
+        if depth > _MAX_EXPR_DEPTH:
+            self.fail("expression nesting too deep")
         tok = self.peek()
         if tok.kind == "STRING":
             self.advance()
@@ -236,33 +239,33 @@ class _Parser:
                 self.advance()
                 return ast.Lit(None)
             if tok.value in _CALL_NAMES:
-                return self.call(tok.value)
+                return self.call(tok.value, depth + 1)
             self.advance()
             return ast.Var(tok.value)
         self.fail("expected an expression")
 
-    def call(self, name: str) -> ast.Expr:
+    def call(self, name: str, depth: int) -> ast.Expr:
         self.advance()
         self.expect_punct("(")
         if name == "parse":
-            text = self.expr()
+            text = self.expr(depth)
             features = self.optional_features(_READER_FEATURES, "reader")
             self.expect_punct(")")
             return ast.ParseValue(text, features)
         if name == "parse_typed":
-            text = self.expr()
+            text = self.expr(depth)
             self.expect_punct(",")
             bean = self.expect_ident("bean name")
             features = self.optional_features(_READER_FEATURES, "reader")
             self.expect_punct(")")
             return ast.ParseTyped(text, bean.value, features)
         if name == "serialize":
-            value = self.expr()
+            value = self.expr(depth)
             features = self.optional_features(_WRITER_FEATURES, "writer")
             self.expect_punct(")")
             return ast.Serialize(value, features)
         if name == "get":
-            target = self.expr()
+            target = self.expr(depth)
             self.expect_punct(",")
             accessor = self.accessor()
             self.expect_punct(",")
@@ -272,7 +275,7 @@ class _Parser:
             self.expect_punct(")")
             return ast.Get(target, accessor, _AS_TYPES[as_tok.value])
         if name == "path_eval":
-            target = self.expr()
+            target = self.expr(depth)
             self.expect_punct(",")
             path = self.peek()
             if path.kind != "STRING":
@@ -281,7 +284,7 @@ class _Parser:
             self.expect_punct(")")
             return ast.PathEval(target, path.value)
         if name in ("is_valid", "size", "strip_zeros"):
-            inner = self.expr()
+            inner = self.expr(depth)
             self.expect_punct(")")
             klass = {"is_valid": ast.IsValid, "size": ast.Size, "strip_zeros": ast.StripZeros}[name]
             return klass(inner)
@@ -292,7 +295,7 @@ class _Parser:
                 self.advance()
                 fname = self.expect_ident("field name")
                 self.expect_punct("=")
-                assignments.append((fname.value, self.expr()))
+                assignments.append((fname.value, self.expr(depth)))
             self.expect_punct(")")
             return ast.MakeBean(bean.value, tuple(assignments))
         raise AssertionError(name)

@@ -1,6 +1,11 @@
 """Tests for failure triage: verdict parsing, voting, prompts, exemplars."""
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsonduel.backends import execute, planted_backend, resolve_backend
 from jsonduel.backends.outcomes import describe
@@ -9,8 +14,10 @@ from jsonduel.classify import (
     DEFINITION_BAD,
     DEFINITION_GOOD,
     EXEMPLARS,
+    VOTE_COUNT,
     Category,
     ClassificationAborted,
+    ClassificationResult,
     ClassifyMode,
     FailedCase,
     Verdict,
@@ -19,9 +26,19 @@ from jsonduel.classify import (
     parse_verdict,
     tally_votes,
 )
-from jsonduel.llm import GenParams, ScriptedClient, TransportError, render_transcript
+from jsonduel.llm import (
+    GenParams,
+    ReplayClient,
+    ReplayScenario,
+    ScriptedClient,
+    TransportError,
+    assistant,
+    render_transcript,
+)
+from jsonduel.pipeline.cli import main
 from jsonduel.tdsl import parse_script
 
+from casefix import build_case_fixture, confusion_responses
 from conftest import read_golden
 
 PARAMS = GenParams()
@@ -165,3 +182,136 @@ class TestClassify:
         assert Category.F_GOOD.expected_verdict is Verdict.GOOD
         assert Category.E_BAD.expected_verdict is Verdict.BAD
         assert Category.F_BAD.expected_verdict is Verdict.BAD
+
+
+GOOD = "This test is a good test."
+BAD = "This test is a bad test."
+
+
+class _BarrierClient:
+    """Answers only once all six votes of a case are waiting at once."""
+
+    def __init__(self):
+        self.barrier = threading.Barrier(VOTE_COUNT, timeout=10)
+
+    def complete(self, messages, params):
+        self.barrier.wait()
+        return GOOD
+
+
+def _repeat_under_fast_switching(times, fn):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return [fn() for _ in range(times)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _outcome(fn):
+    """What a classification gives: its result fields, or the exception's
+    type, message and carried votes."""
+    try:
+        result = fn()
+    except ClassificationAborted as exc:
+        return ("aborted", str(exc), exc.votes)
+    except Exception as exc:
+        return (type(exc), str(exc))
+    return (result.votes, result.final, result.transcripts)
+
+
+def _sequential_reference(entries, case, mode):
+    """Send the vote requests one after another, then apply the failure
+    rule: the first failed slot decides; a TransportError aborts with the
+    votes of every slot that succeeded."""
+    client = ScriptedClient(entries)
+    prompt = tuple(build_classify_prompt(case, mode))
+    responses, failures = [], []
+    for _ in range(VOTE_COUNT):
+        try:
+            responses.append(client.complete(prompt, PARAMS))
+        except Exception as exc:
+            failures.append(exc)
+    votes = tuple(parse_verdict(r) for r in responses)
+    if failures and isinstance(failures[0], TransportError):
+        raise ClassificationAborted(failures[0], votes)
+    if failures:
+        raise failures[0]
+    return ClassificationResult(
+        votes=votes,
+        final=tally_votes(votes),
+        mode=mode,
+        transcripts=tuple(prompt + (assistant(r),) for r in responses),
+    )
+
+
+class TestConcurrentVotes:
+    def test_all_votes_are_in_flight_at_once(self):
+        client = _BarrierClient()
+        result = classify(make_case(), ClassifyMode.FS, client, PARAMS)
+        assert result.votes == (Verdict.GOOD,) * VOTE_COUNT
+        assert not client.barrier.broken
+
+    def test_replay_votes_stay_in_recording_order(self):
+        case = make_case()
+        prompt = tuple(build_classify_prompt(case, ClassifyMode.FS))
+        replies = [f"Reason {i}. {GOOD if i in (0, 2, 3) else BAD}" for i in range(VOTE_COUNT)]
+        scenario = ReplayScenario()
+        for reply in replies:
+            scenario.record(prompt, reply)
+        expected = tuple(parse_verdict(r) for r in replies)
+        results = _repeat_under_fast_switching(
+            200, lambda: classify(case, ClassifyMode.FS, ReplayClient(scenario), PARAMS)
+        )
+        for result in results:
+            assert result.votes == expected
+            assert [t[-1].content for t in result.transcripts] == replies
+
+    def test_scripted_votes_stay_in_list_order(self):
+        responses = [GOOD] * 4 + [BAD] * 2
+        results = _repeat_under_fast_switching(
+            200, lambda: classify(make_case(), ClassifyMode.FS, ScriptedClient(responses), PARAMS)
+        )
+        for result in results:
+            assert result.votes == (Verdict.GOOD,) * 4 + (Verdict.BAD,) * 2
+            assert [t[-1].content for t in result.transcripts] == responses
+
+    def test_abort_carries_the_votes_of_later_slots(self):
+        responses = [GOOD, GOOD, TransportError("down"), BAD, GOOD, BAD]
+        client = ScriptedClient(responses)
+        with pytest.raises(ClassificationAborted) as info:
+            classify(make_case(), ClassifyMode.FS, client, PARAMS)
+        g, b = Verdict.GOOD, Verdict.BAD
+        assert info.value.votes == (g, g, b, g, b)
+        assert client.calls == VOTE_COUNT
+
+    def test_first_failed_slot_decides(self):
+        responses = [GOOD, RuntimeError("boom"), GOOD, TransportError("down"), GOOD, GOOD]
+        with pytest.raises(RuntimeError, match="boom"):
+            classify(make_case(), ClassifyMode.FS, ScriptedClient(responses), PARAMS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.sampled_from([GOOD, BAD, "No verdict here.", TransportError("down")]),
+        max_size=8,
+    ))
+    def test_matches_a_sequential_loop(self, entries):
+        case = make_case()
+        concurrent = _outcome(
+            lambda: classify(case, ClassifyMode.FS, ScriptedClient(entries), PARAMS)
+        )
+        sequential = _outcome(lambda: _sequential_reference(entries, case, ClassifyMode.FS))
+        assert concurrent == sequential
+
+
+class TestClassifyCli:
+    def test_transport_failure_exits_aborted(self, tmp_path, monkeypatch, capsys):
+        cases_path = build_case_fixture(tmp_path / "cases")
+        responses = confusion_responses()
+        responses[VOTE_COUNT + 2] = TransportError("endpoint down")
+        monkeypatch.setattr(
+            "jsonduel.pipeline.cli.HttpChatClient", lambda: ScriptedClient(responses)
+        )
+        assert main(["classify", "--cases", str(cases_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: case 1: classification aborted with 5 votes: endpoint down\n"

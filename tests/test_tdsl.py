@@ -7,6 +7,7 @@ import pytest
 from jsonduel.tdsl import (
     AssertEq,
     AsType,
+    DslError,
     DslSyntaxError,
     DslValidationError,
     ExtractionFailure,
@@ -36,6 +37,10 @@ let b = make_bean(Bean, b = true);
 let json = serialize(b, [WriteNonStringValueAsString]);
 assert_eq("{\\"b\\":\\"true\\"}", json);
 """
+
+
+def nested_sizes(depth: int) -> str:
+    return f'let a = parse("[]");\nassert_eq(1, {"size(" * depth}a{")" * depth});\n'
 
 
 class TestParser:
@@ -126,6 +131,11 @@ class TestParser:
         src = LISTING_BOOL_QUOTING
         assert parse_script(src) == parse_script(src)
 
+    def test_expression_nesting_is_capped(self):
+        assert parse_script(nested_sizes(200)).statements[1].expected == Lit(1)
+        with pytest.raises(DslError, match="expression nesting too deep"):
+            parse_script(nested_sizes(600))
+
 
 class TestPrinter:
     def test_round_trip_listing_transcription(self):
@@ -181,6 +191,11 @@ class TestExtract:
 
     def test_bare_script_without_fences(self):
         assert isinstance(extract_script("assert_eq(1, 1);"), Script)
+
+    def test_too_deep_nesting_is_extraction_failure(self):
+        result = extract_script(f"```\n{nested_sizes(600)}```")
+        assert isinstance(result, ExtractionFailure)
+        assert "too deep" in result.error
 
     def test_failure_carries_parser_error(self):
         result = extract_script("```\nlet a = ;\n```")
