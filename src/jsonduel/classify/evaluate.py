@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ..llm.client import LlmClient
 from ..llm.generation import GenParams
 from ..tdsl import Script, parse_script
 from .prompts import ClassifyMode
-from .voting import ClassificationAborted, ClassificationResult, Verdict, classify
+from .voting import VOTE_COUNT, ClassificationAborted, ClassificationResult, Verdict, classify
 
 
 class Category(enum.Enum):
@@ -118,30 +119,37 @@ def evaluate_accuracy(
     """Classify every labeled case and tabulate per-category accuracy.
 
     Cases go one at a time, in list order; each case's votes are sent at
-    once (see `classify`).
+    once (see `classify`), on one pool of `VOTE_COUNT` workers that
+    serves every case.
     """
     if not cases:
         raise ValueError("nothing to evaluate: empty case list")
     for case in cases:
         if case.category is Category.UNKNOWN:
             raise ValueError("evaluation requires ground-truth categories")
-    results = tuple(
-        CaseResult(
-            category=case.category,
-            expected=case.category.expected_verdict,
-            result=classify_at(index, case, mode, client, params),
+    with ThreadPoolExecutor(max_workers=VOTE_COUNT) as pool:
+        results = tuple(
+            CaseResult(
+                category=case.category,
+                expected=case.category.expected_verdict,
+                result=classify_at(index, case, mode, client, params, pool),
+            )
+            for index, case in enumerate(cases)
         )
-        for index, case in enumerate(cases)
-    )
     return AccuracyReport(mode=mode, case_results=results)
 
 
 def classify_at(
-    index: int, case: FailedCase, mode: ClassifyMode, client: LlmClient, params: GenParams
+    index: int,
+    case: FailedCase,
+    mode: ClassifyMode,
+    client: LlmClient,
+    params: GenParams,
+    pool: Executor | None = None,
 ) -> ClassificationResult:
     """`classify` for the case at `index` of a list; an abort names the index."""
     try:
-        return classify(case, mode, client, params)
+        return classify(case, mode, client, params, pool=pool)
     except ClassificationAborted as exc:
         exc.case_index = index
         raise

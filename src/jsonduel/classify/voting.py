@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import enum
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,6 +82,7 @@ def classify(
     client: LlmClient,
     params: GenParams = GenParams(),
     vote_count: int = VOTE_COUNT,
+    pool: Executor | None = None,
 ) -> ClassificationResult:
     """Issue `vote_count` independent generations and majority-vote them.
 
@@ -92,15 +94,21 @@ def classify(
     order decides: a `TransportError` becomes `ClassificationAborted`
     carrying the votes of every slot that succeeded, and any other
     exception propagates unchanged.
+
+    The requests run on `pool`, which needs `vote_count` workers for all
+    of them to be open at once. A caller that classifies many cases
+    passes one pool for all of them, so no threads are started per case;
+    without one, `classify` makes a pool for this call.
     """
     prompt = tuple(build_classify_prompt(case, mode))
     reserve = getattr(client, "reserve", None)
-    with ThreadPoolExecutor(max_workers=max(vote_count, 1)) as pool:
+    with ThreadPoolExecutor(max(vote_count, 1)) if pool is None else nullcontext(pool) as workers:
         futures = [
-            pool.submit(reserve(prompt)) if reserve else pool.submit(client.complete, prompt, params)
+            workers.submit(reserve(prompt)) if reserve
+            else workers.submit(client.complete, prompt, params)
             for _ in range(vote_count)
         ]
-    responses = [f.result() for f in futures if f.exception() is None]
+        responses = [f.result() for f in futures if f.exception() is None]
     votes = tuple(parse_verdict(response) for response in responses)
     failure = next((f.exception() for f in futures if f.exception() is not None), None)
     if isinstance(failure, TransportError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ..backends import BackendConfigError, resolve_backend
@@ -23,7 +24,7 @@ from ..classify.evaluate import (
     render_accuracy_text,
 )
 from ..classify.prompts import ClassifyMode
-from ..classify.voting import ClassificationAborted
+from ..classify.voting import VOTE_COUNT, ClassificationAborted
 from ..corpus import CorpusError, mine_seeds, write_manifest
 from ..llm.client import HttpChatClient
 from ..llm.generation import GenParams
@@ -116,10 +117,11 @@ def _cmd_classify(args) -> int:
         if args.json:
             print(render_accuracy_json(report), end="")
     else:
-        for i, case in enumerate(cases):
-            result = classify_at(i, case, mode, client, GenParams())
-            votes = ",".join(v.value for v in result.votes)
-            print(f"case {i}: {result.final.value}  votes=[{votes}]")
+        with ThreadPoolExecutor(max_workers=VOTE_COUNT) as pool:
+            for i, case in enumerate(cases):
+                result = classify_at(i, case, mode, client, GenParams(), pool)
+                votes = ",".join(v.value for v in result.votes)
+                print(f"case {i}: {result.final.value}  votes=[{votes}]")
     return EXIT_CLEAN
 
 

@@ -1,5 +1,6 @@
 """Tests for failure triage: verdict parsing, voting, prompts, exemplars."""
 
+import dataclasses
 import sys
 import threading
 
@@ -23,6 +24,7 @@ from jsonduel.classify import (
     Verdict,
     build_classify_prompt,
     classify,
+    evaluate_accuracy,
     parse_verdict,
     tally_votes,
 )
@@ -193,8 +195,10 @@ class _BarrierClient:
 
     def __init__(self):
         self.barrier = threading.Barrier(VOTE_COUNT, timeout=10)
+        self.threads = set()
 
     def complete(self, messages, params):
+        self.threads.add(threading.current_thread())
         self.barrier.wait()
         return GOOD
 
@@ -251,6 +255,14 @@ class TestConcurrentVotes:
         result = classify(make_case(), ClassifyMode.FS, client, PARAMS)
         assert result.votes == (Verdict.GOOD,) * VOTE_COUNT
         assert not client.barrier.broken
+
+    def test_evaluation_starts_one_pool_for_every_case(self):
+        client = _BarrierClient()
+        case = dataclasses.replace(make_case(), category=Category.E_GOOD)
+        report = evaluate_accuracy([case] * 5, ClassifyMode.FS, client, PARAMS)
+        assert report.average() == 100.0
+        assert len(client.threads) == VOTE_COUNT
+        assert threading.current_thread() not in client.threads
 
     def test_replay_votes_stay_in_recording_order(self):
         case = make_case()
