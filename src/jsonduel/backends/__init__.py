@@ -13,21 +13,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Protocol, Union
 
 from ..tdsl import ast
-from .executor import DEFAULT_LIMITS, ExecutionLimits, execute
-from .outcomes import (
-    PASS,
-    BackendError,
-    Error,
-    ErrorKind,
-    Fail,
-    Pass,
-    TestOutcome,
-    describe,
-    outcome_from_dict,
-    outcome_to_dict,
-)
 from .planted import BugId, planted_backend
-from .reference import Quirks, ReferenceBackend
+from .reference import ReferenceBackend
 
 
 class Backend(Protocol):
@@ -77,11 +64,3 @@ def resolve_backend(name: str) -> Backend:
         return planted_backend(bugs, name=name)
     raise BackendConfigError(f"unknown backend '{name}'")
 
-
-__all__ = [
-    "Backend", "BackendConfigError", "resolve_backend",
-    "ReferenceBackend", "Quirks", "BugId", "planted_backend",
-    "execute", "ExecutionLimits", "DEFAULT_LIMITS",
-    "TestOutcome", "Pass", "Fail", "Error", "PASS", "ErrorKind",
-    "BackendError", "describe", "outcome_to_dict", "outcome_from_dict",
-]

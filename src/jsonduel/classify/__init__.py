@@ -1,38 +1,1 @@
 """Post-hoc triage of failing tests: good (library bug) vs bad (broken test)."""
-
-from .evaluate import (
-    AccuracyReport,
-    CaseResult,
-    Category,
-    FailedCase,
-    evaluate_accuracy,
-    load_cases,
-    render_accuracy_json,
-    render_accuracy_text,
-)
-from .exemplars import EXEMPLARS, Exemplar
-from .prompts import (
-    DEFINITION_BAD,
-    DEFINITION_GOOD,
-    ClassifyMode,
-    build_classify_prompt,
-)
-from .voting import (
-    VOTE_COUNT,
-    ClassificationAborted,
-    ClassificationResult,
-    Verdict,
-    classify,
-    parse_verdict,
-    tally_votes,
-)
-
-__all__ = [
-    "ClassifyMode", "build_classify_prompt", "DEFINITION_GOOD", "DEFINITION_BAD",
-    "EXEMPLARS", "Exemplar",
-    "Verdict", "parse_verdict", "tally_votes", "VOTE_COUNT",
-    "ClassificationResult", "ClassificationAborted", "classify",
-    "Category", "FailedCase", "load_cases",
-    "CaseResult", "AccuracyReport", "evaluate_accuracy",
-    "render_accuracy_text", "render_accuracy_json",
-]

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from ..backends.outcomes import Pass, TestOutcome, outcome_from_dict
 from ..llm.client import LlmClient
 from ..llm.generation import GenParams
-from ..tdsl import Script, parse_script
+from ..tdsl.ast import Script
+from ..tdsl.parser import parse_script
 from .prompts import ClassifyMode
 from .voting import VOTE_COUNT, ClassificationAborted, ClassificationResult, Verdict, classify
 
@@ -116,43 +118,40 @@ def evaluate_accuracy(
     client: LlmClient,
     params: GenParams = GenParams(),
 ) -> AccuracyReport:
-    """Classify every labeled case and tabulate per-category accuracy.
-
-    Cases go one at a time, in list order; each case's votes are sent at
-    once (see `classify`), on one pool of `VOTE_COUNT` workers that
-    serves every case.
-    """
+    """Classify every labeled case with `classify_cases` and tabulate
+    per-category accuracy."""
     if not cases:
         raise ValueError("nothing to evaluate: empty case list")
     for case in cases:
         if case.category is Category.UNKNOWN:
             raise ValueError("evaluation requires ground-truth categories")
-    with ThreadPoolExecutor(max_workers=VOTE_COUNT) as pool:
-        results = tuple(
-            CaseResult(
-                category=case.category,
-                expected=case.category.expected_verdict,
-                result=classify_at(index, case, mode, client, params, pool),
-            )
-            for index, case in enumerate(cases)
-        )
+    results = tuple(
+        CaseResult(case.category, case.category.expected_verdict, result)
+        for result, case in zip(classify_cases(cases, mode, client, params), cases)
+    )
     return AccuracyReport(mode=mode, case_results=results)
 
 
-def classify_at(
-    index: int,
-    case: FailedCase,
+def classify_cases(
+    cases: list[FailedCase],
     mode: ClassifyMode,
     client: LlmClient,
     params: GenParams,
-    pool: Executor | None = None,
-) -> ClassificationResult:
-    """`classify` for the case at `index` of a list; an abort names the index."""
-    try:
-        return classify(case, mode, client, params, pool=pool)
-    except ClassificationAborted as exc:
-        exc.case_index = index
-        raise
+) -> Iterator[ClassificationResult]:
+    """Classify each case in list order, yielding one result per case.
+
+    A case's votes are sent at once (see `classify`) on one pool of
+    `VOTE_COUNT` workers that serves every case, and case k is finished
+    before case k+1 is sent, so at most `VOTE_COUNT` requests are ever
+    open. An abort names the case: `ClassificationAborted.case_index`.
+    """
+    with ThreadPoolExecutor(max_workers=VOTE_COUNT) as pool:
+        for index, case in enumerate(cases):
+            try:
+                yield classify(case, mode, client, params, pool)
+            except ClassificationAborted as exc:
+                exc.case_index = index
+                raise
 
 
 def render_accuracy_text(report: AccuracyReport) -> str:

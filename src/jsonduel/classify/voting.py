@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,7 +66,7 @@ class ClassificationAborted(Exception):
 
     `votes` holds every vote that did arrive, in slot order; the failed
     slot and any other failed slot are missing from it. `case_index` is
-    set by callers that classify a list of cases.
+    the case's position when it came from `classify_cases`.
     """
 
     def __init__(self, cause: Exception, votes: tuple[Verdict, ...]):
@@ -80,35 +79,28 @@ def classify(
     case,
     mode: ClassifyMode,
     client: LlmClient,
-    params: GenParams = GenParams(),
-    vote_count: int = VOTE_COUNT,
-    pool: Executor | None = None,
+    params: GenParams,
+    pool: Executor,
 ) -> ClassificationResult:
-    """Issue `vote_count` independent generations and majority-vote them.
+    """Issue `VOTE_COUNT` independent generations and majority-vote them.
 
-    All `vote_count` requests are open at once, one per slot; votes and
-    transcripts come back in slot order. A client with a `reserve`
-    method (the offline clients) has each slot's reply fixed in slot
-    order before the requests are sent, so its replies land in the same
-    slots on every run. If any slot fails, the first failed slot in slot
-    order decides: a `TransportError` becomes `ClassificationAborted`
-    carrying the votes of every slot that succeeded, and any other
-    exception propagates unchanged.
-
-    The requests run on `pool`, which needs `vote_count` workers for all
-    of them to be open at once. A caller that classifies many cases
-    passes one pool for all of them, so no threads are started per case;
-    without one, `classify` makes a pool for this call.
+    All `VOTE_COUNT` requests are open at once, one per slot, on `pool`,
+    which needs `VOTE_COUNT` workers; votes and transcripts come back in
+    slot order. A client with a `reserve` method (the offline clients)
+    has each slot's reply fixed in slot order before the requests are
+    sent, so its replies land in the same slots on every run. If any
+    slot fails, the first failed slot in slot order decides: a
+    `TransportError` becomes `ClassificationAborted` carrying the votes
+    of every slot that succeeded, and any other exception propagates
+    unchanged.
     """
     prompt = tuple(build_classify_prompt(case, mode))
     reserve = getattr(client, "reserve", None)
-    with ThreadPoolExecutor(max(vote_count, 1)) if pool is None else nullcontext(pool) as workers:
-        futures = [
-            workers.submit(reserve(prompt)) if reserve
-            else workers.submit(client.complete, prompt, params)
-            for _ in range(vote_count)
-        ]
-        responses = [f.result() for f in futures if f.exception() is None]
+    futures = [
+        pool.submit(reserve(prompt)) if reserve else pool.submit(client.complete, prompt, params)
+        for _ in range(VOTE_COUNT)
+    ]
+    responses = [f.result() for f in futures if f.exception() is None]
     votes = tuple(parse_verdict(response) for response in responses)
     failure = next((f.exception() for f in futures if f.exception() is not None), None)
     if isinstance(failure, TransportError):

@@ -15,7 +15,9 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .tdsl import DslError, Script, parse_script
+from .tdsl.ast import Script
+from .tdsl.errors import DslError
+from .tdsl.parser import parse_script
 
 SEED_EXTENSION = ".t"
 
@@ -56,9 +58,6 @@ class SeedLoadError:
 class Corpus:
     seeds: tuple[SeedTest, ...]
     manifest_hash: str
-
-    def __len__(self) -> int:
-        return len(self.seeds)
 
 
 def _hash_seeds(seeds: list[SeedTest]) -> str:

@@ -1,60 +1,2 @@
 """Prompting protocol: summarization, mutation rules, context assembly,
 chat transport, and deterministic offline mocks."""
-
-from .client import (
-    API_KEY_ENV,
-    DEFAULT_ENDPOINT,
-    ENDPOINT_ENV,
-    GenerationError,
-    HttpChatClient,
-    LlmClient,
-    TransportError,
-)
-from .generation import (
-    GenerationRecord,
-    GenParams,
-    MutationMode,
-    generate,
-    pick_rule,
-    summarize,
-)
-from .messages import (
-    ChatMessage,
-    Role,
-    assistant,
-    conversation_hash,
-    render_transcript,
-    system,
-    to_wire,
-    user,
-)
-from .mock import (
-    ReplayClient,
-    ReplayMissError,
-    ReplayScenario,
-    ScriptedClient,
-    ScriptedExhaustedError,
-)
-from .prompts import (
-    GENERATE_LEAD,
-    GENERATE_SUFFIX,
-    SUMMARIZE_PROMPT,
-    SYSTEM_PROMPT,
-    build_context,
-    build_summary_request,
-)
-from .rules import ALL_RULES, MutationRule
-
-__all__ = [
-    "ChatMessage", "Role", "system", "user", "assistant", "to_wire",
-    "conversation_hash", "render_transcript",
-    "MutationRule", "ALL_RULES",
-    "SYSTEM_PROMPT", "SUMMARIZE_PROMPT", "GENERATE_LEAD", "GENERATE_SUFFIX",
-    "build_summary_request", "build_context",
-    "LlmClient", "HttpChatClient", "TransportError", "GenerationError",
-    "API_KEY_ENV", "ENDPOINT_ENV", "DEFAULT_ENDPOINT",
-    "ReplayScenario", "ReplayClient", "ReplayMissError",
-    "ScriptedClient", "ScriptedExhaustedError",
-    "GenParams", "MutationMode", "GenerationRecord",
-    "summarize", "generate", "pick_rule",
-]

@@ -50,14 +50,12 @@ class HttpChatClient:
         session=None,
         sleep=None,
         timeout_s: float = 120.0,
-        verbose: bool = False,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV) or DEFAULT_ENDPOINT
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.session = session or requests.Session()
         self.sleep = sleep if sleep is not None else time.sleep
         self.timeout_s = timeout_s
-        self.verbose = verbose
 
     def complete(self, messages: Sequence[ChatMessage], params) -> str:
         body = {
@@ -69,8 +67,7 @@ class HttpChatClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        if self.verbose:
-            log.debug("request to %s: %s", self.endpoint, body)
+        log.debug("request to %s: %s", self.endpoint, body)
 
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
@@ -104,8 +101,7 @@ class HttpChatClient:
             content = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GenerationError(f"malformed completion response: {exc}") from None
-        if self.verbose:
-            log.debug("response: %s", content)
+        log.debug("response: %s", content)
         if not content:
             raise GenerationError("empty completion response")
         return content

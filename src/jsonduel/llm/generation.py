@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Union
 
-from ..tdsl import Script
+from ..tdsl.ast import Script
 from ..tdsl.extract import ExtractionFailure, extract_script
 from .client import GenerationError, LlmClient
 from .messages import ChatMessage

@@ -1,11 +1,1 @@
 """Orchestration: configuration, the run loop, report rendering and the CLI."""
-
-from .config import ConfigError, CorpusSource, PipelineConfig, load_config, with_overrides
-from .report import RenderFormatError, report_render
-from .runner import ModeCounts, OutcomeCounts, RunReport, run
-
-__all__ = [
-    "ConfigError", "CorpusSource", "PipelineConfig", "load_config", "with_overrides",
-    "RunReport", "ModeCounts", "OutcomeCounts", "run",
-    "report_render", "RenderFormatError",
-]

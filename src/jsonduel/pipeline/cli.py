@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ..backends import BackendConfigError, resolve_backend
@@ -17,19 +16,20 @@ from ..backends.executor import execute
 from ..backends.outcomes import describe
 from ..classify.evaluate import (
     Category,
-    classify_at,
+    classify_cases,
     evaluate_accuracy,
     load_cases,
     render_accuracy_json,
     render_accuracy_text,
 )
 from ..classify.prompts import ClassifyMode
-from ..classify.voting import VOTE_COUNT, ClassificationAborted
+from ..classify.voting import ClassificationAborted
 from ..corpus import CorpusError, mine_seeds, write_manifest
 from ..llm.client import HttpChatClient
 from ..llm.generation import GenParams
 from ..llm.mock import ReplayClient
-from ..tdsl import DslError, parse_script
+from ..tdsl.errors import DslError
+from ..tdsl.parser import parse_script
 from .config import ConfigError, load_config, with_overrides
 from .runner import run
 
@@ -117,11 +117,9 @@ def _cmd_classify(args) -> int:
         if args.json:
             print(render_accuracy_json(report), end="")
     else:
-        with ThreadPoolExecutor(max_workers=VOTE_COUNT) as pool:
-            for i, case in enumerate(cases):
-                result = classify_at(i, case, mode, client, GenParams(), pool)
-                votes = ",".join(v.value for v in result.votes)
-                print(f"case {i}: {result.final.value}  votes=[{votes}]")
+        for i, result in enumerate(classify_cases(cases, mode, client, GenParams())):
+            votes = ",".join(v.value for v in result.votes)
+            print(f"case {i}: {result.final.value}  votes=[{votes}]")
     return EXIT_CLEAN
 
 

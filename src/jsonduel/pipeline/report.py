@@ -1,17 +1,118 @@
-"""Render a run report as machine-readable JSONL or a human summary."""
+"""What a run produced, and the artifacts it writes.
+
+`RunReport` holds a finished run's data. `write_record` writes one
+generation's provenance (`records/<id>.json`, `scripts/<id>.t`);
+`write_reports` writes `verdicts.jsonl`, `bugs.jsonl` (`render_jsonl`)
+and `report.txt` (`render_text`).
+"""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
+from pathlib import Path
 
-from ..backends.outcomes import outcome_to_dict
-from ..diffcore import divergence_locus
-from ..tdsl import print_script
-from .runner import ModeCounts, RunReport
+from ..backends.outcomes import Error, Fail, Pass, TestOutcome, outcome_to_dict
+from ..diffcore import BugReport, DiffVerdict, divergence_locus
+from ..llm.generation import GenerationRecord
+from ..tdsl.ast import Script
+from ..tdsl.printer import print_script
 
 
-class RenderFormatError(ValueError):
-    pass
+@dataclass
+class OutcomeCounts:
+    passed: int = 0
+    failed: int = 0
+    errored: int = 0
+
+    def executed(self) -> int:
+        return self.passed + self.failed + self.errored
+
+    def add(self, outcome: TestOutcome) -> None:
+        if isinstance(outcome, Pass):
+            self.passed += 1
+        elif isinstance(outcome, Fail):
+            self.failed += 1
+        elif isinstance(outcome, Error):
+            self.errored += 1
+
+
+@dataclass
+class ModeCounts:
+    generated: int = 0
+    extraction_failures: int = 0
+    per_backend: dict[str, OutcomeCounts] = field(default_factory=dict)
+
+    def executed(self) -> int:
+        return self.generated - self.extraction_failures
+
+
+@dataclass
+class RunReport:
+    config_echo: dict
+    manifest_hash: str
+    started_at: str
+    counts: dict[str, ModeCounts]
+    records: list[tuple[str, GenerationRecord]]  # (script_id, record), in order
+    verdicts: list[DiffVerdict]
+    bug_reports: list[BugReport]
+    suppressed_signatures: list[str]
+    op_counts: dict[str, dict[str, int]]
+    seed_load_errors: list[str]
+    planned: int  # generations the run set out to make
+    complete: bool
+
+
+def write_record(out_dir: Path, script_id: str, record: GenerationRecord) -> None:
+    """Write `records/<id>.json` and, for an extracted script, `scripts/<id>.t`."""
+    if isinstance(record.extraction, Script):
+        printed = print_script(record.extraction)
+        (out_dir / "scripts" / f"{script_id}.t").write_text(printed, encoding="utf-8")
+        extraction = {"ok": True, "script": printed}
+    else:
+        extraction = {
+            "ok": False,
+            "category": record.extraction.category,
+            "error": record.extraction.error,
+        }
+    payload = {
+        "script_id": script_id,
+        "seed_id": record.seed_id,
+        "rule": record.rule.value if record.rule else None,
+        "messages": [[m.role.value, m.content] for m in record.messages],
+        "raw_response": record.raw_response,
+        "extraction": extraction,
+        "timestamp": record.timestamp,
+    }
+    (out_dir / "records" / f"{script_id}.json").write_text(
+        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def write_reports(report: RunReport, out_dir: Path) -> None:
+    """Write `verdicts.jsonl`, `bugs.jsonl` and `report.txt`."""
+    with (out_dir / "verdicts.jsonl").open("w", encoding="utf-8") as fh:
+        for verdict in report.verdicts:
+            fh.write(
+                json.dumps(
+                    {
+                        "script_id": verdict.script_id,
+                        "status": verdict.status.value,
+                        "signature": verdict.signature,
+                        "outcomes": {
+                            name: outcome_to_dict(outcome)
+                            for name, outcome in sorted(verdict.outcomes.items())
+                        },
+                    },
+                    ensure_ascii=False,
+                    sort_keys=True,
+                )
+                + "\n"
+            )
+
+    (out_dir / "bugs.jsonl").write_bytes(render_jsonl(report))
+    (out_dir / "report.txt").write_bytes(render_text(report))
+
 
 
 def _counts_dict(counts: dict[str, ModeCounts]) -> dict:
@@ -30,16 +131,8 @@ def _counts_dict(counts: dict[str, ModeCounts]) -> dict:
     return out
 
 
-def report_render(report: RunReport, format: str) -> bytes:
-    """Serialize the report; 'jsonl' or 'text'."""
-    if format == "jsonl":
-        return _render_jsonl(report)
-    if format == "text":
-        return _render_text(report)
-    raise RenderFormatError(f"unknown report format '{format}' (use jsonl|text)")
-
-
-def _render_jsonl(report: RunReport) -> bytes:
+def render_jsonl(report: RunReport) -> bytes:
+    """`bugs.jsonl`: a run header, then one line per unique bug."""
     # The run timestamp lives only in this header's "started_at" field.
     header = {
         "type": "run",
@@ -78,7 +171,8 @@ def _percent(part: int, whole: int) -> str:
     return f"{100.0 * part / whole:.1f}" if whole else "-"
 
 
-def _render_text(report: RunReport) -> bytes:
+def render_text(report: RunReport) -> bytes:
+    """`report.txt`: the human summary."""
     lines: list[str] = []
     lines.append("differential run report")
     lines.append("=======================")

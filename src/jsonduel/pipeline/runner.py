@@ -6,7 +6,8 @@ generation, which waits for its seed's summary. The calling thread
 takes generations back in task order and executes, judges and writes
 each one (`records/`, `scripts/`) while later requests are still out;
 `verdicts.jsonl`, `bugs.jsonl` and `report.txt` are written once, at
-the end. With one slot the model sees every summary in seed order, then
+the end. The writers and the `RunReport` that `run` returns live in
+`report`. With one slot the model sees every summary in seed order, then
 every generation in task order.
 
 Reproducibility contract: with a fixed config, corpus, replay scenario
@@ -21,78 +22,32 @@ depend on `in_flight` either.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 from ..backends import resolve_backend
 from ..backends.executor import execute
-from ..backends.outcomes import Error, Fail, Pass, TestOutcome, outcome_to_dict
+from ..backends.outcomes import TestOutcome
 from ..corpus import SeedTest, load_corpus, mine_seeds
-from ..diffcore import BugReport, DiffVerdict, VerdictStatus, dedup, make_verdict
+from ..diffcore import DiffVerdict, VerdictStatus, dedup, make_verdict
 from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError
 from ..llm.generation import GenerationRecord, generate, pick_rule, summarize
 from ..llm.mock import ReplayClient
 from ..llm.prompts import build_context
 from ..llm.rules import MutationRule
-from ..tdsl import Script, print_script
 from ..tdsl.extract import CONTEXT_OVERFLOW, ExtractionFailure
 from .config import PipelineConfig
+from .report import ModeCounts, OutcomeCounts, RunReport, write_record, write_reports
 
 log = logging.getLogger(__name__)
 
 PLAIN = "plain"
 MUTATE = "mutate"
-
-
-@dataclass
-class OutcomeCounts:
-    passed: int = 0
-    failed: int = 0
-    errored: int = 0
-
-    def executed(self) -> int:
-        return self.passed + self.failed + self.errored
-
-    def add(self, outcome: TestOutcome) -> None:
-        if isinstance(outcome, Pass):
-            self.passed += 1
-        elif isinstance(outcome, Fail):
-            self.failed += 1
-        elif isinstance(outcome, Error):
-            self.errored += 1
-
-
-@dataclass
-class ModeCounts:
-    generated: int = 0
-    extraction_failures: int = 0
-    per_backend: dict[str, OutcomeCounts] = field(default_factory=dict)
-
-    def executed(self) -> int:
-        return self.generated - self.extraction_failures
-
-
-@dataclass
-class RunReport:
-    config_echo: dict
-    manifest_hash: str
-    started_at: str
-    counts: dict[str, ModeCounts]
-    records: list[tuple[str, GenerationRecord]]  # (script_id, record), in order
-    verdicts: list[DiffVerdict]
-    bug_reports: list[BugReport]
-    suppressed_signatures: list[str]
-    op_counts: dict[str, dict[str, int]]
-    seed_load_errors: list[str]
-    planned: int  # generations the run set out to make
-    complete: bool
 
 
 @dataclass(frozen=True)
@@ -115,9 +70,7 @@ def _load(config: PipelineConfig):
 def _build_client(config: PipelineConfig) -> LlmClient:
     if config.mock_scenario is not None:
         return ReplayClient.from_file(config.mock_scenario)
-    return HttpChatClient(
-        endpoint=config.endpoint, verbose=log.isEnabledFor(logging.DEBUG)
-    )
+    return HttpChatClient(endpoint=config.endpoint)
 
 
 def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
@@ -182,7 +135,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
                     log.error("aborting run, generation %s failed: %s", task.script_id, exc)
                     continue
                 records.append((task.script_id, record))
-                _write_record(config.out_dir, task.script_id, record)
+                write_record(config.out_dir, task.script_id, record)
                 mode = MUTATE if record.rule is not None else PLAIN
                 mode_counts = counts.setdefault(mode, ModeCounts())
                 mode_counts.generated += 1
@@ -224,7 +177,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
         planned=len(tasks),
         complete=len(records) == len(tasks),
     )
-    _write_reports(report, config.out_dir)
+    write_reports(report, config.out_dir)
     return report
 
 
@@ -264,55 +217,3 @@ def _generate(
     return generate(
         task.seed.id, task.seed.script_text, summary, task.rule, config.params, client
     )
-
-
-def _write_record(out_dir: Path, script_id: str, record: GenerationRecord) -> None:
-    """Write `records/<id>.json` and, for an extracted script, `scripts/<id>.t`."""
-    if isinstance(record.extraction, Script):
-        printed = print_script(record.extraction)
-        (out_dir / "scripts" / f"{script_id}.t").write_text(printed, encoding="utf-8")
-        extraction = {"ok": True, "script": printed}
-    else:
-        extraction = {
-            "ok": False,
-            "category": record.extraction.category,
-            "error": record.extraction.error,
-        }
-    payload = {
-        "script_id": script_id,
-        "seed_id": record.seed_id,
-        "rule": record.rule.value if record.rule else None,
-        "messages": [[m.role.value, m.content] for m in record.messages],
-        "raw_response": record.raw_response,
-        "extraction": extraction,
-        "timestamp": record.timestamp,
-    }
-    (out_dir / "records" / f"{script_id}.json").write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _write_reports(report: RunReport, out_dir: Path) -> None:
-    from .report import report_render
-
-    with (out_dir / "verdicts.jsonl").open("w", encoding="utf-8") as fh:
-        for verdict in report.verdicts:
-            fh.write(
-                json.dumps(
-                    {
-                        "script_id": verdict.script_id,
-                        "status": verdict.status.value,
-                        "signature": verdict.signature,
-                        "outcomes": {
-                            name: outcome_to_dict(outcome)
-                            for name, outcome in sorted(verdict.outcomes.items())
-                        },
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-    (out_dir / "bugs.jsonl").write_bytes(report_render(report, "jsonl"))
-    (out_dir / "report.txt").write_bytes(report_render(report, "text"))

@@ -1,53 +1,8 @@
-"""The JSON-test DSL: AST, parser, printer and response extraction."""
+"""The JSON-test DSL: AST, parser, printer and response extraction.
 
-from .ast import (
-    AssertEq,
-    AssertNotNull,
-    AssertNull,
-    AssertThrows,
-    AsType,
-    BeanDef,
-    BeanField,
-    BeanRef,
-    Get,
-    IsValid,
-    Let,
-    ListOf,
-    Lit,
-    MakeBean,
-    ParseTyped,
-    ParseValue,
-    PathEval,
-    Prim,
-    ReaderFeature,
-    Script,
-    Serialize,
-    Size,
-    Str,
-    StripZeros,
-    Var,
-    WriterFeature,
-)
-from .errors import (
-    DslError,
-    DslSyntaxError,
-    DslValidationError,
-    UnboundVariableError,
-    UnknownBeanError,
-    UnknownFeatureError,
-)
-from .extract import CONTEXT_OVERFLOW, PARSE_FAILURE, ExtractionFailure, extract_script
-from .parser import parse_script, validate_script
-from .printer import print_script
+`Script` and `parse_script` are re-exported for the benchmark; everything
+else is imported from the module that defines it.
+"""
 
-__all__ = [
-    "AssertEq", "AssertNotNull", "AssertNull", "AssertThrows", "AsType",
-    "BeanDef", "BeanField", "BeanRef", "Get", "IsValid", "Let", "ListOf",
-    "Lit", "MakeBean", "ParseTyped", "ParseValue", "PathEval", "Prim",
-    "ReaderFeature", "Script", "Serialize", "Size", "Str", "StripZeros",
-    "Var", "WriterFeature",
-    "DslError", "DslSyntaxError", "DslValidationError",
-    "UnboundVariableError", "UnknownBeanError", "UnknownFeatureError",
-    "ExtractionFailure", "extract_script", "PARSE_FAILURE", "CONTEXT_OVERFLOW",
-    "parse_script", "validate_script", "print_script",
-]
+from .ast import Script
+from .parser import parse_script

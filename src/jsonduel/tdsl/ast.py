@@ -194,8 +194,6 @@ class AssertThrows:
 
 Statement = Union[Let, AssertEq, AssertNull, AssertNotNull, AssertThrows]
 
-ASSERTION_TYPES = (AssertEq, AssertNull, AssertNotNull, AssertThrows)
-
 
 @dataclass(frozen=True)
 class Script:
@@ -206,9 +204,6 @@ class Script:
 
     def bean_map(self) -> dict[str, BeanDef]:
         return {bean.name: bean for bean in self.beans}
-
-    def assertion_count(self) -> int:
-        return sum(1 for s in self.statements if isinstance(s, ASSERTION_TYPES))
 
 
 # Words that cannot be used as variable or bean names.

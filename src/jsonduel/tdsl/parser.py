@@ -8,6 +8,7 @@ is deterministic: identical bytes always yield the identical AST.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from .. import jsontext
@@ -21,6 +22,9 @@ from .errors import (
 )
 
 _PUNCT = set("{}()[],;:=<>")
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 _CALL_NAMES = frozenset(
     {"parse", "parse_typed", "serialize", "get", "path_eval", "is_valid",
@@ -33,6 +37,7 @@ _WRITER_FEATURES = {f.value: f for f in ast.WriterFeature}
 
 _MAX_LITERAL_DEPTH = 256
 _MAX_EXPR_DEPTH = 256
+_MAX_TYPE_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ def _tokenize(text: str) -> list[Token]:
             tokens.append(Token("STRING", value, ln, col))
             pos = end
             continue
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch in _DIGITS:
             try:
                 value, end = jsontext.scan_number(text, pos)
             except jsontext.JsonTextError:
@@ -86,9 +91,9 @@ def _tokenize(text: str) -> list[Token]:
             tokens.append(Token("NUMBER", value, ln, col))
             pos = end
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             end = pos
-            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+            while end < len(text) and text[end] in _IDENT_CHARS:
                 end += 1
             tokens.append(Token("IDENT", text[pos:end], ln, col))
             pos = end
@@ -169,13 +174,15 @@ class _Parser:
         self.expect_punct("}")
         return ast.BeanDef(name.value, tuple(fields))
 
-    def field_type(self) -> ast.FieldType:
+    def field_type(self, depth: int = 0) -> ast.FieldType:
+        if depth > _MAX_TYPE_DEPTH:
+            self.fail("field type nesting too deep")
         tok = self.expect_ident("field type")
         if tok.value in ast.PRIMITIVE_TYPES:
             return ast.Prim(tok.value)
         if tok.value == "list":
             self.expect_punct("<")
-            element = self.field_type()
+            element = self.field_type(depth + 1)
             self.expect_punct(">")
             return ast.ListOf(element)
         return ast.BeanRef(tok.value)
@@ -401,8 +408,9 @@ def validate_script(script: ast.Script) -> None:
             seen.add(field.name)
 
     for bean in script.beans:
-        for field in bean.fields:
-            _check_field_type(field.type, beans)
+        for ref in _bean_refs(bean):
+            if ref not in beans:
+                raise UnknownBeanError(ref)
     _check_bean_cycles(beans)
 
     bound: set[str] = set()
@@ -424,38 +432,39 @@ def validate_script(script: ast.Script) -> None:
         raise DslValidationError("script contains no assertions")
 
 
-def _check_field_type(ftype: ast.FieldType, beans: dict) -> None:
-    if isinstance(ftype, ast.BeanRef):
-        if ftype.name not in beans:
-            raise UnknownBeanError(ftype.name)
-    elif isinstance(ftype, ast.ListOf):
-        _check_field_type(ftype.element, beans)
+def _bean_refs(bean: ast.BeanDef) -> list[str]:
+    """Names of the beans that `bean`'s fields hold, directly or in lists."""
+    refs = []
+    for field in bean.fields:
+        ftype = field.type
+        while isinstance(ftype, ast.ListOf):
+            ftype = ftype.element
+        if isinstance(ftype, ast.BeanRef):
+            refs.append(ftype.name)
+    return refs
 
 
 def _check_bean_cycles(beans: dict[str, ast.BeanDef]) -> None:
-    def refs(ftype: ast.FieldType):
-        if isinstance(ftype, ast.BeanRef):
-            yield ftype.name
-        elif isinstance(ftype, ast.ListOf):
-            yield from refs(ftype.element)
-
-    visiting: set[str] = set()
+    """Depth-first search with an explicit stack, so a long chain of
+    beans cannot exhaust the interpreter's recursion limit."""
     done: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in done:
-            return
-        if name in visiting:
-            raise DslValidationError(f"recursive bean cycle through '{name}'")
-        visiting.add(name)
-        for field in beans[name].fields:
-            for ref in refs(field.type):
-                visit(ref)
-        visiting.discard(name)
-        done.add(name)
-
-    for name in beans:
-        visit(name)
+    for root in beans:
+        if root in done:
+            continue
+        visiting = {root}
+        stack = [(root, iter(_bean_refs(beans[root])))]
+        while stack:
+            name, refs = stack[-1]
+            ref = next(refs, None)
+            if ref is None:
+                stack.pop()
+                visiting.discard(name)
+                done.add(name)
+            elif ref in visiting:
+                raise DslValidationError(f"recursive bean cycle through '{ref}'")
+            elif ref not in done:
+                visiting.add(ref)
+                stack.append((ref, iter(_bean_refs(beans[ref]))))
 
 
 def _check_expr(expr: ast.Expr, bound: set[str], beans: dict) -> None:

@@ -35,28 +35,6 @@ def kind(value) -> str:
     raise TypeError(f"not a JSON value: {type(value).__name__}")
 
 
-def is_value(value) -> bool:
-    """Check recursively that `value` is a well-formed JSON value."""
-    try:
-        k = kind(value)
-    except TypeError:
-        return False
-    if k == "int":
-        return INT64_MIN <= value <= INT64_MAX
-    if k == "arr":
-        return all(is_value(item) for item in value)
-    if k == "obj":
-        return all(isinstance(key, str) and is_value(item) for key, item in value.items())
-    return True
-
-
-def make_int(n: int):
-    """Wrap an integer, promoting to Decimal when it exceeds 64-bit range."""
-    if INT64_MIN <= n <= INT64_MAX:
-        return n
-    return Decimal(n)
-
-
 def values_equal(a, b) -> bool:
     """Structural equality over JSON values.
 

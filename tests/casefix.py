@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from jsonduel.backends import execute, resolve_backend
+from jsonduel.backends import resolve_backend
+from jsonduel.backends.executor import execute
 from jsonduel.backends.outcomes import Pass, outcome_to_dict
-from jsonduel.classify import Category
-from jsonduel.tdsl import parse_script
+from jsonduel.classify.evaluate import Category
+from jsonduel.tdsl.parser import parse_script
 
 SPLIT = [
     (Category.E_BAD, 10),

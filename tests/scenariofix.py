@@ -13,7 +13,9 @@ import random
 from pathlib import Path
 
 from jsonduel.corpus import Corpus
-from jsonduel.llm import MutationMode, ReplayScenario, build_context, build_summary_request, pick_rule
+from jsonduel.llm.generation import MutationMode, pick_rule
+from jsonduel.llm.mock import ReplayScenario
+from jsonduel.llm.prompts import build_context, build_summary_request
 
 SUMMARIES = {
     "issue1204": (

@@ -10,31 +10,27 @@ import random
 import time
 from pathlib import Path
 
-from jsonduel.backends import execute, resolve_backend
+from jsonduel.backends import resolve_backend
+from jsonduel.backends.executor import execute
 from jsonduel.backends.outcomes import Fail, Pass
-from jsonduel.classify import (
-    DEFINITION_BAD,
-    DEFINITION_GOOD,
+from jsonduel.classify.evaluate import (
     Category,
-    ClassifyMode,
-    Verdict,
     evaluate_accuracy,
     load_cases,
     render_accuracy_text,
-    tally_votes,
 )
+from jsonduel.classify.prompts import DEFINITION_BAD, DEFINITION_GOOD, ClassifyMode
+from jsonduel.classify.voting import Verdict, tally_votes
 from jsonduel.diffcore import VerdictStatus, compare
-from jsonduel.llm import (
-    ALL_RULES,
-    GENERATE_SUFFIX,
-    SYSTEM_PROMPT,
-    GenParams,
-    MutationMode,
-    ScriptedClient,
-    pick_rule,
-)
-from jsonduel.pipeline import CorpusSource, PipelineConfig, report_render, run
-from jsonduel.tdsl import parse_script, print_script
+from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
+from jsonduel.llm.mock import ScriptedClient
+from jsonduel.llm.prompts import GENERATE_SUFFIX, SYSTEM_PROMPT
+from jsonduel.llm.rules import ALL_RULES
+from jsonduel.pipeline.config import CorpusSource, PipelineConfig
+from jsonduel.pipeline.report import render_text
+from jsonduel.pipeline.runner import run
+from jsonduel.tdsl.parser import parse_script
+from jsonduel.tdsl.printer import print_script
 
 from casefix import build_case_fixture, confusion_responses
 from conftest import SEEDS_DIR, read_golden
@@ -123,8 +119,11 @@ def test_c3_dsl_round_trip_100_asts():
 
 def test_c4_prompt_fidelity_goldens():
     """Golden transcripts byte-for-byte, plus every pinned phrase."""
-    from jsonduel.classify import FailedCase, build_classify_prompt
-    from jsonduel.llm import MutationRule, build_context, render_transcript
+    from jsonduel.classify.evaluate import FailedCase
+    from jsonduel.classify.prompts import build_classify_prompt
+    from jsonduel.llm.messages import render_transcript
+    from jsonduel.llm.prompts import build_context
+    from jsonduel.llm.rules import MutationRule
 
     seed_text = (SEEDS_DIR / "issue1874.t").read_text(encoding="utf-8")
     summary = (
@@ -190,7 +189,7 @@ def test_c5_outcome_taxonomy_buckets(tmp_path, seeds_dir):
     assert counts.extraction_failures == 1
     assert counts.executed() == 8
     assert counts.generated == counts.extraction_failures + counts.executed()
-    text = report_render(report, "text").decode()
+    text = render_text(report).decode()
     assert "Pass" in text
     assert "Failure/Exception" in text
     assert "Compile Error" in text

@@ -4,10 +4,18 @@ from decimal import Decimal
 
 import pytest
 
-from jsonduel.backends import BackendConfigError, ErrorKind, resolve_backend
-from jsonduel.backends.outcomes import BackendError
+from jsonduel.backends import BackendConfigError, resolve_backend
+from jsonduel.backends.outcomes import BackendError, ErrorKind
 from jsonduel.backends.reference import ReferenceBackend
-from jsonduel.tdsl import AsType, BeanDef, BeanField, ListOf, Prim, ReaderFeature, WriterFeature
+from jsonduel.tdsl.ast import (
+    AsType,
+    BeanDef,
+    BeanField,
+    ListOf,
+    Prim,
+    ReaderFeature,
+    WriterFeature,
+)
 from jsonduel.values import values_equal
 
 from scriptgen import generate_scripts
@@ -223,7 +231,7 @@ class TestRegistry:
 
 class TestDeterminism:
     def test_two_reference_instances_agree_everywhere(self):
-        from jsonduel.backends import execute
+        from jsonduel.backends.executor import execute
 
         ref, copy = ReferenceBackend(), ReferenceBackend(name="reference-copy")
         for script in generate_scripts(seed=23, count=120):

@@ -3,42 +3,39 @@
 import dataclasses
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsonduel.backends import execute, planted_backend, resolve_backend
+from jsonduel.backends import resolve_backend
+from jsonduel.backends.executor import execute
 from jsonduel.backends.outcomes import describe
-from jsonduel.backends.planted import BugId
-from jsonduel.classify import (
+from jsonduel.backends.planted import BugId, planted_backend
+from jsonduel.classify.evaluate import Category, FailedCase, evaluate_accuracy
+from jsonduel.classify.exemplars import EXEMPLARS
+from jsonduel.classify.prompts import (
     DEFINITION_BAD,
     DEFINITION_GOOD,
-    EXEMPLARS,
+    ClassifyMode,
+    build_classify_prompt,
+)
+from jsonduel.classify.voting import (
     VOTE_COUNT,
-    Category,
     ClassificationAborted,
     ClassificationResult,
-    ClassifyMode,
-    FailedCase,
     Verdict,
-    build_classify_prompt,
     classify,
-    evaluate_accuracy,
     parse_verdict,
     tally_votes,
 )
-from jsonduel.llm import (
-    GenParams,
-    ReplayClient,
-    ReplayScenario,
-    ScriptedClient,
-    TransportError,
-    assistant,
-    render_transcript,
-)
+from jsonduel.llm.client import TransportError
+from jsonduel.llm.generation import GenParams
+from jsonduel.llm.messages import assistant, render_transcript
+from jsonduel.llm.mock import ReplayClient, ReplayScenario, ScriptedClient
 from jsonduel.pipeline.cli import main
-from jsonduel.tdsl import parse_script
+from jsonduel.tdsl.parser import parse_script
 
 from casefix import build_case_fixture, confusion_responses
 from conftest import read_golden
@@ -50,6 +47,12 @@ def make_case(src: str = "assert_eq(1, 2);", backend: str = "reference") -> Fail
     script = parse_script(src)
     outcome = execute(script, resolve_backend(backend))
     return FailedCase(script=script, script_text=src, outcome=outcome, backend=backend)
+
+
+def classify_fs(case: FailedCase, client) -> ClassificationResult:
+    """`classify` in FS mode on a pool of its own."""
+    with ThreadPoolExecutor(VOTE_COUNT) as pool:
+        return classify(case, ClassifyMode.FS, client, PARAMS, pool)
 
 
 FIXTURE_SRC = 'let o = parse("[10, 20]");\nassert_eq(99, get(o, 1, integer));\n'
@@ -145,7 +148,7 @@ class TestExemplarsAreReal:
 class TestClassify:
     def test_six_votes_majority(self):
         responses = ["This test is a good test."] * 4 + ["This test is a bad test."] * 2
-        result = classify(make_case(), ClassifyMode.FS, ScriptedClient(responses), PARAMS)
+        result = classify_fs(make_case(), ScriptedClient(responses))
         assert result.final is Verdict.GOOD
         assert len(result.votes) == 6
         assert len(result.transcripts) == 6
@@ -161,13 +164,13 @@ class TestClassify:
                 return "bad test."
 
         recorder = Recorder()
-        classify(make_case(), ClassifyMode.FS, recorder, PARAMS)
+        classify_fs(make_case(), recorder)
         assert len(set(recorder.seen)) == 1
 
     def test_transport_failure_carries_partial_votes(self):
         responses = ["good test.", "good test.", TransportError("down")]
         with pytest.raises(ClassificationAborted) as info:
-            classify(make_case(), ClassifyMode.FS, ScriptedClient(responses), PARAMS)
+            classify_fs(make_case(), ScriptedClient(responses))
         assert info.value.votes == (Verdict.GOOD, Verdict.GOOD)
 
     def test_case_rejects_pass_outcome(self):
@@ -252,7 +255,7 @@ def _sequential_reference(entries, case, mode):
 class TestConcurrentVotes:
     def test_all_votes_are_in_flight_at_once(self):
         client = _BarrierClient()
-        result = classify(make_case(), ClassifyMode.FS, client, PARAMS)
+        result = classify_fs(make_case(), client)
         assert result.votes == (Verdict.GOOD,) * VOTE_COUNT
         assert not client.barrier.broken
 
@@ -273,7 +276,7 @@ class TestConcurrentVotes:
             scenario.record(prompt, reply)
         expected = tuple(parse_verdict(r) for r in replies)
         results = _repeat_under_fast_switching(
-            200, lambda: classify(case, ClassifyMode.FS, ReplayClient(scenario), PARAMS)
+            200, lambda: classify_fs(case, ReplayClient(scenario))
         )
         for result in results:
             assert result.votes == expected
@@ -282,7 +285,7 @@ class TestConcurrentVotes:
     def test_scripted_votes_stay_in_list_order(self):
         responses = [GOOD] * 4 + [BAD] * 2
         results = _repeat_under_fast_switching(
-            200, lambda: classify(make_case(), ClassifyMode.FS, ScriptedClient(responses), PARAMS)
+            200, lambda: classify_fs(make_case(), ScriptedClient(responses))
         )
         for result in results:
             assert result.votes == (Verdict.GOOD,) * 4 + (Verdict.BAD,) * 2
@@ -292,7 +295,7 @@ class TestConcurrentVotes:
         responses = [GOOD, GOOD, TransportError("down"), BAD, GOOD, BAD]
         client = ScriptedClient(responses)
         with pytest.raises(ClassificationAborted) as info:
-            classify(make_case(), ClassifyMode.FS, client, PARAMS)
+            classify_fs(make_case(), client)
         g, b = Verdict.GOOD, Verdict.BAD
         assert info.value.votes == (g, g, b, g, b)
         assert client.calls == VOTE_COUNT
@@ -300,7 +303,7 @@ class TestConcurrentVotes:
     def test_first_failed_slot_decides(self):
         responses = [GOOD, RuntimeError("boom"), GOOD, TransportError("down"), GOOD, GOOD]
         with pytest.raises(RuntimeError, match="boom"):
-            classify(make_case(), ClassifyMode.FS, ScriptedClient(responses), PARAMS)
+            classify_fs(make_case(), ScriptedClient(responses))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(
@@ -310,7 +313,7 @@ class TestConcurrentVotes:
     def test_matches_a_sequential_loop(self, entries):
         case = make_case()
         concurrent = _outcome(
-            lambda: classify(case, ClassifyMode.FS, ScriptedClient(entries), PARAMS)
+            lambda: classify_fs(case, ScriptedClient(entries))
         )
         sequential = _outcome(lambda: _sequential_reference(entries, case, ClassifyMode.FS))
         assert concurrent == sequential

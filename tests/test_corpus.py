@@ -71,7 +71,7 @@ class TestMineSeeds:
         assert [s.id for s in corpus.seeds] == ["issueA", "issueB"]
 
     def test_every_seed_reparses_to_its_script(self, seeds_dir):
-        from jsonduel.tdsl import parse_script
+        from jsonduel.tdsl.parser import parse_script
 
         (seeds_dir / "issue1.t").write_text(VALID)
         corpus, _ = mine_seeds(seeds_dir, "issue")

@@ -2,8 +2,10 @@
 
 import pytest
 
-from jsonduel.backends import BugId, execute, planted_backend, resolve_backend
+from jsonduel.backends import resolve_backend
+from jsonduel.backends.executor import execute
 from jsonduel.backends.outcomes import Error, ErrorKind, Fail, Pass
+from jsonduel.backends.planted import BugId, planted_backend
 from jsonduel.diffcore import (
     DiffConfigError,
     VerdictStatus,
@@ -14,7 +16,7 @@ from jsonduel.diffcore import (
     outcome_key,
     skeleton_hash,
 )
-from jsonduel.tdsl import parse_script
+from jsonduel.tdsl.parser import parse_script
 
 from scriptgen import generate_scripts
 

@@ -2,15 +2,17 @@
 
 import pytest
 
-from jsonduel.classify import (
+from jsonduel.classify.evaluate import (
     Category,
-    ClassifyMode,
     evaluate_accuracy,
     load_cases,
     render_accuracy_json,
     render_accuracy_text,
 )
-from jsonduel.llm import GenParams, ScriptedClient
+from jsonduel.classify.prompts import ClassifyMode
+from jsonduel.llm.generation import GenParams
+from jsonduel.llm.mock import ScriptedClient
+from jsonduel.tdsl.parser import parse_script
 
 from casefix import SPLIT, build_case_fixture, confusion_responses
 
@@ -31,7 +33,7 @@ class TestLoadCases:
 
     def test_scripts_are_parsed(self, case_file):
         cases = load_cases(case_file)
-        assert all(c.script.assertion_count() >= 1 for c in cases)
+        assert all(c.script == parse_script(c.script_text) for c in cases)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "cases.jsonl"

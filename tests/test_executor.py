@@ -2,10 +2,18 @@
 
 import pytest
 
-from jsonduel.backends import ErrorKind, execute, resolve_backend
-from jsonduel.backends.executor import ExecutionLimits
-from jsonduel.backends.outcomes import Error, Fail, Pass, describe, outcome_from_dict, outcome_to_dict
-from jsonduel.tdsl import parse_script
+from jsonduel.backends import resolve_backend
+from jsonduel.backends.executor import ExecutionLimits, execute
+from jsonduel.backends.outcomes import (
+    Error,
+    ErrorKind,
+    Fail,
+    Pass,
+    describe,
+    outcome_from_dict,
+    outcome_to_dict,
+)
+from jsonduel.tdsl.parser import parse_script
 
 REF = resolve_backend("reference")
 

@@ -6,33 +6,25 @@ import random
 import pytest
 import requests
 
-from jsonduel.llm import (
-    ALL_RULES,
-    GENERATE_SUFFIX,
-    SUMMARIZE_PROMPT,
-    SYSTEM_PROMPT,
-    ChatMessage,
-    GenerationError,
-    GenParams,
-    HttpChatClient,
-    MutationMode,
-    MutationRule,
+from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
+from jsonduel.llm.generation import GenParams, MutationMode, generate, pick_rule, summarize
+from jsonduel.llm.messages import ChatMessage, Role, conversation_hash, render_transcript
+from jsonduel.llm.mock import (
     ReplayClient,
     ReplayMissError,
     ReplayScenario,
-    Role,
     ScriptedClient,
-    TransportError,
+    ScriptedExhaustedError,
+)
+from jsonduel.llm.prompts import (
+    GENERATE_SUFFIX,
+    SUMMARIZE_PROMPT,
+    SYSTEM_PROMPT,
     build_context,
     build_summary_request,
-    conversation_hash,
-    generate,
-    pick_rule,
-    render_transcript,
-    summarize,
 )
-from jsonduel.llm.mock import ScriptedExhaustedError
-from jsonduel.tdsl import Script
+from jsonduel.llm.rules import ALL_RULES, MutationRule
+from jsonduel.tdsl.ast import Script
 from jsonduel.tdsl.extract import ExtractionFailure
 
 from conftest import SEEDS_DIR, read_golden
@@ -144,6 +136,16 @@ class TestHttpClient:
         assert body["top_p"] == PARAMS.top_p
         assert body["messages"][0] == {"role": "system", "content": SYSTEM_PROMPT}
         assert session.requests[0]["headers"]["Authorization"] == "Bearer k"
+
+    def test_debug_level_logs_request_and_response(self, caplog):
+        session = _FakeSession([_ok("hello")])
+        client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
+        with caplog.at_level("DEBUG", logger="jsonduel.llm.client"):
+            client.complete(build_summary_request(SEED_TEXT), PARAMS)
+        assert [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"] == [
+            f"request to http://x: {session.requests[0]['json']}",
+            "response: hello",
+        ]
 
     def test_two_refusals_then_success_retries(self, caplog):
         session = _FakeSession(

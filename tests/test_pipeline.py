@@ -7,20 +7,21 @@ from pathlib import Path
 
 import pytest
 
-from jsonduel.llm import GenParams, MutationMode, ScriptedClient, TransportError
+from jsonduel.llm.client import TransportError
+from jsonduel.llm.generation import GenParams, MutationMode
 from jsonduel.llm.messages import conversation_hash
+from jsonduel.llm.mock import ScriptedClient
 from jsonduel.llm.prompts import SUMMARIZE_PROMPT
-from jsonduel.pipeline import (
+from jsonduel.pipeline.config import (
     ConfigError,
     CorpusSource,
     PipelineConfig,
     load_config,
-    report_render,
-    run,
     with_overrides,
 )
 from jsonduel.pipeline.cli import main
-from jsonduel.pipeline.report import RenderFormatError
+from jsonduel.pipeline.report import render_jsonl, render_text
+from jsonduel.pipeline.runner import run
 
 from conftest import SEEDS_DIR
 from scenariofix import wrap_response, write_planted_scenario
@@ -62,7 +63,7 @@ class TestRun:
     def test_three_bug_fixture_renders_four_jsonl_lines(self, tmp_path, fixture_corpus):
         config = planted_config(tmp_path, fixture_corpus)
         report = run(config)
-        lines = report_render(report, "jsonl").decode().splitlines()
+        lines = render_jsonl(report).decode().splitlines()
         assert len(lines) == 4
         assert json.loads(lines[0])["type"] == "run"
         assert all(json.loads(line)["type"] == "bug" for line in lines[1:])
@@ -285,7 +286,7 @@ class TestScriptedBuckets:
         assert counts.executed() == 8
         for oc in counts.per_backend.values():
             assert (oc.passed, oc.failed, oc.errored) == (6, 2, 0)
-        text = report_render(report, "text").decode()
+        text = render_text(report).decode()
         assert "Pass" in text and "Failure/Exception" in text and "Compile Error" in text
         # the three shares are over generated tests and sum to 100%
         assert "66.7" in text and "22.2" in text and "11.1" in text
@@ -364,7 +365,7 @@ class TestFailureModes:
         assert "lost:          3 of 12 planned generations" in text
 
     def test_empty_completion_aborts_like_transport_failure(self, tmp_path, seeds_dir):
-        from jsonduel.llm import GenerationError
+        from jsonduel.llm.client import GenerationError
 
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
         config = PipelineConfig(
@@ -378,7 +379,7 @@ class TestFailureModes:
         assert not report.complete
 
     def test_replay_miss_is_a_usage_error_at_the_cli(self, tmp_path, seeds_dir):
-        from jsonduel.llm import ReplayScenario
+        from jsonduel.llm.mock import ReplayScenario
 
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
         ReplayScenario().save(tmp_path / "empty_scenario.json")
@@ -406,11 +407,6 @@ class TestFailureModes:
         assert report.counts["plain"].extraction_failures == 1
         (_, record), = report.records
         assert record.extraction.category == "context-overflow"
-
-    def test_unknown_render_format(self, tmp_path, fixture_corpus):
-        report = run(planted_config(tmp_path, fixture_corpus))
-        with pytest.raises(RenderFormatError):
-            report_render(report, "xml")
 
 
 class TestConfig:
@@ -547,8 +543,9 @@ class TestCli:
 
     def test_classify_with_replay_scenario(self, tmp_path, capsys):
         from casefix import build_case_fixture
-        from jsonduel.classify import ClassifyMode, build_classify_prompt, load_cases
-        from jsonduel.llm import ReplayScenario
+        from jsonduel.classify.evaluate import load_cases
+        from jsonduel.classify.prompts import ClassifyMode, build_classify_prompt
+        from jsonduel.llm.mock import ReplayScenario
 
         cases_path = build_case_fixture(tmp_path / "cases")
         cases = load_cases(cases_path)

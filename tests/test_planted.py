@@ -2,9 +2,11 @@
 
 import pytest
 
-from jsonduel.backends import BugId, execute, planted_backend, resolve_backend
+from jsonduel.backends import resolve_backend
+from jsonduel.backends.executor import execute
+from jsonduel.backends.planted import BugId, planted_backend
 from jsonduel.backends.outcomes import Fail, Pass
-from jsonduel.tdsl import parse_script
+from jsonduel.tdsl.parser import parse_script
 
 from scriptgen import generate_scripts
 

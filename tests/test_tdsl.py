@@ -4,30 +4,32 @@ from decimal import Decimal
 
 import pytest
 
-from jsonduel.tdsl import (
-    AssertEq,
+from jsonduel.tdsl.ast import (
     AsType,
-    DslError,
-    DslSyntaxError,
-    DslValidationError,
-    ExtractionFailure,
+    AssertEq,
     Get,
     Let,
     Lit,
+    MakeBean,
     ParseValue,
-    ReaderFeature,
+    Prim,
     Script,
+    Serialize,
     Str,
+    Var,
+    WriterFeature,
+)
+from jsonduel.tdsl.errors import (
+    DslError,
+    DslSyntaxError,
+    DslValidationError,
     UnboundVariableError,
     UnknownBeanError,
     UnknownFeatureError,
-    Var,
-    WriterFeature,
-    extract_script,
-    parse_script,
-    print_script,
 )
-from jsonduel.tdsl.extract import PARSE_FAILURE
+from jsonduel.tdsl.extract import PARSE_FAILURE, ExtractionFailure, extract_script
+from jsonduel.tdsl.parser import parse_script
+from jsonduel.tdsl.printer import print_script
 
 from scriptgen import generate_scripts
 
@@ -43,6 +45,18 @@ def nested_sizes(depth: int) -> str:
     return f'let a = parse("[]");\nassert_eq(1, {"size(" * depth}a{")" * depth});\n'
 
 
+def nested_list_field(depth: int) -> str:
+    return f"bean B {{ f: {'list<' * depth}integer{'>' * depth}; }}\nassert_eq(1, 1);\n"
+
+
+def bean_chain(length: int, ring: bool = False) -> str:
+    """Beans B0..B<length-1>, each holding the next; the last holds an
+    integer, or B0 when `ring` is set."""
+    last = "B0" if ring else "integer"
+    beans = [f"bean B{i} {{ f: {f'B{i + 1}' if i + 1 < length else last}; }}" for i in range(length)]
+    return "\n".join(beans) + "\nassert_eq(1, 1);\n"
+
+
 class TestParser:
     def test_minimal_script(self):
         script = parse_script('let a = parse("[1]"); assert_eq(get(a, 0, integer), 1);')
@@ -54,7 +68,11 @@ class TestParser:
     def test_boolean_quoting_transcription(self):
         script = parse_script(LISTING_BOOL_QUOTING)
         assert [b.name for b in script.beans] == ["Bean"]
-        assert script.assertion_count() == 1
+        assert script.statements == (
+            Let("b", MakeBean("Bean", (("b", Lit(True)),))),
+            Let("json", Serialize(Var("b"), (WriterFeature.WRITE_NON_STRING_VALUE_AS_STRING,))),
+            AssertEq(Str('{"b":"true"}'), Var("json")),
+        )
         serialize = script.statements[1].expr
         assert serialize.features == (WriterFeature.WRITE_NON_STRING_VALUE_AS_STRING,)
 
@@ -136,6 +154,31 @@ class TestParser:
         with pytest.raises(DslError, match="expression nesting too deep"):
             parse_script(nested_sizes(600))
 
+    def test_list_field_type_nesting_is_capped(self):
+        ftype = parse_script(nested_list_field(200)).beans[0].fields[0].type
+        for _ in range(200):
+            ftype = ftype.element
+        assert ftype == Prim("integer")
+        with pytest.raises(DslSyntaxError, match="field type nesting too deep"):
+            parse_script(nested_list_field(2000))
+
+    @pytest.mark.parametrize("length", [200, 1500])
+    def test_long_bean_chain_parses(self, length):
+        script = parse_script(bean_chain(length))
+        assert [b.name for b in script.beans] == [f"B{i}" for i in range(length)]
+        assert script.beans[-1].fields[0].type == Prim("integer")
+
+    def test_long_bean_ring_is_a_cycle(self):
+        with pytest.raises(DslValidationError, match="recursive bean cycle through 'B0'"):
+            parse_script(bean_chain(1500, ring=True))
+
+    def test_identifiers_are_ascii(self):
+        with pytest.raises(DslSyntaxError, match="unexpected character 'é'") as info:
+            parse_script("let café = 1; assert_eq(café, 1);")
+        assert (info.value.line, info.value.col) == (1, 8)
+        with pytest.raises(DslSyntaxError, match="unexpected character '٣'"):
+            parse_script("assert_eq(٣, 3);")
+
 
 class TestPrinter:
     def test_round_trip_listing_transcription(self):
@@ -169,8 +212,7 @@ class TestExtract:
     def test_fenced_valid_script(self):
         response = "Here is a new test:\n```\nassert_eq(1, 1);\n```\nHope this helps."
         script = extract_script(response)
-        assert isinstance(script, Script)
-        assert script.assertion_count() == 1
+        assert script == Script(statements=(AssertEq(Lit(1), Lit(1)),))
 
     def test_language_tag_on_fence(self):
         response = "```tdsl\nassert_eq(1, 1);\n```"
@@ -196,6 +238,12 @@ class TestExtract:
         result = extract_script(f"```\n{nested_sizes(600)}```")
         assert isinstance(result, ExtractionFailure)
         assert "too deep" in result.error
+
+    @pytest.mark.parametrize(
+        "script", [nested_list_field(2000), bean_chain(1500, ring=True)], ids=["list", "ring"]
+    )
+    def test_deep_bean_types_are_extraction_failures(self, script):
+        assert isinstance(extract_script(f"```\n{script}```"), ExtractionFailure)
 
     def test_failure_carries_parser_error(self):
         result = extract_script("```\nlet a = ;\n```")

@@ -5,12 +5,9 @@ from decimal import Decimal
 import pytest
 
 from jsonduel.values import (
-    INT64_MAX,
     canonical,
     dump_value,
-    is_value,
     kind,
-    make_int,
     strip_trailing_zeros,
     values_equal,
 )
@@ -30,17 +27,6 @@ class TestKinds:
         # bool subclasses int in Python; the model keeps them distinct
         assert kind(True) == "bool"
         assert not values_equal(True, 1)
-
-    def test_is_value_rejects_oversized_ints(self):
-        assert is_value(INT64_MAX)
-        assert not is_value(INT64_MAX + 1)
-        assert not is_value({"a": [INT64_MAX + 1]})
-
-    def test_make_int_promotes_to_decimal(self):
-        assert make_int(5) == 5
-        promoted = make_int(INT64_MAX + 1)
-        assert isinstance(promoted, Decimal)
-        assert promoted == Decimal("9223372036854775808")
 
 
 class TestEquality:
