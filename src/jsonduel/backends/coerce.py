@@ -12,12 +12,12 @@ import re
 from decimal import Decimal
 from typing import Mapping
 
+from ..jsontext import NUMBER_RE
 from ..tdsl import ast
 from ..values import INT64_MAX, INT64_MIN, canonical, kind
 from .outcomes import BackendError, ErrorKind
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
-_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\Z")
 
 
 def _cast_error(value, target: str) -> BackendError:
@@ -61,7 +61,7 @@ def coerce_value(value, as_type: ast.AsType):
         if k == "int":
             return Decimal(value)
         if k == "str":
-            if _NUMBER_RE.match(value):
+            if NUMBER_RE.fullmatch(value):
                 return Decimal(value)
             raise _cast_error(value, "decimal")
         raise _cast_error(value, "decimal")

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from ..tdsl import ast
 from ..values import canonical, kind, strip_trailing_zeros, values_equal
-from .coerce import bind_field
+from .coerce import bind_bean
 from .outcomes import PASS, BackendError, Error, ErrorKind, Fail, TestOutcome
 
 OpHook = Callable[[str], None]
@@ -164,14 +164,6 @@ class _Runner:
                 )
             return strip_trailing_zeros(value)
         if isinstance(expr, ast.MakeBean):
-            bean = self.beans[expr.bean]
             assigned = {name: self.eval(value) for name, value in expr.assignments}
-            return {
-                field.name: (
-                    bind_field(assigned[field.name], field.type, self.beans)
-                    if field.name in assigned
-                    else None
-                )
-                for field in bean.fields
-            }
+            return bind_bean(assigned, self.beans[expr.bean], self.beans)
         raise AssertionError(expr)

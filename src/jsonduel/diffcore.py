@@ -81,49 +81,20 @@ def divergence_locus(outcomes: Mapping[str, TestOutcome]) -> str:
     return "pass"
 
 
-def _mask_expr(expr: ast.Expr) -> ast.Expr:
-    if isinstance(expr, ast.Lit):
+def _mask(node):
+    """Copy an expression or statement with every literal and path blanked."""
+    if isinstance(node, ast.Lit):
         return ast.Lit(None)
-    if isinstance(expr, ast.Str):
+    if isinstance(node, ast.Str):
         return ast.Str("")
-    if isinstance(expr, ast.Var):
-        return expr
-    if isinstance(expr, ast.ParseValue):
-        return replace(expr, text=_mask_expr(expr.text))
-    if isinstance(expr, ast.ParseTyped):
-        return replace(expr, text=_mask_expr(expr.text))
-    if isinstance(expr, ast.Serialize):
-        return replace(expr, value=_mask_expr(expr.value))
-    if isinstance(expr, ast.Get):
-        return replace(expr, target=_mask_expr(expr.target))
-    if isinstance(expr, ast.PathEval):
-        return ast.PathEval(_mask_expr(expr.target), "")
-    if isinstance(expr, ast.IsValid):
-        return ast.IsValid(_mask_expr(expr.text))
-    if isinstance(expr, ast.Size):
-        return ast.Size(_mask_expr(expr.target))
-    if isinstance(expr, ast.StripZeros):
-        return ast.StripZeros(_mask_expr(expr.value))
-    if isinstance(expr, ast.MakeBean):
+    if isinstance(node, ast.MakeBean):
         return ast.MakeBean(
-            expr.bean,
-            tuple((name, _mask_expr(value)) for name, value in expr.assignments),
+            node.bean, tuple((name, _mask(value)) for name, value in node.assignments)
         )
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
-def _mask_statement(stmt: ast.Statement) -> ast.Statement:
-    if isinstance(stmt, ast.Let):
-        return ast.Let(stmt.name, _mask_expr(stmt.expr))
-    if isinstance(stmt, ast.AssertEq):
-        return ast.AssertEq(_mask_expr(stmt.expected), _mask_expr(stmt.actual))
-    if isinstance(stmt, ast.AssertNull):
-        return ast.AssertNull(_mask_expr(stmt.expr))
-    if isinstance(stmt, ast.AssertNotNull):
-        return ast.AssertNotNull(_mask_expr(stmt.expr))
-    if isinstance(stmt, ast.AssertThrows):
-        return ast.AssertThrows(_mask_expr(stmt.expr))
-    raise TypeError(f"unknown statement node {type(stmt).__name__}")
+    changes = {name: _mask(getattr(node, name)) for name in ast.EXPR_FIELDS[type(node)]}
+    if isinstance(node, ast.PathEval):
+        changes["path"] = ""
+    return replace(node, **changes)
 
 
 def skeleton_hash(script: ast.Script) -> str:
@@ -133,7 +104,7 @@ def skeleton_hash(script: ast.Script) -> str:
     single signature.
     """
     masked = ast.Script(
-        script.beans, tuple(_mask_statement(s) for s in script.statements)
+        script.beans, tuple(_mask(s) for s in script.statements)
     )
     return hashlib.sha256(print_script(masked).encode("utf-8")).hexdigest()
 

@@ -17,10 +17,9 @@ from .values import INT64_MAX, INT64_MIN
 MAX_DEPTH = 256
 
 _WS = " \t\r\n"
-_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _ESCAPES = {
     '"': '"',
-    "'": "'",
     "\\": "\\",
     "/": "/",
     "b": "\b",
@@ -75,8 +74,8 @@ def scan_string(text: str, pos: int) -> tuple[str, int]:
             if i >= len(text):
                 raise JsonTextError("unterminated escape", i)
             esc = text[i]
-            if esc in _ESCAPES:
-                out.append(_ESCAPES[esc])
+            if esc in _ESCAPES or esc == quote:  # \' only inside '...'
+                out.append(_ESCAPES.get(esc, esc))
                 i += 1
             elif esc == "u":
                 code = _hex4(text, i + 1)
@@ -106,15 +105,20 @@ def _hex4(text: str, pos: int) -> int:
 
 def scan_number(text: str, pos: int, options: ParseOptions = DEFAULT_OPTIONS) -> tuple[object, int]:
     """Scan a JSON number at `pos`; returns (int | Decimal, end)."""
-    match = _NUMBER_RE.match(text, pos)
+    match = NUMBER_RE.match(text, pos)
     if match is None:
         raise JsonTextError("invalid number", pos)
     token = match.group()
-    if "." not in token and "e" not in token and "E" not in token:
+    # Only a token of at most 20 characters can be a signed 64-bit integer;
+    # longer ones skip int(), which refuses more than 4300 digits.
+    if len(token) <= 20 and "." not in token and "e" not in token and "E" not in token:
         n = int(token)
         value = n if INT64_MIN <= n <= INT64_MAX else Decimal(token)
         return value, match.end()
-    d = Decimal(token)
+    try:
+        d = Decimal(token)
+    except ArithmeticError:  # an exponent beyond what Decimal can hold
+        raise JsonTextError("number out of range", pos) from None
     if options.narrow_integral_floats and not options.keep_exact_floats:
         if d == d.to_integral_value() and INT64_MIN <= d <= INT64_MAX:
             return int(d), match.end()
@@ -122,7 +126,12 @@ def scan_number(text: str, pos: int, options: ParseOptions = DEFAULT_OPTIONS) ->
 
 
 def parse_value(text: str, pos: int = 0, options: ParseOptions = DEFAULT_OPTIONS, _depth: int = 0):
-    """Parse one JSON value starting at `pos`; returns (value, end)."""
+    """Parse one JSON value starting at `pos`; returns (value, end).
+
+    Arrays and objects recurse straight back into this function, one
+    frame per nesting level, because the DSL parser calls it from inside
+    deeply nested expressions.
+    """
     if _depth > MAX_DEPTH:
         raise JsonTextError("maximum nesting depth exceeded", pos)
     pos = skip_ws(text, pos)
@@ -130,9 +139,44 @@ def parse_value(text: str, pos: int = 0, options: ParseOptions = DEFAULT_OPTIONS
         raise JsonTextError("unexpected end of input", pos)
     ch = text[pos]
     if ch == "{":
-        return _parse_object(text, pos, options, _depth)
+        obj: dict = {}
+        i = skip_ws(text, pos + 1)
+        if i < len(text) and text[i] == "}":
+            return obj, i + 1
+        while True:
+            i = skip_ws(text, i)
+            if i >= len(text) or not (text[i] == '"' or (text[i] == "'" and options.single_quotes)):
+                raise JsonTextError("expected object key", i)
+            key, i = scan_string(text, i)
+            if key in obj:
+                raise JsonTextError(f"duplicate object key {key!r}", i)
+            i = skip_ws(text, i)
+            if i >= len(text) or text[i] != ":":
+                raise JsonTextError("expected ':' after object key", i)
+            value, i = parse_value(text, i + 1, options, _depth + 1)
+            obj[key] = value
+            i = skip_ws(text, i)
+            if i < len(text) and text[i] == ",":
+                i += 1
+                continue
+            if i < len(text) and text[i] == "}":
+                return obj, i + 1
+            raise JsonTextError("expected ',' or '}' in object", i)
     if ch == "[":
-        return _parse_array(text, pos, options, _depth)
+        arr: list = []
+        i = skip_ws(text, pos + 1)
+        if i < len(text) and text[i] == "]":
+            return arr, i + 1
+        while True:
+            value, i = parse_value(text, i, options, _depth + 1)
+            arr.append(value)
+            i = skip_ws(text, i)
+            if i < len(text) and text[i] == ",":
+                i += 1
+                continue
+            if i < len(text) and text[i] == "]":
+                return arr, i + 1
+            raise JsonTextError("expected ',' or ']' in array", i)
     if ch == '"' or (ch == "'" and options.single_quotes):
         s, end = scan_string(text, pos)
         return (s.strip() if options.trim_strings else s), end
@@ -142,49 +186,6 @@ def parse_value(text: str, pos: int = 0, options: ParseOptions = DEFAULT_OPTIONS
         if text.startswith(word, pos):
             return value, pos + len(word)
     raise JsonTextError(f"unexpected character {ch!r}", pos)
-
-
-def _parse_object(text, pos, options, depth):
-    obj: dict = {}
-    i = skip_ws(text, pos + 1)
-    if i < len(text) and text[i] == "}":
-        return obj, i + 1
-    while True:
-        i = skip_ws(text, i)
-        if i >= len(text) or not (text[i] == '"' or (text[i] == "'" and options.single_quotes)):
-            raise JsonTextError("expected object key", i)
-        key, i = scan_string(text, i)
-        if key in obj:
-            raise JsonTextError(f"duplicate object key {key!r}", i)
-        i = skip_ws(text, i)
-        if i >= len(text) or text[i] != ":":
-            raise JsonTextError("expected ':' after object key", i)
-        value, i = parse_value(text, i + 1, options, depth + 1)
-        obj[key] = value
-        i = skip_ws(text, i)
-        if i < len(text) and text[i] == ",":
-            i += 1
-            continue
-        if i < len(text) and text[i] == "}":
-            return obj, i + 1
-        raise JsonTextError("expected ',' or '}' in object", i)
-
-
-def _parse_array(text, pos, options, depth):
-    arr: list = []
-    i = skip_ws(text, pos + 1)
-    if i < len(text) and text[i] == "]":
-        return arr, i + 1
-    while True:
-        value, i = parse_value(text, i, options, depth + 1)
-        arr.append(value)
-        i = skip_ws(text, i)
-        if i < len(text) and text[i] == ",":
-            i += 1
-            continue
-        if i < len(text) and text[i] == "]":
-            return arr, i + 1
-        raise JsonTextError("expected ',' or ']' in array", i)
 
 
 def parse_document(text: str, options: ParseOptions = DEFAULT_OPTIONS):

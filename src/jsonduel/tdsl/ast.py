@@ -195,6 +195,30 @@ class AssertThrows:
 Statement = Union[Let, AssertEq, AssertNull, AssertNotNull, AssertThrows]
 
 
+# The fields of each expression and statement node that hold a
+# sub-expression, in source order. MakeBean's sub-expressions are the
+# values of its assignments, so it lists no field.
+EXPR_FIELDS: dict[type, tuple[str, ...]] = {
+    Lit: (),
+    Str: (),
+    Var: (),
+    ParseValue: ("text",),
+    ParseTyped: ("text",),
+    Serialize: ("value",),
+    Get: ("target",),
+    PathEval: ("target",),
+    IsValid: ("text",),
+    Size: ("target",),
+    MakeBean: (),
+    StripZeros: ("value",),
+    Let: ("expr",),
+    AssertEq: ("expected", "actual"),
+    AssertNull: ("expr",),
+    AssertNotNull: ("expr",),
+    AssertThrows: ("expr",),
+}
+
+
 @dataclass(frozen=True)
 class Script:
     """A complete test script: bean definitions plus ordered statements."""

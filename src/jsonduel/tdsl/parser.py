@@ -1,15 +1,19 @@
 """Tokenizer, recursive-descent parser and validator for the test DSL.
 
 Grammar summary (the full EBNF ships in docs/grammar.ebnf): statements
-are terminated by ";"; JSON literals, string escaping and number forms
-follow RFC 8259; feature lists are bracketed identifier lists. Parsing
-is deterministic: identical bytes always yield the identical AST.
+are terminated by ";"; feature lists are bracketed identifier lists.
+Strings and numbers are scanned, and array and object literals read, by
+the engines' own JSON reader (`jsontext`), so literals follow RFC 8259
+with one nesting cap (`jsontext.MAX_DEPTH`). The whole text is tokenized
+before parsing starts, so a lexical error anywhere wins over an earlier
+syntax error. Parsing is deterministic: identical bytes always yield the
+identical AST.
 """
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
+import re
+from typing import NamedTuple, get_args
 
 from .. import jsontext
 from . import ast
@@ -21,10 +25,8 @@ from .errors import (
     UnknownFeatureError,
 )
 
-_PUNCT = set("{}()[],;:=<>")
-_DIGITS = frozenset(string.digits)
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
+_SPACE_RE = re.compile(r"[ \t\r\n]*")
+_WORD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|[{}()\[\],;:=<>]")
 
 _CALL_NAMES = frozenset(
     {"parse", "parse_typed", "serialize", "get", "path_eval", "is_valid",
@@ -34,84 +36,54 @@ _CALL_NAMES = frozenset(
 _AS_TYPES = {t.value: t for t in ast.AsType}
 _READER_FEATURES = {f.value: f for f in ast.ReaderFeature}
 _WRITER_FEATURES = {f.value: f for f in ast.WriterFeature}
+_EXPR_TYPES = get_args(ast.Expr)
+_STATEMENT_TYPES = get_args(ast.Statement)
 
-_MAX_LITERAL_DEPTH = 256
 _MAX_EXPR_DEPTH = 256
 _MAX_TYPE_DEPTH = 256
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | STRING | NUMBER | PUNCT | EOF
     value: object
-    line: int
-    col: int
+    pos: int  # offset of the token's first character
+
+
+def _syntax_error(text: str, message: str, pos: int) -> DslSyntaxError:
+    """A DslSyntaxError at offset `pos`, located by line and column."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return DslSyntaxError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-
-    def here() -> tuple[int, int]:
-        return line, pos - line_start + 1
-
-    def locate(offset: int) -> tuple[int, int]:
-        ln = text.count("\n", 0, offset) + 1
-        start = text.rfind("\n", 0, offset) + 1
-        return ln, offset - start + 1
-
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        ln, col = here()
-        if ch == '"':
-            try:
+    pos = _SPACE_RE.match(text).end()
+    try:
+        while pos < len(text):
+            ch = text[pos]
+            if ch == '"':
                 value, end = jsontext.scan_string(text, pos)
-            except jsontext.JsonTextError as exc:
-                eln, ecol = locate(exc.pos)
-                raise DslSyntaxError(exc.reason, eln, ecol) from None
-            # strings cannot contain raw newlines, so no line tracking needed
-            tokens.append(Token("STRING", value, ln, col))
-            pos = end
-            continue
-        if ch == "-" or ch in _DIGITS:
-            try:
+                tokens.append(Token("STRING", value, pos))
+            elif ch == "-" or "0" <= ch <= "9":
                 value, end = jsontext.scan_number(text, pos)
-            except jsontext.JsonTextError:
-                raise DslSyntaxError("invalid number", ln, col) from None
-            tokens.append(Token("NUMBER", value, ln, col))
-            pos = end
-            continue
-        if ch in _IDENT_START:
-            end = pos
-            while end < len(text) and text[end] in _IDENT_CHARS:
-                end += 1
-            tokens.append(Token("IDENT", text[pos:end], ln, col))
-            pos = end
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("PUNCT", ch, ln, col))
-            pos += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", ln, col)
-
-    eol_line, eol_col = (line, pos - line_start + 1)
-    tokens.append(Token("EOF", None, eol_line, eol_col))
+                tokens.append(Token("NUMBER", value, pos))
+            else:
+                match = _WORD_RE.match(text, pos)
+                if match is None:
+                    raise _syntax_error(text, f"unexpected character {ch!r}", pos)
+                end = match.end()
+                tokens.append(Token("IDENT" if match.lastindex else "PUNCT", match.group(), pos))
+            pos = _SPACE_RE.match(text, end).end()
+    except jsontext.JsonTextError as exc:
+        raise _syntax_error(text, exc.reason, exc.pos) from None
+    tokens.append(Token("EOF", None, pos))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     # -- token helpers --
@@ -126,7 +98,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise DslSyntaxError(message, tok.line, tok.col)
+        raise _syntax_error(self.text, message, tok.pos)
 
     def expect_punct(self, ch: str) -> Token:
         tok = self.peek()
@@ -234,7 +206,7 @@ class _Parser:
             self.advance()
             return ast.Lit(tok.value)
         if tok.kind == "PUNCT" and tok.value in "{[":
-            return ast.Lit(self.json_value(0))
+            return ast.Lit(self.literal())
         if tok.kind == "IDENT":
             if tok.value == "true":
                 self.advance()
@@ -339,53 +311,20 @@ class _Parser:
         self.expect_punct("]")
         return tuple(features)
 
-    def json_value(self, depth: int):
-        if depth > _MAX_LITERAL_DEPTH:
-            self.fail("literal nesting too deep")
-        tok = self.peek()
-        if tok.kind == "NUMBER" or tok.kind == "STRING":
-            self.advance()
-            return tok.value
-        if tok.kind == "IDENT" and tok.value in ("true", "false", "null"):
-            self.advance()
-            return {"true": True, "false": False, "null": None}[tok.value]
-        if self.at_punct("["):
-            self.advance()
-            arr: list = []
-            if not self.at_punct("]"):
-                while True:
-                    arr.append(self.json_value(depth + 1))
-                    if self.at_punct(","):
-                        self.advance()
-                        continue
-                    break
-            self.expect_punct("]")
-            return arr
-        if self.at_punct("{"):
-            self.advance()
-            obj: dict = {}
-            if not self.at_punct("}"):
-                while True:
-                    key = self.peek()
-                    if key.kind != "STRING":
-                        self.fail("expected object key")
-                    self.advance()
-                    if key.value in obj:
-                        self.fail(f"duplicate object key {key.value!r}", key)
-                    self.expect_punct(":")
-                    obj[key.value] = self.json_value(depth + 1)
-                    if self.at_punct(","):
-                        self.advance()
-                        continue
-                    break
-            self.expect_punct("}")
-            return obj
-        self.fail("expected a JSON value")
+    def literal(self):
+        """Read an array or object literal with the engines' JSON reader."""
+        try:
+            value, end = jsontext.parse_value(self.text, self.peek().pos)
+        except jsontext.JsonTextError as exc:
+            raise _syntax_error(self.text, exc.reason, exc.pos) from None
+        while self.peek().pos < end:
+            self.pos += 1
+        return value
 
 
 def parse_script(text: str) -> ast.Script:
     """Parse DSL source into a validated Script AST."""
-    script = _Parser(_tokenize(text)).script()
+    script = _Parser(text).script()
     validate_script(script)
     return script
 
@@ -416,18 +355,14 @@ def validate_script(script: ast.Script) -> None:
     bound: set[str] = set()
     has_assertion = False
     for stmt in script.statements:
-        if isinstance(stmt, ast.Let):
-            _check_expr(stmt.expr, bound, beans)
-            bound.add(stmt.name)
-        elif isinstance(stmt, ast.AssertEq):
-            _check_expr(stmt.expected, bound, beans)
-            _check_expr(stmt.actual, bound, beans)
-            has_assertion = True
-        elif isinstance(stmt, (ast.AssertNull, ast.AssertNotNull, ast.AssertThrows)):
-            _check_expr(stmt.expr, bound, beans)
-            has_assertion = True
-        else:
+        if not isinstance(stmt, _STATEMENT_TYPES):
             raise DslValidationError(f"unknown statement node {type(stmt).__name__}")
+        for name in ast.EXPR_FIELDS[type(stmt)]:
+            _check_expr(getattr(stmt, name), bound, beans)
+        if isinstance(stmt, ast.Let):
+            bound.add(stmt.name)
+        else:
+            has_assertion = True
     if not has_assertion:
         raise DslValidationError("script contains no assertions")
 
@@ -468,39 +403,12 @@ def _check_bean_cycles(beans: dict[str, ast.BeanDef]) -> None:
 
 
 def _check_expr(expr: ast.Expr, bound: set[str], beans: dict) -> None:
-    if isinstance(expr, (ast.Lit, ast.Str)):
-        return
+    if not isinstance(expr, _EXPR_TYPES):
+        raise DslValidationError(f"unknown expression node {type(expr).__name__}")
     if isinstance(expr, ast.Var):
         if expr.name not in bound:
             raise UnboundVariableError(expr.name)
-        return
-    if isinstance(expr, ast.ParseValue):
-        _check_expr(expr.text, bound, beans)
-        return
-    if isinstance(expr, ast.ParseTyped):
-        _check_expr(expr.text, bound, beans)
-        if expr.bean not in beans:
-            raise UnknownBeanError(expr.bean)
-        return
-    if isinstance(expr, ast.Serialize):
-        _check_expr(expr.value, bound, beans)
-        return
-    if isinstance(expr, ast.Get):
-        _check_expr(expr.target, bound, beans)
-        return
-    if isinstance(expr, ast.PathEval):
-        _check_expr(expr.target, bound, beans)
-        return
-    if isinstance(expr, (ast.IsValid, )):
-        _check_expr(expr.text, bound, beans)
-        return
-    if isinstance(expr, ast.Size):
-        _check_expr(expr.target, bound, beans)
-        return
-    if isinstance(expr, ast.StripZeros):
-        _check_expr(expr.value, bound, beans)
-        return
-    if isinstance(expr, ast.MakeBean):
+    elif isinstance(expr, ast.MakeBean):
         if expr.bean not in beans:
             raise UnknownBeanError(expr.bean)
         fields = {f.name for f in beans[expr.bean].fields}
@@ -514,5 +422,8 @@ def _check_expr(expr: ast.Expr, bound: set[str], beans: dict) -> None:
                 raise DslValidationError(f"duplicate assignment to '{name}'")
             seen.add(name)
             _check_expr(value, bound, beans)
-        return
-    raise DslValidationError(f"unknown expression node {type(expr).__name__}")
+    else:
+        for name in ast.EXPR_FIELDS[type(expr)]:
+            _check_expr(getattr(expr, name), bound, beans)
+        if isinstance(expr, ast.ParseTyped) and expr.bean not in beans:
+            raise UnknownBeanError(expr.bean)

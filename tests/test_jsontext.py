@@ -1,14 +1,67 @@
 """Tests for the text-to-value JSON parser."""
 
+import json
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jsonduel.jsontext import (
     JsonTextError,
     ParseOptions,
     parse_document,
 )
+from jsonduel.values import INT64_MAX, INT64_MIN
+
+# Characters that make up JSON text, plus the ones a reader must reject
+# or handle with care: control characters, lone surrogates, non-ASCII
+# digits and letters, and the single quote of the single-quotes feature.
+JSON_ALPHABET = (
+    list('{}[],:"\\/ \t\r\n-+.eE0123456789abfnrtuAFls\'')
+    + ["\x00", "\x1f", "\x7f", "\ud800", "\udc00", "\u00e9", "\u0663", "\U0001f600"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def json_texts(draw) -> str:
+    """A dumped value with fuzz spliced in; either part may be empty."""
+    text = draw(st.just("") | st.builds(json.dumps, JSON_VALUES, ensure_ascii=st.booleans()))
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + draw(st.text(st.sampled_from(JSON_ALPHABET), max_size=12)) + text[cut:]
+
+
+def _int_or_decimal(token: str):
+    d = Decimal(token)
+    return int(d) if INT64_MIN <= d <= INT64_MAX else d
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate object key")
+    return obj
+
+
+def _no_constants(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def stdlib_parse(text: str):
+    """Raises ValueError, or ArithmeticError for an exponent that Decimal
+    cannot hold, on text it rejects."""
+    return json.loads(
+        text,
+        parse_float=Decimal,
+        parse_int=_int_or_decimal,
+        object_pairs_hook=_unique_keys,
+        parse_constant=_no_constants,
+    )
 
 
 class TestBasics:
@@ -36,7 +89,7 @@ class TestBasics:
     @pytest.mark.parametrize(
         "text",
         ["", "tru", "{", "[1,]", '{"a":}', '{"a" 1}', "01", "1.", "+1", "nan",
-         '"unterminated', "[1] extra", "'single'"],
+         '"unterminated', "[1] extra", "'single'", "1e1000000000000000000"],
     )
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(JsonTextError):
@@ -56,6 +109,25 @@ class TestBasics:
             parse_document('"a\x01b"')
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(json_texts())
+    @example('"\\\'"')
+    @example("[-1e1003927222515924992]")
+    @example("1" * 4301)
+    def test_agrees_with_stdlib(self, text):
+        """Accepts what the stdlib decoder accepts, with the same values
+        (`repr` tells int from Decimal and keeps digits and key order)."""
+        try:
+            expected = repr(stdlib_parse(text))
+        except (ValueError, ArithmeticError):
+            expected = None
+        try:
+            actual = repr(parse_document(text))
+        except JsonTextError:
+            actual = None
+        assert actual == expected
+
+
 class TestNumbers:
     def test_int64_boundary(self):
         assert parse_document("9223372036854775807") == 2**63 - 1
@@ -65,6 +137,7 @@ class TestNumbers:
         value = parse_document("9223372036854775808")
         assert isinstance(value, Decimal)
         assert value == Decimal("9223372036854775808")
+        assert parse_document("1" * 4301) == Decimal("1" * 4301)
 
     def test_fraction_and_exponent_become_decimal(self):
         assert parse_document("1.5") == Decimal("1.5")
@@ -98,6 +171,7 @@ class TestOptions:
     def test_single_quotes_feature(self):
         options = ParseOptions(single_quotes=True)
         assert parse_document("{'a': 'x'}", options) == {"a": "x"}
+        assert parse_document("'it\\'s'", options) == "it's"
         with pytest.raises(JsonTextError):
             parse_document("{'a': 1}")
 

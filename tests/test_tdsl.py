@@ -1,9 +1,12 @@
 """Tests for the test DSL: parser, validator, printer, extraction."""
 
+import dataclasses
 from decimal import Decimal
+from typing import get_args, get_type_hints
 
 import pytest
 
+from jsonduel.tdsl import ast
 from jsonduel.tdsl.ast import (
     AsType,
     AssertEq,
@@ -141,9 +144,25 @@ class TestParser:
         script = parse_script('assert_not_null({"a": [1, true, null]});')
         assert script.statements[0].expr == Lit({"a": [1, True, None]})
 
-    def test_duplicate_keys_in_literal_rejected(self):
-        with pytest.raises(DslSyntaxError, match="duplicate object key"):
-            parse_script('assert_not_null({"a": 1, "a": 2});')
+    @pytest.mark.parametrize(
+        "src, reason, line, col",
+        [
+            ('assert_not_null({"a": 1, "a": 2});', "duplicate object key 'a'", 1, 29),
+            ('assert_null(null);\nassert_not_null({"a" 1});', "expected ':' after object key", 2, 22),
+            (f"assert_not_null({'[' * 258}{']' * 258});", "maximum nesting depth exceeded", 1, 274),
+        ],
+        ids=["duplicate-key", "line-2", "too-deep"],
+    )
+    def test_malformed_literal_rejected(self, src, reason, line, col):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_script(src)
+        assert (info.value.reason, info.value.line, info.value.col) == (reason, line, col)
+
+    def test_literal_nested_to_the_cap_parses(self):
+        value = parse_script(f"assert_not_null({'[' * 257}{']' * 257});").statements[0].expr.value
+        for _ in range(256):
+            (value,) = value
+        assert value == []
 
     def test_parse_determinism(self):
         src = LISTING_BOOL_QUOTING
@@ -178,6 +197,16 @@ class TestParser:
         assert (info.value.line, info.value.col) == (1, 8)
         with pytest.raises(DslSyntaxError, match="unexpected character '٣'"):
             parse_script("assert_eq(٣, 3);")
+
+
+class TestAst:
+    def test_expr_fields_lists_every_sub_expression_field(self):
+        nodes = get_args(ast.Expr) + get_args(ast.Statement)
+        assert set(ast.EXPR_FIELDS) == set(nodes)
+        for node in nodes:
+            hints = get_type_hints(node)
+            expected = tuple(f.name for f in dataclasses.fields(node) if hints[f.name] == ast.Expr)
+            assert ast.EXPR_FIELDS[node] == expected, node.__name__
 
 
 class TestPrinter:
