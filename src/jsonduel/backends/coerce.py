@@ -50,7 +50,10 @@ def coerce_value(value, as_type: ast.AsType):
             raise _cast_error(value, "integer")
         if k == "str":
             if _INT_RE.match(value):
-                n = int(value)
+                try:
+                    n = int(value)
+                except ValueError:  # over 4300 digits, so out of range anyway
+                    raise _cast_error(value, "integer") from None
                 if INT64_MIN <= n <= INT64_MAX:
                     return n
             raise _cast_error(value, "integer")
@@ -62,7 +65,10 @@ def coerce_value(value, as_type: ast.AsType):
             return Decimal(value)
         if k == "str":
             if NUMBER_RE.fullmatch(value):
-                return Decimal(value)
+                try:
+                    return Decimal(value)
+                except ArithmeticError:  # an exponent beyond what Decimal can hold
+                    raise _cast_error(value, "decimal") from None
             raise _cast_error(value, "decimal")
         raise _cast_error(value, "decimal")
     if as_type is ast.AsType.BOOLEAN:

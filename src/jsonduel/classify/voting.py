@@ -8,7 +8,7 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..llm.client import LlmClient, TransportError
+from ..llm.client import LlmClient, TransportError, prepare_request
 from ..llm.generation import GenParams
 from ..llm.messages import ChatMessage, assistant
 from .prompts import ClassifyMode, build_classify_prompt
@@ -86,19 +86,16 @@ def classify(
 
     All `VOTE_COUNT` requests are open at once, one per slot, on `pool`,
     which needs `VOTE_COUNT` workers; votes and transcripts come back in
-    slot order. A client with a `reserve` method (the offline clients)
-    has each slot's reply fixed in slot order before the requests are
-    sent, so its replies land in the same slots on every run. If any
-    slot fails, the first failed slot in slot order decides: a
-    `TransportError` becomes `ClassificationAborted` carrying the votes
-    of every slot that succeeded, and any other exception propagates
-    unchanged.
+    slot order. Each slot's request is prepared in slot order before any
+    is sent (`prepare_request`), so an offline client's replies land in
+    the same slots on every run. If any slot fails, the first failed
+    slot in slot order decides: a `TransportError` becomes
+    `ClassificationAborted` carrying the votes of every slot that
+    succeeded, and any other exception propagates unchanged.
     """
     prompt = tuple(build_classify_prompt(case, mode))
-    reserve = getattr(client, "reserve", None)
     futures = [
-        pool.submit(reserve(prompt)) if reserve else pool.submit(client.complete, prompt, params)
-        for _ in range(VOTE_COUNT)
+        pool.submit(prepare_request(client, prompt, params)) for _ in range(VOTE_COUNT)
     ]
     responses = [f.result() for f in futures if f.exception() is None]
     votes = tuple(parse_verdict(response) for response in responses)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import logging
 import os
 import time
-from typing import Protocol, Sequence
+from functools import partial
+from typing import Callable, Protocol, Sequence
 
 import requests
 
@@ -38,6 +39,21 @@ class GenerationError(Exception):
 
 class LlmClient(Protocol):
     def complete(self, messages: Sequence[ChatMessage], params) -> str: ...
+
+
+def prepare_request(
+    client: LlmClient, messages: Sequence[ChatMessage], params
+) -> Callable[[], str]:
+    """The request for `messages`, as a function that a worker calls.
+
+    A client with a `reserve` method (the offline clients) fixes its reply
+    now, on the calling thread, so replies follow the order of these calls
+    whatever order the workers run in. Any other client is asked when the
+    worker calls the function. This is the one place that decides how a
+    model request is sent.
+    """
+    reserve = getattr(client, "reserve", None)
+    return reserve(messages) if reserve else partial(client.complete, messages, params)
 
 
 class HttpChatClient:

@@ -1,4 +1,4 @@
-"""Generation parameters, provenance records and the generate step."""
+"""Generation parameters, provenance records and mutation-rule draws."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from datetime import datetime, timezone
 from typing import Union
 
 from ..tdsl.ast import Script
-from ..tdsl.extract import ExtractionFailure, extract_script
-from .client import GenerationError, LlmClient
+from ..tdsl.extract import ExtractionFailure
 from .messages import ChatMessage
-from .prompts import build_context, build_summary_request
 from .rules import ALL_RULES, MutationRule
 
 
@@ -56,35 +54,6 @@ class GenerationRecord:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def summarize(seed_text: str, client: LlmClient, params: GenParams) -> str:
-    """Ask the model to summarize one seed test; returns the reply verbatim."""
-    messages = build_summary_request(seed_text)
-    content = client.complete(messages, params)
-    if not content:
-        raise GenerationError("empty summary response")
-    return content
-
-
-def generate(
-    seed_id: str,
-    seed_text: str,
-    summary: str,
-    rule: MutationRule | None,
-    params: GenParams,
-    client: LlmClient,
-) -> GenerationRecord:
-    """Run one generation and return its complete provenance record."""
-    messages = tuple(build_context(seed_text, summary, rule))
-    raw = client.complete(messages, params)
-    return GenerationRecord(
-        seed_id=seed_id,
-        rule=rule,
-        messages=messages,
-        raw_response=raw,
-        extraction=extract_script(raw),
-    )
 
 
 def pick_rule(rng: random.Random, mode: MutationMode) -> MutationRule | None:

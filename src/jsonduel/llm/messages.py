@@ -50,7 +50,3 @@ def conversation_hash(messages: Sequence[ChatMessage]) -> str:
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-
-def render_transcript(messages: Iterable[ChatMessage]) -> str:
-    """Human/golden-file rendering: 'Role: content' blocks."""
-    return "\n".join(f"{m.role.value.capitalize()}: {m.content}" for m in messages)

@@ -1,23 +1,23 @@
 """The full loop: corpus -> summarize -> generate -> execute -> diff -> report.
 
 Summaries and generations share one pool of `in_flight` request slots.
-One summary per distinct seed text is queued first, then every
-generation, which waits for its seed's summary. The calling thread
-takes generations back in task order and executes, judges and writes
+The calling thread builds every request and prepares it with
+`prepare_request`, in request order, so worker threads only wait on the
+model: one summary per distinct seed text first, then each task's
+generation, in task order, once its seed's summary is in. It then takes
+the replies back in task order and extracts, executes, judges and writes
 each one (`records/`, `scripts/`) while later requests are still out;
 `verdicts.jsonl`, `bugs.jsonl` and `report.txt` are written once, at
 the end. The writers and the `RunReport` that `run` returns live in
-`report`. With one slot the model sees every summary in seed order, then
-every generation in task order.
+`report`.
 
 Reproducibility contract: with a fixed config, corpus, replay scenario
 and RNG seed, two runs produce identical reports (verdicts.jsonl,
 report.txt, and bugs.jsonl up to the run timestamp, which is isolated
 to one header field). Per-record provenance files carry their own
-timestamps and are otherwise identical too. Verdicts stay in task
-order, so when the model's reply depends only on the conversation the
-reports (apart from the config echoed in the bugs.jsonl header) do not
-depend on `in_flight` either.
+timestamps and are otherwise identical too. Replies are picked in
+request order, so the reports (apart from the config echoed in the
+bugs.jsonl header) do not depend on `in_flight` either.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from ..backends.executor import execute
 from ..backends.outcomes import TestOutcome
 from ..corpus import SeedTest, load_corpus, mine_seeds
 from ..diffcore import DiffVerdict, VerdictStatus, dedup, make_verdict
-from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError
-from ..llm.generation import GenerationRecord, generate, pick_rule, summarize
+from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError, prepare_request
+from ..llm.generation import GenerationRecord, pick_rule
+from ..llm.messages import ChatMessage
 from ..llm.mock import ReplayClient
-from ..llm.prompts import build_context
+from ..llm.prompts import build_context, build_summary_request
 from ..llm.rules import MutationRule
-from ..tdsl.extract import CONTEXT_OVERFLOW, ExtractionFailure
+from ..tdsl.extract import CONTEXT_OVERFLOW, ExtractionFailure, extract_script
 from .config import PipelineConfig
 from .report import ModeCounts, OutcomeCounts, RunReport, write_record, write_reports
 
@@ -109,31 +110,32 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     verdicts: list[DiffVerdict] = []
     op_counts: dict[str, dict[str, int]] = {b.name: {} for b in backends}
     stop = threading.Event()
-    summaries: dict[str, Future] = {}
-
-    def generation(task: _Task) -> GenerationRecord:
-        summary = summaries[task.seed.script_text].result()
-        return _guarded(stop, _generate, task, summary, client, config)
 
     with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-        # One summary per distinct seed text, queued first: the pool takes
-        # work in submission order, so a generation only ever waits for a
-        # summary that is already running or done.
-        for seed in corpus.seeds:
-            if seed.script_text not in summaries:
-                summaries[seed.script_text] = pool.submit(
-                    _guarded, stop, summarize, seed.script_text, client, config.params
-                )
-        futures = [pool.submit(generation, task) for task in tasks]
+
+        def send(messages) -> Future:
+            return pool.submit(_guarded, stop, prepare_request(client, messages, config.params))
+
         try:
-            for task, future in zip(tasks, futures):
-                try:
-                    record = future.result()
-                except _Stopped:
-                    continue
-                except (TransportError, GenerationError) as exc:
-                    log.error("aborting run, generation %s failed: %s", task.script_id, exc)
-                    continue
+            # One summary per distinct seed text, queued first: the pool takes
+            # work in submission order, so they go out before any generation.
+            summaries: dict[str, Future] = {}
+            for seed in corpus.seeds:
+                if seed.script_text not in summaries:
+                    summaries[seed.script_text] = send(build_summary_request(seed.script_text))
+            sent = _send_generations(tasks, summaries, send, config.context_limit_chars, stop)
+            for task, messages, reply in sent:
+                raw, extraction = "", reply
+                if isinstance(reply, Future):
+                    try:
+                        raw = reply.result()
+                    except _Stopped:
+                        continue
+                    except (TransportError, GenerationError) as exc:
+                        log.error("aborting run, generation %s failed: %s", task.script_id, exc)
+                        continue
+                    extraction = extract_script(raw)
+                record = GenerationRecord(task.seed.id, task.rule, messages, raw, extraction)
                 records.append((task.script_id, record))
                 write_record(config.out_dir, task.script_id, record)
                 mode = MUTATE if record.rule is not None else PLAIN
@@ -185,35 +187,41 @@ class _Stopped(Exception):
     """A request not sent because an earlier one failed."""
 
 
-def _guarded(stop: threading.Event, fn, *args):
-    """`fn(*args)` unless the run is stopping; any failure stops the run."""
+def _guarded(stop: threading.Event, fn):
+    """`fn()` unless the run is stopping; any failure stops the run."""
     if stop.is_set():
         raise _Stopped
     try:
-        return fn(*args)
+        return fn()
     except Exception:
         stop.set()
         raise
 
 
-def _generate(
-    task: _Task, summary: str, client: LlmClient, config: PipelineConfig
-) -> GenerationRecord:
-    limit = config.context_limit_chars
-    if limit:
-        prompt = tuple(build_context(task.seed.script_text, summary, task.rule))
-        prompt_chars = sum(len(m.content) for m in prompt)
-        if prompt_chars > limit:
-            return GenerationRecord(
-                seed_id=task.seed.id,
-                rule=task.rule,
-                messages=prompt,
-                raw_response="",
-                extraction=ExtractionFailure(
-                    CONTEXT_OVERFLOW,
-                    f"prompt of {prompt_chars} chars exceeds the {limit}-char context limit",
-                ),
-            )
-    return generate(
-        task.seed.id, task.seed.script_text, summary, task.rule, config.params, client
-    )
+def _send_generations(
+    tasks: list[_Task], summaries: dict[str, Future], send, limit: int, stop: threading.Event
+) -> list[tuple[_Task, tuple[ChatMessage, ...], Future | ExtractionFailure]]:
+    """Build and send each task's request in task order, once its seed's
+    summary is in. A prompt over `limit` chars is not sent but recorded as
+    a context overflow. A failed or empty summary stops the run."""
+    sent = []
+    for task in tasks:
+        try:
+            summary = summaries[task.seed.script_text].result()
+            if not summary:
+                raise GenerationError("empty summary response")
+        except _Stopped:
+            break
+        except (TransportError, GenerationError) as exc:
+            stop.set()
+            log.error("aborting run, summary of %s failed: %s", task.seed.id, exc)
+            break
+        messages = tuple(build_context(task.seed.script_text, summary, task.rule))
+        chars = sum(len(m.content) for m in messages)
+        if limit and chars > limit:
+            sent.append((task, messages, ExtractionFailure(
+                CONTEXT_OVERFLOW, f"prompt of {chars} chars exceeds the {limit}-char context limit"
+            )))
+        else:
+            sent.append((task, messages, send(messages)))
+    return sent

@@ -2,12 +2,14 @@
 
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from jsonduel.corpus import mine_seeds
+from jsonduel.llm.messages import ChatMessage
 
 DATA_DIR = Path(__file__).parent / "data"
 SEEDS_DIR = DATA_DIR / "seeds"
@@ -16,6 +18,11 @@ GOLDEN_DIR = DATA_DIR / "golden"
 
 def read_golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def render_transcript(messages: Iterable[ChatMessage]) -> str:
+    """Golden-file rendering of a conversation: 'Role: content' blocks."""
+    return "\n".join(f"{m.role.value.capitalize()}: {m.content}" for m in messages)
 
 
 @pytest.fixture()

@@ -14,8 +14,9 @@ from pathlib import Path
 
 from jsonduel.corpus import Corpus
 from jsonduel.llm.generation import MutationMode, pick_rule
-from jsonduel.llm.mock import ReplayScenario
 from jsonduel.llm.prompts import build_context, build_summary_request
+
+from clientfix import RecordingScenario
 
 SUMMARIES = {
     "issue1204": (
@@ -92,9 +93,9 @@ def build_planted_scenario(
     rng_seed: int = 42,
     mutation: MutationMode = MutationMode.RANDOM_ONE,
     n_per_seed: int = 3,
-) -> ReplayScenario:
+) -> RecordingScenario:
     """Record summaries plus 3 generations per seed (bug first, then benign)."""
-    scenario = ReplayScenario()
+    scenario = RecordingScenario()
     for seed in corpus.seeds:
         scenario.record(build_summary_request(seed.script_text), SUMMARIES[seed.id])
 

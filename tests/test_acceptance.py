@@ -23,7 +23,6 @@ from jsonduel.classify.prompts import DEFINITION_BAD, DEFINITION_GOOD, ClassifyM
 from jsonduel.classify.voting import Verdict, tally_votes
 from jsonduel.diffcore import VerdictStatus, compare
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
-from jsonduel.llm.mock import ScriptedClient
 from jsonduel.llm.prompts import GENERATE_SUFFIX, SYSTEM_PROMPT
 from jsonduel.llm.rules import ALL_RULES
 from jsonduel.pipeline.config import CorpusSource, PipelineConfig
@@ -33,7 +32,8 @@ from jsonduel.tdsl.parser import parse_script
 from jsonduel.tdsl.printer import print_script
 
 from casefix import build_case_fixture, confusion_responses
-from conftest import SEEDS_DIR, read_golden
+from clientfix import ScriptedClient
+from conftest import SEEDS_DIR, read_golden, render_transcript
 from scenariofix import wrap_response, write_planted_scenario
 from scriptgen import generate_scripts
 
@@ -121,7 +121,6 @@ def test_c4_prompt_fidelity_goldens():
     """Golden transcripts byte-for-byte, plus every pinned phrase."""
     from jsonduel.classify.evaluate import FailedCase
     from jsonduel.classify.prompts import build_classify_prompt
-    from jsonduel.llm.messages import render_transcript
     from jsonduel.llm.prompts import build_context
     from jsonduel.llm.rules import MutationRule
 
@@ -255,7 +254,6 @@ def test_c8_reproducible_bugs_jsonl(tmp_path, fixture_corpus):
             params=GenParams(seed=42),
             out_dir=out,
             mock_scenario=scenario,
-            in_flight=1,
         )
         run(config)
         return (out / "bugs.jsonl").read_text(encoding="utf-8").splitlines()

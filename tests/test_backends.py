@@ -177,7 +177,11 @@ class TestGetters:
 
     def test_coercion_totality(self):
         # every (actual kind, as_type) pair returns or raises BackendError
-        samples = [None, True, 3, Decimal("1.5"), "x", [1], {"a": 1}]
+        samples = [
+            None, True, 3, Decimal("1.5"), "x", [1], {"a": 1},
+            "1" * 5000,  # int() refuses more than 4300 digits
+            "1e1000000000000000000",  # beyond Decimal's exponent range
+        ]
         for sample in samples:
             for as_type in AsType:
                 try:

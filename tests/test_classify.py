@@ -32,13 +32,14 @@ from jsonduel.classify.voting import (
 )
 from jsonduel.llm.client import TransportError
 from jsonduel.llm.generation import GenParams
-from jsonduel.llm.messages import assistant, render_transcript
-from jsonduel.llm.mock import ReplayClient, ReplayScenario, ScriptedClient
+from jsonduel.llm.messages import assistant
+from jsonduel.llm.mock import ReplayClient
 from jsonduel.pipeline.cli import main
 from jsonduel.tdsl.parser import parse_script
 
 from casefix import build_case_fixture, confusion_responses
-from conftest import read_golden
+from clientfix import RecordingScenario, ScriptedClient
+from conftest import read_golden, render_transcript
 
 PARAMS = GenParams()
 
@@ -271,7 +272,7 @@ class TestConcurrentVotes:
         case = make_case()
         prompt = tuple(build_classify_prompt(case, ClassifyMode.FS))
         replies = [f"Reason {i}. {GOOD if i in (0, 2, 3) else BAD}" for i in range(VOTE_COUNT)]
-        scenario = ReplayScenario()
+        scenario = RecordingScenario()
         for reply in replies:
             scenario.record(prompt, reply)
         expected = tuple(parse_verdict(r) for r in replies)

@@ -11,10 +11,10 @@ from jsonduel.classify.evaluate import (
 )
 from jsonduel.classify.prompts import ClassifyMode
 from jsonduel.llm.generation import GenParams
-from jsonduel.llm.mock import ScriptedClient
 from jsonduel.tdsl.parser import parse_script
 
 from casefix import SPLIT, build_case_fixture, confusion_responses
+from clientfix import ScriptedClient
 
 PARAMS = GenParams()
 

@@ -91,3 +91,27 @@ def test_package_inits_hold_no_re_exports():
             if isinstance(target, ast.Name)
         }
         assert "__all__" not in assigned, name
+
+
+def test_model_requests_go_through_one_function():
+    """Outside `llm/client.py`, no module calls `.complete(` or `.reserve(`
+    on a client, or looks either up with `getattr`; `prepare_request`
+    decides how every request is sent. A client's own methods may call
+    each other through `self`."""
+    names = {"complete", "reserve"}
+    found = []
+    for name, (tree, _) in _modules().items():
+        if name == "jsonduel.llm.client":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in names:
+                if not (isinstance(func.value, ast.Name) and func.value.id == "self"):
+                    found.append(f"{name}:{node.lineno}")
+            elif isinstance(func, ast.Name) and func.id == "getattr" and any(
+                isinstance(arg, ast.Constant) and arg.value in names for arg in node.args
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

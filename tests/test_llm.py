@@ -7,15 +7,9 @@ import pytest
 import requests
 
 from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
-from jsonduel.llm.generation import GenParams, MutationMode, generate, pick_rule, summarize
-from jsonduel.llm.messages import ChatMessage, Role, conversation_hash, render_transcript
-from jsonduel.llm.mock import (
-    ReplayClient,
-    ReplayMissError,
-    ReplayScenario,
-    ScriptedClient,
-    ScriptedExhaustedError,
-)
+from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
+from jsonduel.llm.messages import ChatMessage, Role, conversation_hash
+from jsonduel.llm.mock import ReplayClient, ReplayMissError, ReplayScenario
 from jsonduel.llm.prompts import (
     GENERATE_SUFFIX,
     SUMMARIZE_PROMPT,
@@ -24,10 +18,9 @@ from jsonduel.llm.prompts import (
     build_summary_request,
 )
 from jsonduel.llm.rules import ALL_RULES, MutationRule
-from jsonduel.tdsl.ast import Script
-from jsonduel.tdsl.extract import ExtractionFailure
 
-from conftest import SEEDS_DIR, read_golden
+from clientfix import RecordingScenario, ScriptedClient, ScriptedExhaustedError
+from conftest import SEEDS_DIR, read_golden, render_transcript
 
 SEED_TEXT = (SEEDS_DIR / "issue1874.t").read_text(encoding="utf-8")
 SUMMARY = (
@@ -186,7 +179,7 @@ class TestHttpClient:
 
 class TestMocks:
     def test_replay_round_trips_through_file(self, tmp_path):
-        scenario = ReplayScenario()
+        scenario = RecordingScenario()
         messages = build_summary_request(SEED_TEXT)
         scenario.record(messages, "a summary")
         path = tmp_path / "scenario.json"
@@ -200,7 +193,7 @@ class TestMocks:
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
     def test_replay_is_deterministic_across_instances(self, tmp_path):
-        scenario = ReplayScenario()
+        scenario = RecordingScenario()
         messages = build_summary_request(SEED_TEXT)
         scenario.record(messages, "same answer")
         path = tmp_path / "s.json"
@@ -223,29 +216,7 @@ class TestMocks:
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
 
-class TestSummarizeAndGenerate:
-    def test_summarize_returns_reply_verbatim(self):
-        client = ScriptedClient(["Tests boolean serialization."])
-        assert summarize(SEED_TEXT, client, PARAMS) == "Tests boolean serialization."
-
-    def test_generate_with_valid_script(self):
-        response = "Here is a new test:\n```\nassert_eq(1, 1);\n```"
-        record = generate("issue1874", SEED_TEXT, SUMMARY, None, PARAMS, ScriptedClient([response]))
-        assert record.seed_id == "issue1874"
-        assert record.rule is None
-        assert isinstance(record.extraction, Script)
-        assert record.raw_response == response
-        assert record.messages == tuple(build_context(SEED_TEXT, SUMMARY, None))
-
-    def test_generate_with_prose_keeps_the_record(self):
-        record = generate(
-            "issue1874", SEED_TEXT, SUMMARY, MutationRule.EXTRA_PARSING,
-            PARAMS, ScriptedClient(["I am sorry, I cannot help with that."]),
-        )
-        assert isinstance(record.extraction, ExtractionFailure)
-        assert record.extracted_script is None
-        assert record.rule is MutationRule.EXTRA_PARSING
-
+class TestGenParams:
     def test_gen_params_validation(self):
         with pytest.raises(ValueError):
             GenParams(temperature=3.0)

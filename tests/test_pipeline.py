@@ -1,6 +1,7 @@
 """Tests for the pipeline: run loop, counts, artifacts, reports, CLI."""
 
 import json
+import random
 import sys
 import threading
 from pathlib import Path
@@ -8,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from jsonduel.llm.client import TransportError
-from jsonduel.llm.generation import GenParams, MutationMode
-from jsonduel.llm.messages import conversation_hash
-from jsonduel.llm.mock import ScriptedClient
-from jsonduel.llm.prompts import SUMMARIZE_PROMPT
+from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
+from jsonduel.llm.messages import Role
+from jsonduel.llm.mock import ReplayClient
+from jsonduel.llm.prompts import SUMMARIZE_PROMPT, build_context
 from jsonduel.pipeline.config import (
     ConfigError,
     CorpusSource,
@@ -22,9 +23,12 @@ from jsonduel.pipeline.config import (
 from jsonduel.pipeline.cli import main
 from jsonduel.pipeline.report import render_jsonl, render_text
 from jsonduel.pipeline.runner import run
+from jsonduel.tdsl.ast import Script
+from jsonduel.tdsl.extract import ExtractionFailure
 
+from clientfix import RecordingScenario, ScriptedClient
 from conftest import SEEDS_DIR
-from scenariofix import wrap_response, write_planted_scenario
+from scenariofix import build_planted_scenario, wrap_response, write_planted_scenario
 
 
 def planted_config(tmp_path, corpus, **kwargs) -> PipelineConfig:
@@ -138,11 +142,61 @@ class TestRun:
                 calls["n"] += 1
                 return self.inner.complete(messages, params)
 
-        from jsonduel.llm.mock import ReplayClient
-
         config = planted_config(tmp_path, fixture_corpus)
         run(config, client=CountingClient(ReplayClient(scenario)))
         assert calls["n"] == 3 + 9  # 3 summaries + 9 generations
+
+
+class TestGenerationRecords:
+    SEED = "assert_eq(1, 1);\n"
+    SUMMARY = "Tests that one equals one."
+
+    def _run(self, tmp_path, seeds_dir, responses, mutation=MutationMode.RANDOM_ONE):
+        (seeds_dir / "issue1.t").write_text(self.SEED)
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=5, n_per_seed=1),
+            mutation=mutation,
+            out_dir=tmp_path / "out",
+        )
+        client = ScriptedClient(responses)
+        return run(config, client=client), client
+
+    def test_summary_reaches_the_context_verbatim(self, tmp_path, seeds_dir):
+        report, _ = self._run(tmp_path, seeds_dir, [self.SUMMARY, wrap_response(self.SEED)])
+        (_, record), = report.records
+        rule = pick_rule(random.Random(5), MutationMode.RANDOM_ONE)
+        assert record.rule is rule
+        assert record.messages == tuple(build_context(self.SEED, self.SUMMARY, rule))
+        assert [m.content for m in record.messages if m.role is Role.ASSISTANT] == [self.SUMMARY]
+
+    def test_record_keeps_context_and_raw_response(self, tmp_path, seeds_dir):
+        response = "Here is a new test:\n```\nassert_eq(1, 1);\n```"
+        report, _ = self._run(
+            tmp_path, seeds_dir, [self.SUMMARY, response], mutation=MutationMode.NONE
+        )
+        (script_id, record), = report.records
+        assert (script_id, record.seed_id, record.rule) == ("issue1-g0", "issue1", None)
+        assert record.messages == tuple(build_context(self.SEED, self.SUMMARY, None))
+        assert record.raw_response == response
+        assert isinstance(record.extraction, Script)
+
+    def test_prose_reply_keeps_the_record(self, tmp_path, seeds_dir):
+        prose = "I am sorry, I cannot help with that."
+        report, _ = self._run(tmp_path, seeds_dir, [self.SUMMARY, prose])
+        (_, record), = report.records
+        assert isinstance(record.extraction, ExtractionFailure)
+        assert record.extracted_script is None
+        assert record.raw_response == prose
+        assert record.rule is pick_rule(random.Random(5), MutationMode.RANDOM_ONE)
+        assert report.counts["mutate"].extraction_failures == 1
+
+    def test_empty_summary_aborts_the_run(self, tmp_path, seeds_dir):
+        report, client = self._run(tmp_path, seeds_dir, ["", wrap_response(self.SEED)])
+        assert not report.complete
+        assert report.records == []
+        assert client.calls == 1  # the generation is never sent
 
 
 class _SummaryBarrierClient:
@@ -188,16 +242,6 @@ class _CountingClient:
         return wrap_response("assert_eq(1, 1);\n")
 
 
-class _ConversationClient:
-    """Replies with a conversation's first recording, whatever the call order."""
-
-    def __init__(self, scenario):
-        self.responses = scenario.responses
-
-    def complete(self, messages, params):
-        return self.responses[conversation_hash(messages)][0]
-
-
 class TestScheduling:
     def _config(self, tmp_path, seeds_dir, in_flight, n_per_seed=2) -> PipelineConfig:
         return PipelineConfig(
@@ -240,28 +284,41 @@ class TestScheduling:
         assert "lost:          1 of 2 planned generations" in text
 
     def test_reports_do_not_depend_on_in_flight(self, tmp_path, fixture_corpus):
-        import scenariofix
+        # With mutation off, each seed's generation conversation is asked
+        # three times and has three distinct recordings: the planted bug
+        # first, then two benign scripts.
+        scenario = build_planted_scenario(fixture_corpus, mutation=MutationMode.NONE)
+        repeated = [replies for replies in scenario.responses.values() if len(replies) > 1]
+        assert len(repeated) == 3
+        assert all(len(set(replies)) == len(replies) for replies in repeated)
+        path = tmp_path / "repeated.json"
+        scenario.save(path)
 
-        scenario = scenariofix.build_planted_scenario(fixture_corpus)
-        outs = []
+        def artifacts(in_flight: int) -> tuple:
+            config = planted_config(
+                tmp_path, fixture_corpus, mutation=MutationMode.NONE, mock_scenario=path,
+                in_flight=in_flight, out_dir=tmp_path / f"out{in_flight}",
+            )
+            report = run(config)
+            assert len(report.bug_reports) == 3
+            out = config.out_dir
+            scripts = {p.name: p.read_bytes() for p in sorted((out / "scripts").iterdir())}
+            return (
+                (out / "verdicts.jsonl").read_bytes(),
+                (out / "report.txt").read_bytes(),
+                (out / "bugs.jsonl").read_bytes().split(b"\n", 1)[1],
+                scripts,
+            )
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for in_flight in (1, 8):
-                config = planted_config(
-                    tmp_path, fixture_corpus, in_flight=in_flight,
-                    out_dir=tmp_path / f"out{in_flight}",
-                )
-                report = run(config, client=_ConversationClient(scenario))
-                assert len(report.bug_reports) == 3
-                outs.append(config.out_dir)
+            expected = artifacts(1)
+            for _ in range(20):
+                for in_flight in (1, 4, 8):
+                    assert artifacts(in_flight) == expected, in_flight
         finally:
             sys.setswitchinterval(interval)
-        one, eight = outs
-        for name in ("verdicts.jsonl", "report.txt"):
-            assert (one / name).read_bytes() == (eight / name).read_bytes()
-        body = [(out / "bugs.jsonl").read_bytes().split(b"\n", 1)[1] for out in outs]
-        assert body[0] == body[1]
 
 
 class TestScriptedBuckets:
@@ -379,10 +436,8 @@ class TestFailureModes:
         assert not report.complete
 
     def test_replay_miss_is_a_usage_error_at_the_cli(self, tmp_path, seeds_dir):
-        from jsonduel.llm.mock import ReplayScenario
-
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
-        ReplayScenario().save(tmp_path / "empty_scenario.json")
+        RecordingScenario().save(tmp_path / "empty_scenario.json")
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
             "corpus": {"root": str(seeds_dir)},
@@ -545,11 +600,9 @@ class TestCli:
         from casefix import build_case_fixture
         from jsonduel.classify.evaluate import load_cases
         from jsonduel.classify.prompts import ClassifyMode, build_classify_prompt
-        from jsonduel.llm.mock import ReplayScenario
-
         cases_path = build_case_fixture(tmp_path / "cases")
         cases = load_cases(cases_path)
-        scenario = ReplayScenario()
+        scenario = RecordingScenario()
         for case in cases:
             label = "good" if case.category.expected_verdict.value == "Good" else "bad"
             scenario.record(
