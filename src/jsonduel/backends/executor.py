@@ -123,8 +123,6 @@ class _Runner:
     def eval(self, expr: ast.Expr):
         if isinstance(expr, ast.Lit):
             return expr.value
-        if isinstance(expr, ast.Str):
-            return expr.value
         if isinstance(expr, ast.Var):
             return self.env[expr.name]
         if isinstance(expr, ast.ParseValue):

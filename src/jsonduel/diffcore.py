@@ -84,9 +84,7 @@ def divergence_locus(outcomes: Mapping[str, TestOutcome]) -> str:
 def _mask(node):
     """Copy an expression or statement with every literal and path blanked."""
     if isinstance(node, ast.Lit):
-        return ast.Lit(None)
-    if isinstance(node, ast.Str):
-        return ast.Str("")
+        return ast.Lit("" if isinstance(node.value, str) else None)
     if isinstance(node, ast.MakeBean):
         return ast.MakeBean(
             node.bean, tuple((name, _mask(value)) for name, value in node.assignments)

@@ -58,7 +58,7 @@ def skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def scan_string(text: str, pos: int) -> tuple[str, int]:
+def _scan_string(text: str, pos: int) -> tuple[str, int]:
     """Scan a quoted string starting at `pos`; returns (value, end)."""
     quote = text[pos]
     out: list[str] = []
@@ -103,7 +103,7 @@ def _hex4(text: str, pos: int) -> int:
     return int(digits, 16)
 
 
-def scan_number(text: str, pos: int, options: ParseOptions = DEFAULT_OPTIONS) -> tuple[object, int]:
+def _scan_number(text: str, pos: int, options: ParseOptions = DEFAULT_OPTIONS) -> tuple[object, int]:
     """Scan a JSON number at `pos`; returns (int | Decimal, end)."""
     match = NUMBER_RE.match(text, pos)
     if match is None:
@@ -147,7 +147,7 @@ def parse_value(text: str, pos: int = 0, options: ParseOptions = DEFAULT_OPTIONS
             i = skip_ws(text, i)
             if i >= len(text) or not (text[i] == '"' or (text[i] == "'" and options.single_quotes)):
                 raise JsonTextError("expected object key", i)
-            key, i = scan_string(text, i)
+            key, i = _scan_string(text, i)
             if key in obj:
                 raise JsonTextError(f"duplicate object key {key!r}", i)
             i = skip_ws(text, i)
@@ -178,10 +178,10 @@ def parse_value(text: str, pos: int = 0, options: ParseOptions = DEFAULT_OPTIONS
                 return arr, i + 1
             raise JsonTextError("expected ',' or ']' in array", i)
     if ch == '"' or (ch == "'" and options.single_quotes):
-        s, end = scan_string(text, pos)
+        s, end = _scan_string(text, pos)
         return (s.strip() if options.trim_strings else s), end
     if ch == "-" or ch.isdigit():
-        return scan_number(text, pos, options)
+        return _scan_number(text, pos, options)
     for word, value in (("true", True), ("false", False), ("null", None)):
         if text.startswith(word, pos):
             return value, pos + len(word)

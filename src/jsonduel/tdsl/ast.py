@@ -87,16 +87,10 @@ class BeanDef:
 
 @dataclass(frozen=True)
 class Lit:
-    """A JSON literal: null, boolean, number, array or object."""
+    """A JSON literal: null, boolean, number, string, array or object,
+    as `jsontext.parse_value` reads it."""
 
     value: object
-
-
-@dataclass(frozen=True)
-class Str:
-    """A string literal."""
-
-    value: str
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ class StripZeros:
 
 
 Expr = Union[
-    Lit, Str, Var, ParseValue, ParseTyped, Serialize, Get, PathEval,
+    Lit, Var, ParseValue, ParseTyped, Serialize, Get, PathEval,
     IsValid, Size, MakeBean, StripZeros,
 ]
 
@@ -200,7 +194,6 @@ Statement = Union[Let, AssertEq, AssertNull, AssertNotNull, AssertThrows]
 # values of its assignments, so it lists no field.
 EXPR_FIELDS: dict[type, tuple[str, ...]] = {
     Lit: (),
-    Str: (),
     Var: (),
     ParseValue: ("text",),
     ParseTyped: ("text",),

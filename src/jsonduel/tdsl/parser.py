@@ -1,12 +1,14 @@
-"""Tokenizer, recursive-descent parser and validator for the test DSL.
+"""Lexer, recursive-descent parser and validator for the test DSL.
 
 Grammar summary (the full EBNF ships in docs/grammar.ebnf): statements
 are terminated by ";"; feature lists are bracketed identifier lists.
-Strings and numbers are scanned, and array and object literals read, by
-the engines' own JSON reader (`jsontext`), so literals follow RFC 8259
-with one nesting cap (`jsontext.MAX_DEPTH`). The whole text is tokenized
-before parsing starts, so a lexical error anywhere wins over an earlier
-syntax error. Parsing is deterministic: identical bytes always yield the
+The lexer runs on demand, one token ahead of the parser, and knows only
+identifiers and punctuation. Every literal (string, number, true, false,
+null, array or object) is read by the engines' own JSON reader
+(`jsontext.parse_value`), so literals follow RFC 8259 with one nesting
+cap (`jsontext.MAX_DEPTH`). Text is read once, left to right, so the
+first error in the text is the one reported, whether lexical or
+syntactic. Parsing is deterministic: identical bytes always yield the
 identical AST.
 """
 
@@ -25,13 +27,20 @@ from .errors import (
     UnknownFeatureError,
 )
 
-_SPACE_RE = re.compile(r"[ \t\r\n]*")
-_WORD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|[{}()\[\],;:=<>]")
+# One match per token: whitespace, then an identifier, a punctuation mark,
+# the first character of a string or number (not consumed: `json_value`
+# reads the value), the end of the text, or any other character.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[{}()\[\],;:=<>])"
+    r'|(?=(?P<JSON>["0-9-]))|(?P<EOF>\Z)|(?P<ERROR>.))'
+)
 
 _CALL_NAMES = frozenset(
     {"parse", "parse_typed", "serialize", "get", "path_eval", "is_valid",
      "size", "make_bean", "strip_zeros"}
 )
+
+_LITERAL_STARTS = frozenset({"[", "{", "true", "false", "null"})
 
 _AS_TYPES = {t.value: t for t in ast.AsType}
 _READER_FEATURES = {f.value: f for f in ast.ReaderFeature}
@@ -44,9 +53,10 @@ _MAX_TYPE_DEPTH = 256
 
 
 class Token(NamedTuple):
-    kind: str  # IDENT | STRING | NUMBER | PUNCT | EOF
-    value: object
+    kind: str  # IDENT | PUNCT | JSON (a string or number starts here) | EOF
+    value: str  # the token's text; a JSON token's first character only
     pos: int  # offset of the token's first character
+    end: int
 
 
 def _syntax_error(text: str, message: str, pos: int) -> DslSyntaxError:
@@ -55,77 +65,71 @@ def _syntax_error(text: str, message: str, pos: int) -> DslSyntaxError:
     return DslSyntaxError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = _SPACE_RE.match(text).end()
-    try:
-        while pos < len(text):
-            ch = text[pos]
-            if ch == '"':
-                value, end = jsontext.scan_string(text, pos)
-                tokens.append(Token("STRING", value, pos))
-            elif ch == "-" or "0" <= ch <= "9":
-                value, end = jsontext.scan_number(text, pos)
-                tokens.append(Token("NUMBER", value, pos))
-            else:
-                match = _WORD_RE.match(text, pos)
-                if match is None:
-                    raise _syntax_error(text, f"unexpected character {ch!r}", pos)
-                end = match.end()
-                tokens.append(Token("IDENT" if match.lastindex else "PUNCT", match.group(), pos))
-            pos = _SPACE_RE.match(text, end).end()
-    except jsontext.JsonTextError as exc:
-        raise _syntax_error(text, exc.reason, exc.pos) from None
-    tokens.append(Token("EOF", None, pos))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.tok = self.lex(0)
 
     # -- token helpers --
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def lex(self, pos: int) -> Token:
+        """The token at or after `pos`. A JSON token only marks where a
+        string or number starts; `json_value` reads it."""
+        match = _TOKEN_RE.match(self.text, pos)
+        kind = match.lastgroup
+        if kind == "ERROR":
+            ch = match.group(kind)
+            raise _syntax_error(self.text, f"unexpected character {ch!r}", match.start(kind))
+        return Token(kind, match.group(kind), match.start(kind), match.end())
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.tok = self.lex(tok.end)
         return tok
 
     def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise _syntax_error(self.text, message, tok.pos)
+        raise _syntax_error(self.text, message, (tok or self.tok).pos)
 
     def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.value != ch:
+        if not self.at_punct(ch):
             self.fail(f"expected '{ch}'")
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT":
+        if self.tok.kind != "IDENT":
             self.fail(f"expected {what}")
         return self.advance()
 
     def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == ch
+        return self.tok.kind == "PUNCT" and self.tok.value == ch
 
     def at_ident(self, name: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.value == name
+        return self.tok.kind == "IDENT" and self.tok.value == name
+
+    def json_value(self, allowed: type | tuple = object, what: str = ""):
+        """Read the JSON value at the current token with the engines' JSON
+        reader, check that it is `allowed`, and resume lexing after it."""
+        try:
+            value, end = jsontext.parse_value(self.text, self.tok.pos)
+        except jsontext.JsonTextError as exc:
+            raise _syntax_error(self.text, exc.reason, exc.pos) from None
+        if not isinstance(value, allowed):
+            self.fail(f"expected {what}")
+        self.tok = self.lex(end)
+        return value
+
+    def scalar(self, allowed: type | tuple, what: str):
+        """The string or number at the current token, if it is `allowed`."""
+        if self.tok.kind != "JSON":
+            self.fail(f"expected {what}")
+        return self.json_value(allowed, what)
 
     # -- grammar --
 
     def script(self) -> ast.Script:
         beans: list[ast.BeanDef] = []
         statements: list[ast.Statement] = []
-        while self.peek().kind != "EOF":
+        while self.tok.kind != "EOF":
             if self.at_ident("bean"):
                 beans.append(self.bean_def())
             else:
@@ -160,7 +164,7 @@ class _Parser:
         return ast.BeanRef(tok.value)
 
     def statement(self) -> ast.Statement:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "IDENT":
             self.fail("expected a statement")
         if tok.value == "let":
@@ -198,25 +202,10 @@ class _Parser:
     def expr(self, depth: int = 0) -> ast.Expr:
         if depth > _MAX_EXPR_DEPTH:
             self.fail("expression nesting too deep")
-        tok = self.peek()
-        if tok.kind == "STRING":
-            self.advance()
-            return ast.Str(tok.value)
-        if tok.kind == "NUMBER":
-            self.advance()
-            return ast.Lit(tok.value)
-        if tok.kind == "PUNCT" and tok.value in "{[":
-            return ast.Lit(self.literal())
+        tok = self.tok
+        if tok.kind == "JSON" or tok.value in _LITERAL_STARTS:
+            return ast.Lit(self.json_value())
         if tok.kind == "IDENT":
-            if tok.value == "true":
-                self.advance()
-                return ast.Lit(True)
-            if tok.value == "false":
-                self.advance()
-                return ast.Lit(False)
-            if tok.value == "null":
-                self.advance()
-                return ast.Lit(None)
             if tok.value in _CALL_NAMES:
                 return self.call(tok.value, depth + 1)
             self.advance()
@@ -256,12 +245,9 @@ class _Parser:
         if name == "path_eval":
             target = self.expr(depth)
             self.expect_punct(",")
-            path = self.peek()
-            if path.kind != "STRING":
-                self.fail("expected a path string")
-            self.advance()
+            path = self.scalar(str, "a path string")
             self.expect_punct(")")
-            return ast.PathEval(target, path.value)
+            return ast.PathEval(target, path)
         if name in ("is_valid", "size", "strip_zeros"):
             inner = self.expr(depth)
             self.expect_punct(")")
@@ -280,14 +266,7 @@ class _Parser:
         raise AssertionError(name)
 
     def accessor(self) -> str | int:
-        tok = self.peek()
-        if tok.kind == "STRING":
-            self.advance()
-            return tok.value
-        if tok.kind == "NUMBER" and isinstance(tok.value, int):
-            self.advance()
-            return tok.value
-        self.fail("expected a key string or integer index")
+        return self.scalar((str, int), "a key string or integer index")
 
     def optional_features(self, table: dict, flavor: str) -> tuple:
         if not self.at_punct(","):
@@ -310,16 +289,6 @@ class _Parser:
                 break
         self.expect_punct("]")
         return tuple(features)
-
-    def literal(self):
-        """Read an array or object literal with the engines' JSON reader."""
-        try:
-            value, end = jsontext.parse_value(self.text, self.peek().pos)
-        except jsontext.JsonTextError as exc:
-            raise _syntax_error(self.text, exc.reason, exc.pos) from None
-        while self.peek().pos < end:
-            self.pos += 1
-        return value
 
 
 def parse_script(text: str) -> ast.Script:
@@ -350,7 +319,7 @@ def validate_script(script: ast.Script) -> None:
         for ref in _bean_refs(bean):
             if ref not in beans:
                 raise UnknownBeanError(ref)
-    _check_bean_cycles(beans)
+    _check_bean_nesting(beans)
 
     bound: set[str] = set()
     has_assertion = False
@@ -367,24 +336,40 @@ def validate_script(script: ast.Script) -> None:
         raise DslValidationError("script contains no assertions")
 
 
+def _unwrap(ftype: ast.FieldType) -> tuple[int, ast.FieldType]:
+    """The number of list levels around a field type, and what they hold."""
+    levels = 0
+    while isinstance(ftype, ast.ListOf):
+        ftype, levels = ftype.element, levels + 1
+    return levels, ftype
+
+
 def _bean_refs(bean: ast.BeanDef) -> list[str]:
     """Names of the beans that `bean`'s fields hold, directly or in lists."""
-    refs = []
+    inner = [_unwrap(field.type)[1] for field in bean.fields]
+    return [ftype.name for ftype in inner if isinstance(ftype, ast.BeanRef)]
+
+
+def _bean_depth(bean: ast.BeanDef, depths: dict[str, int]) -> int:
+    """List levels plus bean hops along the deepest path out of `bean`,
+    given the depths of the beans it holds."""
+    deepest = 0
     for field in bean.fields:
-        ftype = field.type
-        while isinstance(ftype, ast.ListOf):
-            ftype = ftype.element
+        levels, ftype = _unwrap(field.type)
         if isinstance(ftype, ast.BeanRef):
-            refs.append(ftype.name)
-    return refs
+            levels += 1 + depths[ftype.name]
+        deepest = max(deepest, levels)
+    return deepest
 
 
-def _check_bean_cycles(beans: dict[str, ast.BeanDef]) -> None:
-    """Depth-first search with an explicit stack, so a long chain of
-    beans cannot exhaust the interpreter's recursion limit."""
-    done: set[str] = set()
+def _check_bean_nesting(beans: dict[str, ast.BeanDef]) -> None:
+    """Reject a bean cycle, or a bean nested more than _MAX_TYPE_DEPTH
+    levels deep, which the engines could not bind without exhausting
+    the interpreter's recursion limit. Depth-first search with an
+    explicit stack, so a long chain of beans cannot exhaust it here."""
+    depths: dict[str, int] = {}  # beans whose walk has finished
     for root in beans:
-        if root in done:
+        if root in depths:
             continue
         visiting = {root}
         stack = [(root, iter(_bean_refs(beans[root])))]
@@ -394,10 +379,14 @@ def _check_bean_cycles(beans: dict[str, ast.BeanDef]) -> None:
             if ref is None:
                 stack.pop()
                 visiting.discard(name)
-                done.add(name)
+                depths[name] = _bean_depth(beans[name], depths)
+                if depths[name] > _MAX_TYPE_DEPTH:
+                    raise DslValidationError(
+                        f"bean '{name}' nests more than {_MAX_TYPE_DEPTH} levels"
+                    )
             elif ref in visiting:
                 raise DslValidationError(f"recursive bean cycle through '{ref}'")
-            elif ref not in done:
+            elif ref not in depths:
                 visiting.add(ref)
                 stack.append((ref, iter(_bean_refs(beans[ref]))))
 

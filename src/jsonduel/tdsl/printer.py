@@ -63,8 +63,6 @@ def print_expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Lit):
         # Literal text is plain JSON with explicit nulls.
         return dump_value(expr.value, write_nulls=True)
-    if isinstance(expr, ast.Str):
-        return _quote(expr.value)
     if isinstance(expr, ast.Var):
         return expr.name
     if isinstance(expr, ast.ParseValue):

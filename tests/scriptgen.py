@@ -12,14 +12,20 @@ import random
 import string
 from decimal import Decimal
 
+from jsonduel.jsontext import MAX_DEPTH
 from jsonduel.tdsl import ast
-from jsonduel.values import dump_value
+from jsonduel.values import INT64_MAX, INT64_MIN, dump_value
 
 _KEYS = ["a", "b", "data", "items", "name", "value", "x", "y"]
 _FEATURES_R = list(ast.ReaderFeature)
 _FEATURES_W = list(ast.WriterFeature)
 _AS_TYPES = list(ast.AsType)
 _PRIMS = ["string", "integer", "decimal", "boolean"]
+_INT64_EDGES = [INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]
+_BEYOND_INT64 = [INT64_MIN - 1, INT64_MAX + 1, 10**30, -(10**30)]
+# Non-ASCII, escaped and control characters, and both halves of a
+# surrogate pair, which a string may also hold alone.
+_WIDE_CHARS = 'aéü中😀"\\/u0\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udbff\udc00\udfff'
 
 
 class ScriptGen:
@@ -38,7 +44,7 @@ class ScriptGen:
         if kind == "bool":
             return self.rng.random() < 0.5
         if kind == "int":
-            return self.rng.randint(-10_000, 10_000)
+            return self.integer()
         if kind == "dec":
             return self.decimal()
         if kind == "str":
@@ -49,6 +55,9 @@ class ScriptGen:
             key: self.json_value(depth + 1)
             for key in self.rng.sample(_KEYS, self.rng.randint(0, 3))
         }
+
+    def integer(self) -> int:
+        return self.rng.randint(-10_000, 10_000)
 
     def decimal(self) -> Decimal:
         # Never exponent 0: a scale-0 in-range decimal prints as a bare
@@ -145,18 +154,15 @@ class ScriptGen:
         if kind == "var":
             return ast.Var(self.rng.choice(bound))
         if kind == "str":
-            return ast.Str(self.text())
-        value = self.json_value()
-        if isinstance(value, str):
-            return ast.Str(value)
-        return ast.Lit(value)
+            return ast.Lit(self.text())
+        return ast.Lit(self.json_value())
 
     def text_expr(self, bound, beans, depth) -> ast.Expr:
         roll = self.rng.random()
         if roll < 0.5:
-            return ast.Str(dump_value(self.json_value(), write_nulls=True))
+            return ast.Lit(dump_value(self.json_value(), write_nulls=True))
         if roll < 0.7:
-            return ast.Str(self.text())
+            return ast.Lit(self.text())
         return self.expr(bound, beans, depth + 1)
 
     def path(self) -> str:
@@ -189,6 +195,48 @@ class ScriptGen:
         if kind == "not_null":
             return ast.AssertNotNull(self.expr(bound, beans))
         return ast.AssertThrows(self.expr(bound, beans))
+
+
+class WideScriptGen(ScriptGen):
+    """A ScriptGen whose literals reach the edges the DSL must carry
+    exactly: non-ASCII, escaped and lone-surrogate strings, int64 edges,
+    decimals beyond int64 and beyond 4300 digits, exponents far beyond
+    float range, and arrays and objects nested to jsontext's cap. It
+    still never makes a scale-0 decimal within int64 range."""
+
+    def json_value(self, depth: int = 0):
+        if depth == 0 and self.rng.random() < 0.05:
+            return self.nested(self.rng.randint(1, MAX_DEPTH))
+        return super().json_value(depth)
+
+    def nested(self, levels: int):
+        value = super().json_value(depth=2)  # a scalar
+        for _ in range(levels):
+            value = [value] if self.rng.random() < 0.5 else {self.text(): value}
+        return value
+
+    def integer(self) -> int:
+        if self.rng.random() < 0.5:
+            return super().integer()
+        return self.rng.choice(_INT64_EDGES)
+
+    def decimal(self) -> Decimal:
+        roll = self.rng.random()
+        if roll < 0.4:
+            return super().decimal()
+        if roll < 0.6:
+            return Decimal(self.rng.choice(_BEYOND_INT64))
+        sign = self.rng.choice(["", "-"])
+        if roll < 0.8:  # more digits than int() reads
+            digits = str(self.rng.randint(10**49, 10**50 - 1)) * 87
+            return Decimal(f"{sign}{digits}{self.rng.choice(['', '.5', 'E-7'])}")
+        exponent = self.rng.choice([1, -1]) * self.rng.randint(400, 10**17)
+        return Decimal(f"{sign}{self.rng.randint(1, 999)}E{exponent}")
+
+    def text(self) -> str:
+        if self.rng.random() < 0.5:
+            return super().text()
+        return "".join(self.rng.choice(_WIDE_CHARS) for _ in range(self.rng.randint(1, 10)))
 
 
 def generate_scripts(seed: int, count: int) -> list[ast.Script]:

@@ -13,6 +13,7 @@ from jsonduel.backends.outcomes import (
     outcome_from_dict,
     outcome_to_dict,
 )
+from jsonduel.tdsl.extract import ExtractionFailure, extract_script
 from jsonduel.tdsl.parser import parse_script
 
 REF = resolve_backend("reference")
@@ -110,6 +111,21 @@ class TestLimits:
         outcome = run("assert_eq(1, 1);", ExecutionLimits(timeout_ms=0, max_statements=100))
         assert outcome == Error(ErrorKind.TIMEOUT, outcome.message)
         assert "wall-clock" in outcome.message
+
+    @pytest.mark.parametrize("length", [257, 400])
+    def test_deep_bean_chain_never_raises(self, length):
+        """Bean B<i> holds B<i-1>, so y<i> nests i + 1 objects deep. The
+        deepest chain the parser accepts runs; a deeper one is refused
+        at extraction instead of exhausting the recursion limit."""
+        beans = ["bean B0 { c: integer; }"]
+        beans += [f"bean B{i} {{ c: B{i - 1}; }}" for i in range(1, length)]
+        lets = ["let y0 = make_bean(B0, c = 1);"]
+        lets += [f"let y{i} = make_bean(B{i}, c = y{i - 1});" for i in range(1, length)]
+        result = extract_script("\n".join(beans + lets + [f"assert_not_null(y{length - 1});"]))
+        assert isinstance(result, ExtractionFailure) == (length > 257)
+        if not isinstance(result, ExtractionFailure):
+            result = execute(result, REF)
+        assert isinstance(result, (ExtractionFailure, Pass, Fail, Error))
 
 
 class TestDeterminismAndPurity:

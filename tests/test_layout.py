@@ -115,3 +115,19 @@ def test_model_requests_go_through_one_function():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_json_text_has_one_reader():
+    """Outside `jsontext.py`, no module names a jsontext scanner, so the
+    DSL reads every literal through `jsontext.parse_value`."""
+    found = []
+    for name, (tree, _) in _modules().items():
+        if name == "jsonduel.jsontext":
+            continue
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            if any(n and n.lstrip("_").startswith("scan_") for n in names):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -5,11 +5,14 @@ from decimal import Decimal
 from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jsonduel.tdsl import ast
 from jsonduel.tdsl.ast import (
     AsType,
     AssertEq,
+    AssertNotNull,
     Get,
     Let,
     Lit,
@@ -18,7 +21,6 @@ from jsonduel.tdsl.ast import (
     Prim,
     Script,
     Serialize,
-    Str,
     Var,
     WriterFeature,
 )
@@ -34,7 +36,7 @@ from jsonduel.tdsl.extract import PARSE_FAILURE, ExtractionFailure, extract_scri
 from jsonduel.tdsl.parser import parse_script
 from jsonduel.tdsl.printer import print_script
 
-from scriptgen import generate_scripts
+from scriptgen import WideScriptGen
 
 LISTING_BOOL_QUOTING = """\
 bean Bean { b: boolean; }
@@ -65,7 +67,7 @@ class TestParser:
         script = parse_script('let a = parse("[1]"); assert_eq(get(a, 0, integer), 1);')
         assert len(script.statements) == 2
         let, check = script.statements
-        assert let == Let("a", ParseValue(Str("[1]")))
+        assert let == Let("a", ParseValue(Lit("[1]")))
         assert check == AssertEq(Get(Var("a"), 0, AsType.INTEGER), Lit(1))
 
     def test_boolean_quoting_transcription(self):
@@ -74,7 +76,7 @@ class TestParser:
         assert script.statements == (
             Let("b", MakeBean("Bean", (("b", Lit(True)),))),
             Let("json", Serialize(Var("b"), (WriterFeature.WRITE_NON_STRING_VALUE_AS_STRING,))),
-            AssertEq(Str('{"b":"true"}'), Var("json")),
+            AssertEq(Lit('{"b":"true"}'), Var("json")),
         )
         serialize = script.statements[1].expr
         assert serialize.features == (WriterFeature.WRITE_NON_STRING_VALUE_AS_STRING,)
@@ -181,15 +183,51 @@ class TestParser:
         with pytest.raises(DslSyntaxError, match="field type nesting too deep"):
             parse_script(nested_list_field(2000))
 
-    @pytest.mark.parametrize("length", [200, 1500])
-    def test_long_bean_chain_parses(self, length):
+    @pytest.mark.parametrize(
+        "length, error",
+        [
+            pytest.param(200, None, id="200"),
+            pytest.param(257, None, id="257"),
+            pytest.param(1500, "bean 'B1242' nests more than 256 levels", id="1500"),
+        ],
+    )
+    def test_long_bean_chain_parses(self, length, error):
+        """B0 nests `length` - 1 levels deep; more than 256 is rejected."""
+        if error:
+            with pytest.raises(DslValidationError, match=error):
+                parse_script(bean_chain(length))
+            return
         script = parse_script(bean_chain(length))
         assert [b.name for b in script.beans] == [f"B{i}" for i in range(length)]
         assert script.beans[-1].fields[0].type == Prim("integer")
 
+    def test_list_levels_count_toward_bean_nesting(self):
+        inner = "bean A { f: integer; }\n"
+        deep = "list<" * 255 + "A" + ">" * 255
+        parse_script(f"{inner}bean B {{ f: {deep}; }}\nassert_eq(1, 1);")
+        with pytest.raises(DslValidationError, match="bean 'C' nests more than 256 levels"):
+            parse_script(f"{inner}bean B {{ f: {deep}; }}\nbean C {{ f: B; }}\nassert_eq(1, 1);")
+
     def test_long_bean_ring_is_a_cycle(self):
         with pytest.raises(DslValidationError, match="recursive bean cycle through 'B0'"):
             parse_script(bean_chain(1500, ring=True))
+
+    @pytest.mark.parametrize(
+        "src, reason, line, col",
+        [
+            (
+                "I'm sorry, but I cannot write test 5 without more context about the library.",
+                "unknown statement 'I'", 1, 1,
+            ),
+            ('let a = ;\nassert_eq("a\tb", 1);', "expected an expression", 1, 9),
+            ('let a = "a\tb";\nlet = 1;', "raw control character in string", 1, 11),
+        ],
+        ids=["prose", "syntax-before-control-character", "control-character-before-syntax"],
+    )
+    def test_first_error_in_the_text_wins(self, src, reason, line, col):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_script(src)
+        assert (info.value.reason, info.value.line, info.value.col) == (reason, line, col)
 
     def test_identifiers_are_ascii(self):
         with pytest.raises(DslSyntaxError, match="unexpected character 'é'") as info:
@@ -214,12 +252,15 @@ class TestPrinter:
         script = parse_script(LISTING_BOOL_QUOTING)
         assert parse_script(print_script(script)) == script
 
-    def test_round_trip_property(self):
-        for script in generate_scripts(seed=101, count=150):
-            text = print_script(script)
-            again = parse_script(text)
-            assert again == script, f"round-trip mismatch:\n{text}"
-            assert print_script(again) == text
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=True).map(lambda rng: WideScriptGen(rng).script()))
+    @example(Script(statements=(AssertNotNull(Lit("a")),)))
+    def test_round_trip_property(self, script):
+        text = print_script(script)
+        again = parse_script(text)
+        # repr also tells 1 from True and from Decimal("1"), and sees key order
+        assert repr(again) == repr(script), f"round-trip mismatch:\n{text}"
+        assert print_script(again) == text
 
     def test_print_rejects_invalid_script(self):
         with pytest.raises(DslValidationError):
