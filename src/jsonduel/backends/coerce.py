@@ -100,7 +100,9 @@ def _wrap_int64(d: Decimal) -> Decimal:
     """Two's-complement wrap of an integral decimal into 64-bit range.
 
     Works on the coefficient tuple with modular arithmetic so extreme
-    exponents never materialize astronomically large integers.
+    exponents never materialize astronomically large integers. The
+    coefficient goes through Decimal, not a digit string, so it may have
+    more digits than `int(str)` accepts.
     """
     sign, digits, exponent = d.as_tuple()
     digits = list(digits)
@@ -108,7 +110,7 @@ def _wrap_int64(d: Decimal) -> Decimal:
         digits.pop()
         exponent += 1
     # the caller guarantees integrality, so the exponent is now >= 0
-    coefficient = int("".join(map(str, digits)) or "0")
+    coefficient = int(Decimal((0, tuple(digits), 0)))
     n = coefficient * pow(10, exponent, 1 << 64) % (1 << 64)
     if sign:
         n = -n % (1 << 64)

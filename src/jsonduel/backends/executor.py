@@ -2,13 +2,14 @@
 
 Runs a script's statements in order against one engine and folds every
 possible event into a single TestOutcome: the first failing assertion
-yields Fail, the first engine error yields Error, exhausted limits yield
-Error(Timeout), otherwise Pass. Nothing escapes as an exception.
+yields Fail, the first engine error yields Error, an exhausted work
+budget yields Error(Timeout), otherwise Pass. Nothing escapes as an
+exception. No clock is read, so an outcome depends only on the script
+and the engine, never on machine speed or load.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Optional
@@ -23,17 +24,21 @@ OpHook = Callable[[str], None]
 
 @dataclass(frozen=True)
 class ExecutionLimits:
-    timeout_ms: int = 1000
-    max_statements: int = 10_000
+    """The work a script may do on one engine before it ends in
+    Error(Timeout). Each statement costs 1, and each value an expression
+    yields costs its size: a string its length, any other value 1, and
+    an array or object also the sizes of its members. Realistic scripts
+    use at most a few tens of thousands of units."""
+
+    budget: int = 100_000
 
 
 DEFAULT_LIMITS = ExecutionLimits()
 
 
 class _Timeout(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
+    """The work budget ran out. Not a BackendError, so assert_throws
+    cannot catch it."""
 
 
 def execute(
@@ -49,7 +54,7 @@ def execute(
     except BackendError as exc:
         return Error(exc.kind, exc.message)
     except _Timeout as exc:
-        return Error(ErrorKind.TIMEOUT, exc.message)
+        return Error(ErrorKind.TIMEOUT, str(exc))
 
 
 class _Runner:
@@ -57,16 +62,15 @@ class _Runner:
         self.script = script
         self.backend = backend
         self.limits = limits
-        self.on_op = on_op
+        self.on_op = on_op if on_op is not None else (lambda op: None)
         self.beans = script.bean_map()
         self.env: dict[str, object] = {}
-        self.deadline = time.monotonic() + limits.timeout_ms / 1000.0
-        self.statements_left = limits.max_statements
+        self.budget = limits.budget
 
     def run(self) -> TestOutcome:
         assertion_index = 0
         for stmt in self.script.statements:
-            self._charge_statement()
+            self._charge(None)  # a statement costs 1, as None does
             if isinstance(stmt, ast.Let):
                 self.env[stmt.name] = self.eval(stmt.expr)
                 continue
@@ -76,12 +80,20 @@ class _Runner:
                 return outcome
         return PASS
 
-    def _charge_statement(self) -> None:
-        self.statements_left -= 1
-        if self.statements_left < 0:
-            raise _Timeout(f"statement budget of {self.limits.max_statements} exhausted")
-        if time.monotonic() > self.deadline:
-            raise _Timeout(f"wall-clock limit of {self.limits.timeout_ms} ms exceeded")
+    def _charge(self, value) -> None:
+        """Take `value`'s size from the budget. The walk stops as soon as
+        the budget is spent, so sizing a value far larger than the budget
+        costs about the budget, not the value's size."""
+        pending = [value]
+        while pending:
+            value = pending.pop()
+            self.budget -= len(value) if isinstance(value, str) else 1
+            if self.budget < 0:
+                raise _Timeout(f"work budget of {self.limits.budget} exhausted")
+            if isinstance(value, list):
+                pending.extend(value)
+            elif isinstance(value, dict):
+                pending.extend(value.values())
 
     def _assertion(self, stmt, index: int) -> Optional[TestOutcome]:
         if isinstance(stmt, ast.AssertEq):
@@ -108,10 +120,6 @@ class _Runner:
             return Fail(index, "<error>", canonical(value))
         raise AssertionError(stmt)
 
-    def _op(self, name: str) -> None:
-        if self.on_op is not None:
-            self.on_op(name)
-
     def _text_arg(self, expr: ast.Expr, op: str) -> str:
         value = self.eval(expr)
         if kind(value) != "str":
@@ -121,33 +129,38 @@ class _Runner:
         return value
 
     def eval(self, expr: ast.Expr):
+        value = self._value(expr)
+        self._charge(value)
+        return value
+
+    def _value(self, expr: ast.Expr):
         if isinstance(expr, ast.Lit):
             return expr.value
         if isinstance(expr, ast.Var):
             return self.env[expr.name]
         if isinstance(expr, ast.ParseValue):
             text = self._text_arg(expr.text, "parse")
-            self._op("parse")
+            self.on_op("parse")
             return self.backend.parse(text, expr.features)
         if isinstance(expr, ast.ParseTyped):
             text = self._text_arg(expr.text, "parse_typed")
-            self._op("parse_typed")
+            self.on_op("parse_typed")
             return self.backend.parse_typed(text, self.beans[expr.bean], self.beans, expr.features)
         if isinstance(expr, ast.Serialize):
             value = self.eval(expr.value)
-            self._op("serialize")
+            self.on_op("serialize")
             return self.backend.serialize(value, expr.features)
         if isinstance(expr, ast.Get):
             target = self.eval(expr.target)
-            self._op("get")
+            self.on_op("get")
             return self.backend.get(target, expr.accessor, expr.as_type)
         if isinstance(expr, ast.PathEval):
             target = self.eval(expr.target)
-            self._op("path_eval")
+            self.on_op("path_eval")
             return self.backend.path_eval(target, expr.path)
         if isinstance(expr, ast.IsValid):
             text = self._text_arg(expr.text, "is_valid")
-            self._op("validate")
+            self.on_op("validate")
             return self.backend.validate(text)
         if isinstance(expr, ast.Size):
             value = self.eval(expr.target)

@@ -10,7 +10,6 @@ from typing import Sequence
 
 from ..llm.client import LlmClient, TransportError, prepare_request
 from ..llm.generation import GenParams
-from ..llm.messages import ChatMessage, assistant
 from .prompts import ClassifyMode, build_classify_prompt
 
 VOTE_COUNT = 6
@@ -57,8 +56,6 @@ def tally_votes(votes: Sequence[Verdict]) -> Verdict:
 class ClassificationResult:
     votes: tuple[Verdict, ...]
     final: Verdict
-    mode: ClassifyMode
-    transcripts: tuple[tuple[ChatMessage, ...], ...]
 
 
 class ClassificationAborted(Exception):
@@ -85,13 +82,13 @@ def classify(
     """Issue `VOTE_COUNT` independent generations and majority-vote them.
 
     All `VOTE_COUNT` requests are open at once, one per slot, on `pool`,
-    which needs `VOTE_COUNT` workers; votes and transcripts come back in
-    slot order. Each slot's request is prepared in slot order before any
-    is sent (`prepare_request`), so an offline client's replies land in
-    the same slots on every run. If any slot fails, the first failed
-    slot in slot order decides: a `TransportError` becomes
-    `ClassificationAborted` carrying the votes of every slot that
-    succeeded, and any other exception propagates unchanged.
+    which needs `VOTE_COUNT` workers; votes come back in slot order.
+    Each slot's request is prepared in slot order before any is sent
+    (`prepare_request`), so an offline client's replies land in the same
+    slots on every run. If any slot fails, the first failed slot in slot
+    order decides: a `TransportError` becomes `ClassificationAborted`
+    carrying the votes of every slot that succeeded, and any other
+    exception propagates unchanged.
     """
     prompt = tuple(build_classify_prompt(case, mode))
     futures = [
@@ -104,9 +101,4 @@ def classify(
         raise ClassificationAborted(failure, votes) from failure
     if failure is not None:
         raise failure
-    return ClassificationResult(
-        votes=votes,
-        final=tally_votes(votes),
-        mode=mode,
-        transcripts=tuple(prompt + (assistant(response),) for response in responses),
-    )
+    return ClassificationResult(votes=votes, final=tally_votes(votes))

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .tdsl.ast import Script
 from .tdsl.errors import DslError
 from .tdsl.parser import parse_script
 
@@ -43,9 +41,7 @@ class ManifestFormatError(CorpusError):
 class SeedTest:
     id: str
     source_path: Path
-    issue_tag: str | None
     script_text: str
-    script: Script
 
 
 @dataclass(frozen=True)
@@ -69,23 +65,18 @@ def _hash_seeds(seeds: list[SeedTest]) -> str:
     return digest.hexdigest()
 
 
-def _issue_tag(filename: str, keyword: str) -> str | None:
-    match = re.search(re.escape(keyword) + r"[0-9]*", filename, re.IGNORECASE)
-    return match.group().lower() if match else None
-
-
-def _load_seed(seed_id: str, path: Path, keyword: str) -> SeedTest:
+def _load_seed(seed_id: str, path: Path) -> SeedTest:
     text = path.read_text(encoding="utf-8")
-    script = parse_script(text)
-    return SeedTest(seed_id, path, _issue_tag(path.name, keyword), text, script)
+    parse_script(text)  # a seed that does not parse is rejected
+    return SeedTest(seed_id, path, text)
 
 
-def _build(entries: list[tuple[str, Path]], keyword: str) -> tuple[Corpus, list[SeedLoadError]]:
+def _build(entries: list[tuple[str, Path]]) -> tuple[Corpus, list[SeedLoadError]]:
     seeds: list[SeedTest] = []
     errors: list[SeedLoadError] = []
     for seed_id, path in entries:
         try:
-            seeds.append(_load_seed(seed_id, path, keyword))
+            seeds.append(_load_seed(seed_id, path))
         except DslError as exc:
             errors.append(SeedLoadError(path, str(exc)))
     seeds.sort(key=lambda s: s.id)
@@ -114,7 +105,7 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadErr
         raise EmptyCorpusError(
             f"no seed files matching '*{keyword}*{SEED_EXTENSION}' under {root}"
         )
-    corpus, errors = _build(entries, keyword)
+    corpus, errors = _build(entries)
     if not corpus.seeds:
         raise EmptyCorpusError(
             f"all {len(errors)} matching seed files under {root} failed to parse"
@@ -154,7 +145,7 @@ def load_corpus(manifest: Path | str) -> tuple[Corpus, list[SeedLoadError]]:
         entries.append((seed_id, path))
     if not entries:
         raise EmptyCorpusError(f"manifest {manifest} lists no seeds")
-    corpus, errors = _build(entries, "issue")
+    corpus, errors = _build(entries)
     if not corpus.seeds:
         raise EmptyCorpusError(f"all seeds in manifest {manifest} failed to parse")
     return corpus, errors

@@ -180,7 +180,7 @@ def parse_value(text: str, pos: int = 0, options: ParseOptions = DEFAULT_OPTIONS
     if ch == '"' or (ch == "'" and options.single_quotes):
         s, end = _scan_string(text, pos)
         return (s.strip() if options.trim_strings else s), end
-    if ch == "-" or ch.isdigit():
+    if ch in "-0123456789":
         return _scan_number(text, pos, options)
     for word, value in (("true", True), ("false", False), ("null", None)):
         if text.startswith(word, pos):

@@ -27,6 +27,7 @@ DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 
 MAX_ATTEMPTS = 3
 BACKOFF_START_S = 0.5
+REQUEST_TIMEOUT_S = 120.0
 
 
 class TransportError(Exception):
@@ -65,13 +66,11 @@ class HttpChatClient:
         api_key: str | None = None,
         session=None,
         sleep=None,
-        timeout_s: float = 120.0,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV) or DEFAULT_ENDPOINT
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.session = session or requests.Session()
         self.sleep = sleep if sleep is not None else time.sleep
-        self.timeout_s = timeout_s
 
     def complete(self, messages: Sequence[ChatMessage], params) -> str:
         body = {
@@ -96,7 +95,7 @@ class HttpChatClient:
                 self.sleep(delay)
             try:
                 response = self.session.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout_s
+                    self.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_error = exc

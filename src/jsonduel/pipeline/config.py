@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..backends import BackendConfigError, resolve_backend
-from ..backends.executor import ExecutionLimits
 from ..llm.generation import GenParams, MutationMode
 
 
@@ -37,7 +36,6 @@ class PipelineConfig:
     backends: tuple[str, ...]
     params: GenParams = GenParams()
     mutation: MutationMode = MutationMode.RANDOM_ONE
-    limits: ExecutionLimits = ExecutionLimits()
     suppress: frozenset[str] = frozenset()
     out_dir: Path = Path("out")
     endpoint: str | None = None
@@ -77,10 +75,6 @@ class PipelineConfig:
             "n_per_seed": self.params.n_per_seed,
             "rng_seed": self.params.seed,
             "mutation": self.mutation.value,
-            "limits": {
-                "timeout_ms": self.limits.timeout_ms,
-                "max_statements": self.limits.max_statements,
-            },
             "suppress": sorted(self.suppress),
             "out_dir": str(self.out_dir),
             "endpoint": self.endpoint,
@@ -143,18 +137,11 @@ def load_config(path: Path | str) -> PipelineConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    limits_raw = data.get("limits", {})
-    limits = ExecutionLimits(
-        timeout_ms=limits_raw.get("timeout_ms", ExecutionLimits.timeout_ms),
-        max_statements=limits_raw.get("max_statements", ExecutionLimits.max_statements),
-    )
-
     config = PipelineConfig(
         corpus=corpus,
         backends=tuple(data.get("backends", ())),
         params=params,
         mutation=parse_mutation(data.get("mutation", "random_one")),
-        limits=limits,
         suppress=frozenset(data.get("suppress", ())),
         out_dir=rel(data.get("out_dir", "out")),
         endpoint=data.get("endpoint"),

@@ -152,7 +152,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
                     def count_op(op: str, hits=hits) -> None:
                         hits[op] = hits.get(op, 0) + 1
 
-                    outcome = execute(script, backend, config.limits, on_op=count_op)
+                    outcome = execute(script, backend, on_op=count_op)
                     outcomes[backend.name] = outcome
                     mode_counts.per_backend.setdefault(backend.name, OutcomeCounts()).add(outcome)
                 verdicts.append(make_verdict(task.script_id, script, outcomes))

@@ -6,9 +6,7 @@ parse_script(print_script(s)) is structurally equal to s.
 
 from __future__ import annotations
 
-import json
-
-from ..values import dump_value
+from ..values import dump_value, quote
 from . import ast
 from .parser import validate_script
 
@@ -49,10 +47,6 @@ def _print_statement(stmt: ast.Statement) -> str:
     raise TypeError(f"unknown statement node {type(stmt).__name__}")
 
 
-def _quote(s: str) -> str:
-    return json.dumps(s, ensure_ascii=False)
-
-
 def _features(features: tuple) -> str:
     if not features:
         return ""
@@ -72,10 +66,10 @@ def print_expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Serialize):
         return f"serialize({print_expr(expr.value)}{_features(expr.features)})"
     if isinstance(expr, ast.Get):
-        accessor = _quote(expr.accessor) if isinstance(expr.accessor, str) else str(expr.accessor)
+        accessor = quote(expr.accessor) if isinstance(expr.accessor, str) else str(expr.accessor)
         return f"get({print_expr(expr.target)}, {accessor}, {expr.as_type.value})"
     if isinstance(expr, ast.PathEval):
-        return f"path_eval({print_expr(expr.target)}, {_quote(expr.path)})"
+        return f"path_eval({print_expr(expr.target)}, {quote(expr.path)})"
     if isinstance(expr, ast.IsValid):
         return f"is_valid({print_expr(expr.text)})"
     if isinstance(expr, ast.Size):

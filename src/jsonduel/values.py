@@ -10,10 +10,13 @@ represented as ``Decimal`` so that exactness never silently degrades.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def kind(value) -> str:
@@ -55,6 +58,17 @@ def values_equal(a, b) -> bool:
             return False
         return all(values_equal(a[key], b[key]) for key in a)
     return a == b
+
+
+def quote(text: str) -> str:
+    """JSON string literal for `text`, with non-ASCII characters kept raw.
+
+    A lone surrogate becomes a \\uXXXX escape, which reads back as
+    itself, because UTF-8 cannot encode it raw.
+    """
+    return _SURROGATE_RE.sub(
+        lambda m: f"\\u{ord(m.group()):04x}", json.dumps(text, ensure_ascii=False)
+    )
 
 
 def strip_trailing_zeros(value):
@@ -140,7 +154,7 @@ def _dump(value, out, depth, write_nulls, bool_as_number, nonstring_as_string, p
         out.append("null")
         return
     if k == "str":
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(quote(value))
         return
 
     indent = "  " * (depth + 1) if pretty else ""
@@ -168,7 +182,7 @@ def _dump(value, out, depth, write_nulls, bool_as_number, nonstring_as_string, p
         if i:
             out.append(sep)
         out.append(indent)
-        out.append(json.dumps(key, ensure_ascii=False))
+        out.append(quote(key))
         out.append(": " if pretty else ":")
         _dump(item, out, depth + 1, write_nulls, bool_as_number, nonstring_as_string, pretty, quote_bools)
     out.append(f"\n{closing_indent}}}" if pretty else "}")

@@ -9,6 +9,7 @@ they exercise every expression variant without hand-holding.
 from __future__ import annotations
 
 import random
+import re
 import string
 from decimal import Decimal
 
@@ -26,6 +27,9 @@ _BEYOND_INT64 = [INT64_MIN - 1, INT64_MAX + 1, 10**30, -(10**30)]
 # Non-ASCII, escaped and control characters, and both halves of a
 # surrogate pair, which a string may also hold alone.
 _WIDE_CHARS = 'aéü中😀"\\/u0\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udbff\udc00\udfff'
+# No JSON text denotes a high surrogate followed by a low one: escaped,
+# the pair reads back as one character, and UTF-8 cannot carry it raw.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff](?=[\udc00-\udfff])")
 
 
 class ScriptGen:
@@ -236,7 +240,8 @@ class WideScriptGen(ScriptGen):
     def text(self) -> str:
         if self.rng.random() < 0.5:
             return super().text()
-        return "".join(self.rng.choice(_WIDE_CHARS) for _ in range(self.rng.randint(1, 10)))
+        text = "".join(self.rng.choice(_WIDE_CHARS) for _ in range(self.rng.randint(1, 10)))
+        return _SURROGATE_PAIR.sub(lambda m: m.group() + "a", text)
 
 
 def generate_scripts(seed: int, count: int) -> list[ast.Script]:

@@ -26,11 +26,6 @@ class TestMineSeeds:
         assert [s.id for s in corpus.seeds] == ["Issue100", "issue2584"]
         assert errors == []
 
-    def test_issue_tags(self, seeds_dir):
-        (seeds_dir / "Issue100.t").write_text(VALID)
-        corpus, _ = mine_seeds(seeds_dir, "issue")
-        assert corpus.seeds[0].issue_tag == "issue100"
-
     def test_empty_directory_is_an_error(self, seeds_dir):
         with pytest.raises(EmptyCorpusError):
             mine_seeds(seeds_dir, "issue")
@@ -76,7 +71,8 @@ class TestMineSeeds:
         (seeds_dir / "issue1.t").write_text(VALID)
         corpus, _ = mine_seeds(seeds_dir, "issue")
         for seed in corpus.seeds:
-            assert parse_script(seed.script_text) == seed.script
+            assert seed.script_text == VALID
+            parse_script(seed.script_text)
 
 
 class TestManifest:

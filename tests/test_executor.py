@@ -1,9 +1,14 @@
 """Tests for the script executor: outcome folding, limits, purity."""
 
+import itertools
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsonduel.backends import resolve_backend
-from jsonduel.backends.executor import ExecutionLimits, execute
+from jsonduel.backends.executor import DEFAULT_LIMITS, ExecutionLimits, execute
 from jsonduel.backends.outcomes import (
     Error,
     ErrorKind,
@@ -16,11 +21,35 @@ from jsonduel.backends.outcomes import (
 from jsonduel.tdsl.extract import ExtractionFailure, extract_script
 from jsonduel.tdsl.parser import parse_script
 
+from scriptgen import WideScriptGen
+
 REF = resolve_backend("reference")
+ENGINES = [resolve_backend(name) for name in ("reference", "reference-copy", "planted:L1+L2+L3")]
 
 
 def run(src: str, limits: ExecutionLimits = ExecutionLimits()):
     return execute(parse_script(src), REF, limits)
+
+
+def bean_chain(steps: int, throws: bool = False) -> str:
+    """Bean B<i> has two B<i-1> fields, so y<i> holds 2^i copies of y0."""
+    beans = ["bean B0 { v: integer; }"]
+    beans += [f"bean B{i} {{ a: B{i - 1}; b: B{i - 1}; }}" for i in range(1, steps + 1)]
+    lets = ["let y0 = make_bean(B0, v = 1);"]
+    lets += [f"let y{i} = make_bean(B{i}, a = y{i - 1}, b = y{i - 1});" for i in range(1, steps)]
+    last = f"make_bean(B{steps}, a = y{steps - 1}, b = y{steps - 1})"
+    return "\n".join(beans + lets + [_last_step(last, throws)])
+
+
+def serialize_chain(steps: int, throws: bool = False) -> str:
+    """s<i> = serialize(s<i-1>) from a lone quote: s<k> has 3 * 2^k - 2
+    characters."""
+    lets = ['let s0 = "\\"";'] + [f"let s{i} = serialize(s{i - 1});" for i in range(1, steps)]
+    return "\n".join(lets + [_last_step(f"serialize(s{steps - 1})", throws)])
+
+
+def _last_step(expr: str, throws: bool) -> str:
+    return f"assert_throws({expr});" if throws else f"assert_not_null({expr});"
 
 
 class TestOutcomes:
@@ -99,18 +128,35 @@ class TestOutcomes:
 class TestLimits:
     def test_statement_budget(self):
         src = "let a = 1;\n" * 50 + "assert_eq(1, 1);"
-        outcome = run(src, ExecutionLimits(timeout_ms=1000, max_statements=10))
-        assert outcome == Error(ErrorKind.TIMEOUT, outcome.message)
-        assert "budget" in outcome.message
+        outcome = run(src, ExecutionLimits(budget=10))
+        assert outcome == Error(ErrorKind.TIMEOUT, "work budget of 10 exhausted")
 
     def test_generous_budget_passes(self):
-        src = "let a = 1;\n" * 50 + "assert_eq(1, 1);"
-        assert run(src, ExecutionLimits(timeout_ms=5000, max_statements=100)) == Pass()
+        src = "let a = 1;\n" * 50 + "assert_eq(1, 1);"  # 50 * (1 + 1) + (1 + 1 + 1)
+        assert run(src, ExecutionLimits(budget=103)) == Pass()
 
-    def test_expired_wall_clock_times_out(self):
-        outcome = run("assert_eq(1, 1);", ExecutionLimits(timeout_ms=0, max_statements=100))
-        assert outcome == Error(ErrorKind.TIMEOUT, outcome.message)
-        assert "wall-clock" in outcome.message
+    def test_values_cost_their_size(self):
+        # statement 1, array 1 + 1 + 3 + (1 + 2); statement 1, literals 1 + 1
+        src = 'let a = [1, "abc", {"k": "de"}];\nassert_eq(1, 1);'
+        assert run(src, ExecutionLimits(budget=12)) == Pass()
+        assert run(src, ExecutionLimits(budget=11)).kind is ErrorKind.TIMEOUT
+
+    @pytest.mark.parametrize("throws", [False, True], ids=["plain", "assert_throws"])
+    @pytest.mark.parametrize("chain", [bean_chain, serialize_chain])
+    def test_exponential_chain_runs_out_of_budget(self, chain, throws):
+        """Each step doubles the value. The budget ends both chains early
+        and alike on every engine, and assert_throws cannot catch it."""
+        script = parse_script(chain(40, throws))
+        expected = Error(ErrorKind.TIMEOUT, f"work budget of {DEFAULT_LIMITS.budget} exhausted")
+        assert [execute(script, engine) for engine in ENGINES] == [expected] * len(ENGINES)
+
+    def test_outcome_does_not_read_the_clock(self, monkeypatch):
+        script = parse_script(bean_chain(8) + "\nassert_eq(1, 2);")
+        with monkeypatch.context() as patched:
+            clock = itertools.count(step=10.0)
+            patched.setattr(time, "monotonic", lambda: next(clock))
+            outcome = execute(script, REF)
+        assert outcome == Fail(1, "1", "2")
 
     @pytest.mark.parametrize("length", [257, 400])
     def test_deep_bean_chain_never_raises(self, length):
@@ -126,6 +172,14 @@ class TestLimits:
         if not isinstance(result, ExtractionFailure):
             result = execute(result, REF)
         assert isinstance(result, (ExtractionFailure, Pass, Fail, Error))
+
+
+class TestNothingEscapes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=True).map(lambda rng: WideScriptGen(rng).script()))
+    def test_every_engine_returns_an_outcome(self, script):
+        for engine in ENGINES:
+            assert isinstance(execute(script, engine), (Pass, Fail, Error))
 
 
 class TestDeterminismAndPurity:

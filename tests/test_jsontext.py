@@ -104,6 +104,10 @@ class TestBasics:
         with pytest.raises(JsonTextError, match="nesting depth"):
             parse_document(deep)
 
+    def test_non_ascii_digit_is_an_unexpected_character(self):
+        with pytest.raises(JsonTextError, match="unexpected character '٣'"):
+            parse_document("[٣]")
+
     def test_raw_control_char_rejected(self):
         with pytest.raises(JsonTextError, match="control character"):
             parse_document('"a\x01b"')

@@ -25,6 +25,7 @@ from jsonduel.pipeline.report import render_jsonl, render_text
 from jsonduel.pipeline.runner import run
 from jsonduel.tdsl.ast import Script
 from jsonduel.tdsl.extract import ExtractionFailure
+from jsonduel.tdsl.parser import parse_script
 
 from clientfix import RecordingScenario, ScriptedClient
 from conftest import SEEDS_DIR
@@ -191,6 +192,14 @@ class TestGenerationRecords:
         assert record.raw_response == prose
         assert record.rule is pick_rule(random.Random(5), MutationMode.RANDOM_ONE)
         assert report.counts["mutate"].extraction_failures == 1
+
+    def test_lone_surrogate_script_is_written_and_reparses(self, tmp_path, seeds_dir):
+        """UTF-8 cannot carry a lone surrogate raw, so the printer escapes it."""
+        response = wrap_response('assert_eq("\\ud800", "x");\n')
+        report, _ = self._run(tmp_path, seeds_dir, [self.SUMMARY, response])
+        (script_id, record), = report.records
+        text = (tmp_path / "out" / "scripts" / f"{script_id}.t").read_text(encoding="utf-8")
+        assert parse_script(text) == record.extracted_script
 
     def test_empty_summary_aborts_the_run(self, tmp_path, seeds_dir):
         report, client = self._run(tmp_path, seeds_dir, ["", wrap_response(self.SEED)])

@@ -90,6 +90,16 @@ class TestPlantedBugs:
         )
         assert execute(script, backend) == Pass()
 
+    def test_l3_wrap_handles_more_digits_than_int_reads(self):
+        # 10^5000 has 5001 digits, past int()'s 4300, and wraps to zero
+        backend = planted_backend([BugId.L3_DECIMAL_OVERFLOW])
+        script = parse_script(
+            'bean Box { v: decimal; }\n'
+            f'let b = parse_typed("{{\\"v\\":1{"0" * 5000}}}", Box);\n'
+            'assert_eq("0", get(b, "v", string));\n'
+        )
+        assert execute(script, backend) == Pass()
+
     def test_unknown_bug_rejected(self):
         with pytest.raises(ValueError):
             planted_backend(["L9"])

@@ -261,6 +261,7 @@ class TestPrinter:
         # repr also tells 1 from True and from Decimal("1"), and sees key order
         assert repr(again) == repr(script), f"round-trip mismatch:\n{text}"
         assert print_script(again) == text
+        text.encode("utf-8")  # scripts are written to disk as UTF-8
 
     def test_print_rejects_invalid_script(self):
         with pytest.raises(DslValidationError):

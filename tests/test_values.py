@@ -94,6 +94,8 @@ class TestDump:
 
     def test_string_escaping(self):
         assert canonical({"k": 'a"b\n'}) == '{"k":"a\\"b\\n"}'
+        # a lone surrogate, as key or value, is escaped; other non-ASCII stays raw
+        assert canonical({"\udc00": ["\ud800é"]}) == '{"\\udc00":["\\ud800é"]}'
 
     def test_nonstring_as_string_quotes_scalars(self):
         value = {"b": True, "n": 1, "d": Decimal("2.5"), "s": "x"}
