@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Protocol, Union
 
 from ..tdsl import ast
-from .planted import BugId, planted_backend
+from .planted import BugId, PlantedBackend
 from .reference import ReferenceBackend
 
 
@@ -45,9 +45,6 @@ class BackendConfigError(ValueError):
     """An engine name that cannot be resolved to an implementation."""
 
 
-_BUG_CODES = {bug.value: bug for bug in BugId}
-
-
 def resolve_backend(name: str) -> Backend:
     """Build the engine a configuration name refers to."""
     if name == "reference":
@@ -55,12 +52,12 @@ def resolve_backend(name: str) -> Backend:
     if name == "reference-copy":
         return ReferenceBackend(name="reference-copy")
     if name.startswith("planted:"):
-        spec = name[len("planted:"):]
         bugs = []
-        for code in filter(None, spec.split("+")):
-            if code not in _BUG_CODES:
-                raise BackendConfigError(f"unknown planted bug code '{code}' in '{name}'")
-            bugs.append(_BUG_CODES[code])
-        return planted_backend(bugs, name=name)
+        for code in filter(None, name[len("planted:"):].split("+")):
+            try:
+                bugs.append(BugId(code))
+            except ValueError:
+                raise BackendConfigError(f"unknown planted bug code '{code}' in '{name}'") from None
+        return PlantedBackend(name, bugs)
     raise BackendConfigError(f"unknown backend '{name}'")
 

@@ -96,80 +96,28 @@ _PRIM_AS_TYPE = {
 }
 
 
-def _wrap_int64(d: Decimal) -> Decimal:
-    """Two's-complement wrap of an integral decimal into 64-bit range.
-
-    Works on the coefficient tuple with modular arithmetic so extreme
-    exponents never materialize astronomically large integers. The
-    coefficient goes through Decimal, not a digit string, so it may have
-    more digits than `int(str)` accepts.
-    """
-    sign, digits, exponent = d.as_tuple()
-    digits = list(digits)
-    while exponent < 0 and digits and digits[-1] == 0:
-        digits.pop()
-        exponent += 1
-    # the caller guarantees integrality, so the exponent is now >= 0
-    coefficient = int(Decimal((0, tuple(digits), 0)))
-    n = coefficient * pow(10, exponent, 1 << 64) % (1 << 64)
-    if sign:
-        n = -n % (1 << 64)
-    return Decimal(((n + 2**63) % 2**64) - 2**63)
-
-
-def bind_field(
-    value,
-    ftype: ast.FieldType,
-    beans: Mapping[str, ast.BeanDef],
-    *,
-    wrap_decimal_overflow: bool = False,
-):
+def bind_field(value, ftype: ast.FieldType, beans: Mapping[str, ast.BeanDef]):
     """Coerce one incoming value to a bean field type. Null stays null."""
     if value is None:
         return None
     if isinstance(ftype, ast.Prim):
-        if (
-            wrap_decimal_overflow
-            and ftype.name == "decimal"
-            and isinstance(value, Decimal)
-            and value == value.to_integral_value()
-            and not (INT64_MIN <= value <= INT64_MAX)
-        ):
-            return _wrap_int64(value)
         return coerce_value(value, _PRIM_AS_TYPE[ftype.name])
     if isinstance(ftype, ast.BeanRef):
         if kind(value) != "obj":
             raise _cast_error(value, f"bean {ftype.name}")
-        return bind_bean(
-            value, beans[ftype.name], beans, wrap_decimal_overflow=wrap_decimal_overflow
-        )
+        return bind_bean(value, beans[ftype.name], beans)
     if isinstance(ftype, ast.ListOf):
         if kind(value) != "arr":
             raise _cast_error(value, "list")
-        return [
-            bind_field(item, ftype.element, beans, wrap_decimal_overflow=wrap_decimal_overflow)
-            for item in value
-        ]
+        return [bind_field(item, ftype.element, beans) for item in value]
     raise AssertionError(ftype)
 
 
-def bind_bean(
-    obj: dict,
-    bean: ast.BeanDef,
-    beans: Mapping[str, ast.BeanDef],
-    *,
-    wrap_decimal_overflow: bool = False,
-) -> dict:
+def bind_bean(obj: dict, bean: ast.BeanDef, beans: Mapping[str, ast.BeanDef]) -> dict:
     """Shape a parsed object to a bean: declared fields, declared order.
 
     Missing fields become null; undeclared incoming keys are dropped.
     """
     return {
-        field.name: bind_field(
-            obj.get(field.name),
-            field.type,
-            beans,
-            wrap_decimal_overflow=wrap_decimal_overflow,
-        )
-        for field in bean.fields
+        field.name: bind_field(obj.get(field.name), field.type, beans) for field in bean.fields
     }

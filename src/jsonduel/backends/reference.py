@@ -1,4 +1,5 @@
 """The in-repo JSON engine: the corrected behavior every bug is judged against.
+It knows no planted bug; `planted.py` subclasses it to plant them.
 
 Feature semantics (normative; docs/features.md carries the full table):
 
@@ -36,7 +37,6 @@ as a big-decimal 7 serializes to "7" and parses back as a long).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .. import jsontext
@@ -48,21 +48,11 @@ from .outcomes import BackendError, ErrorKind
 _PATH_STEP_RE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_]*)|\[([0-9]+)\]")
 
 
-@dataclass(frozen=True)
-class Quirks:
-    """Deliberate behavior deviations used to plant known bugs."""
-
-    unquoted_bools: bool = False          # bools escape quoting under WriteNonStringValueAsString
-    scalar_index_identity: bool = False   # object-target path eval: [i] on a scalar returns the scalar
-    wrap_decimal_overflow: bool = False   # typed decimal fields wrap integers beyond 64-bit
-
-
 class ReferenceBackend:
     """Deterministic, stateless, feature-complete JSON engine."""
 
-    def __init__(self, name: str = "reference", quirks: Quirks = Quirks()):
+    def __init__(self, name: str = "reference"):
         self.name = name
-        self.quirks = quirks
 
     # -- parsing --
 
@@ -101,9 +91,7 @@ class ReferenceBackend:
                 ErrorKind.TYPE_CAST_ERROR,
                 f"cannot bind {kind(value)} to bean {bean.name}",
             )
-        return bind_bean(
-            value, bean, beans, wrap_decimal_overflow=self.quirks.wrap_decimal_overflow
-        )
+        return bind_bean(value, bean, beans)
 
     # -- serialization --
 
@@ -115,7 +103,6 @@ class ReferenceBackend:
             bool_as_number=ast.WriterFeature.WRITE_BOOLEAN_AS_NUMBER in flags,
             nonstring_as_string=ast.WriterFeature.WRITE_NON_STRING_VALUE_AS_STRING in flags,
             pretty=ast.WriterFeature.PRETTY_FORMAT in flags,
-            quote_bools=not self.quirks.unquoted_bools,
         )
 
     # -- access --
@@ -150,13 +137,12 @@ class ReferenceBackend:
         steps = _parse_path(path)
         if isinstance(target, str):
             try:
-                root = jsontext.parse_document(target)
+                target = jsontext.parse_document(target)
             except jsontext.JsonTextError as exc:
                 raise BackendError(ErrorKind.PARSE_ERROR, str(exc)) from None
-            return _walk_path(root, steps, scalar_index_identity=False)
-        return _walk_path(
-            target, steps, scalar_index_identity=self.quirks.scalar_index_identity
-        )
+        for step in steps:
+            target = _step(target, step)
+        return target
 
 
 def _parse_path(path: str) -> list[Union[str, int]]:
@@ -176,20 +162,8 @@ def _parse_path(path: str) -> list[Union[str, int]]:
     return steps
 
 
-def _walk_path(root, steps, *, scalar_index_identity: bool):
-    current = root
-    for step in steps:
-        if current is None:
-            return None
-        if isinstance(step, str):
-            current = current.get(step) if kind(current) == "obj" else None
-        else:
-            k = kind(current)
-            if k == "arr":
-                current = current[step] if step < len(current) else None
-            elif scalar_index_identity and k in ("bool", "int", "dec", "str"):
-                # planted deviation: indexing into a scalar returns the scalar
-                continue
-            else:
-                current = None
-    return current
+def _step(current, step: Union[str, int]):
+    """One path step from `current`: null where the step does not resolve."""
+    if isinstance(step, str):
+        return current.get(step) if kind(current) == "obj" else None
+    return current[step] if kind(current) == "arr" and step < len(current) else None

@@ -8,7 +8,7 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..llm.client import LlmClient, TransportError, prepare_request
+from ..llm.client import GenerationError, LlmClient, TransportError, prepare_request
 from ..llm.generation import GenParams
 from .prompts import ClassifyMode, build_classify_prompt
 
@@ -59,7 +59,7 @@ class ClassificationResult:
 
 
 class ClassificationAborted(Exception):
-    """A vote's request failed in transport.
+    """A vote's request failed in transport or got an unusable reply.
 
     `votes` holds every vote that did arrive, in slot order; the failed
     slot and any other failed slot are missing from it. `case_index` is
@@ -86,9 +86,9 @@ def classify(
     Each slot's request is prepared in slot order before any is sent
     (`prepare_request`), so an offline client's replies land in the same
     slots on every run. If any slot fails, the first failed slot in slot
-    order decides: a `TransportError` becomes `ClassificationAborted`
-    carrying the votes of every slot that succeeded, and any other
-    exception propagates unchanged.
+    order decides: a `TransportError` or `GenerationError` becomes
+    `ClassificationAborted` carrying the votes of every slot that
+    succeeded, and any other exception propagates unchanged.
     """
     prompt = tuple(build_classify_prompt(case, mode))
     futures = [
@@ -97,7 +97,7 @@ def classify(
     responses = [f.result() for f in futures if f.exception() is None]
     votes = tuple(parse_verdict(response) for response in responses)
     failure = next((f.exception() for f in futures if f.exception() is not None), None)
-    if isinstance(failure, TransportError):
+    if isinstance(failure, (TransportError, GenerationError)):
         raise ClassificationAborted(failure, votes) from failure
     if failure is not None:
         raise failure

@@ -17,6 +17,7 @@ from ..diffcore import BugReport, DiffVerdict, divergence_locus
 from ..llm.generation import GenerationRecord
 from ..tdsl.ast import Script
 from ..tdsl.printer import print_script
+from ..values import escape_surrogates
 
 
 @dataclass
@@ -85,7 +86,8 @@ def write_record(out_dir: Path, script_id: str, record: GenerationRecord) -> Non
         "timestamp": record.timestamp,
     }
     (out_dir / "records" / f"{script_id}.json").write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        escape_surrogates(json.dumps(payload, ensure_ascii=False, indent=2)) + "\n",
+        encoding="utf-8",
     )
 
 

@@ -60,15 +60,16 @@ def values_equal(a, b) -> bool:
     return a == b
 
 
-def quote(text: str) -> str:
-    """JSON string literal for `text`, with non-ASCII characters kept raw.
+def escape_surrogates(json_text: str) -> str:
+    """JSON text with each lone surrogate as a \\uXXXX escape, which reads
+    back as itself, because UTF-8 cannot encode it raw."""
+    return _SURROGATE_RE.sub(lambda m: f"\\u{ord(m.group()):04x}", json_text)
 
-    A lone surrogate becomes a \\uXXXX escape, which reads back as
-    itself, because UTF-8 cannot encode it raw.
-    """
-    return _SURROGATE_RE.sub(
-        lambda m: f"\\u{ord(m.group()):04x}", json.dumps(text, ensure_ascii=False)
-    )
+
+def quote(text: str) -> str:
+    """JSON string literal for `text`, with non-ASCII characters kept raw
+    and lone surrogates escaped."""
+    return escape_surrogates(json.dumps(text, ensure_ascii=False))
 
 
 def strip_trailing_zeros(value):
@@ -120,17 +121,15 @@ def dump_value(
     bool_as_number: bool = False,
     nonstring_as_string: bool = False,
     pretty: bool = False,
-    quote_bools: bool = True,
 ) -> str:
     """Serialize a JSON value to text.
 
     Defaults produce the canonical form: compact separators, insertion
     order preserved, exact decimal digits, null-valued object members
-    omitted. `quote_bools` exists so a planted engine can reproduce the
-    boolean-quoting defect under `nonstring_as_string`.
+    omitted.
     """
     out: list[str] = []
-    _dump(value, out, 0, write_nulls, bool_as_number, nonstring_as_string, pretty, quote_bools)
+    _dump(value, out, 0, write_nulls, bool_as_number, nonstring_as_string, pretty)
     return "".join(out)
 
 
@@ -139,13 +138,13 @@ def canonical(value) -> str:
     return dump_value(value)
 
 
-def _dump(value, out, depth, write_nulls, bool_as_number, nonstring_as_string, pretty, quote_bools):
+def _dump(value, out, depth, write_nulls, bool_as_number, nonstring_as_string, pretty):
     k = kind(value)
     if k == "bool" and bool_as_number:
         value, k = (1 if value else 0), "int"
     if k in ("int", "dec", "bool"):
         text = _scalar_text(value)
-        if nonstring_as_string and (k != "bool" or quote_bools):
+        if nonstring_as_string:
             out.append(json.dumps(text))
         else:
             out.append(text)
@@ -169,7 +168,7 @@ def _dump(value, out, depth, write_nulls, bool_as_number, nonstring_as_string, p
             if i:
                 out.append(sep)
             out.append(indent)
-            _dump(item, out, depth + 1, write_nulls, bool_as_number, nonstring_as_string, pretty, quote_bools)
+            _dump(item, out, depth + 1, write_nulls, bool_as_number, nonstring_as_string, pretty)
         out.append(f"\n{closing_indent}]" if pretty else "]")
         return
 
@@ -184,5 +183,5 @@ def _dump(value, out, depth, write_nulls, bool_as_number, nonstring_as_string, p
         out.append(indent)
         out.append(quote(key))
         out.append(": " if pretty else ":")
-        _dump(item, out, depth + 1, write_nulls, bool_as_number, nonstring_as_string, pretty, quote_bools)
+        _dump(item, out, depth + 1, write_nulls, bool_as_number, nonstring_as_string, pretty)
     out.append(f"\n{closing_indent}}}" if pretty else "}")

@@ -1,8 +1,10 @@
-"""Offline test doubles: a scripted client and a replay scenario built in code.
+"""Offline test doubles: a scripted client, a replay scenario built in
+code, and an HTTP session for `HttpChatClient`.
 
 `ScriptedClient` returns responses in one fixed global order and can
 inject exceptions for fault testing. `RecordingScenario` records replies
 into a replay scenario and saves it in the format `--mock` loads.
+`FakeSession` answers each post with the next queued response.
 """
 
 from __future__ import annotations
@@ -72,3 +74,36 @@ class RecordingScenario(ReplayScenario):
             json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
             encoding="utf-8",
         )
+
+
+class FakeResponse:
+    def __init__(self, status_code: int, payload=None, text: str = ""):
+        self.status_code = status_code
+        self._payload = payload
+        self.text = text
+
+    def json(self):
+        if self._payload is None:
+            raise ValueError("no json")
+        return self._payload
+
+
+def completion(content: str) -> FakeResponse:
+    """A 200 response carrying one chat completion."""
+    return FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+
+
+class FakeSession:
+    """Pops one queued response per post (raising Exception entries) and
+    records every request."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.requests = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.requests.append({"url": url, "json": json, "headers": headers})
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome

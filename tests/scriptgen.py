@@ -91,15 +91,18 @@ class ScriptGen:
         for i in range(count):
             fields = []
             for j in range(self.rng.randint(1, 3)):
-                ftype: ast.FieldType = ast.Prim(self.rng.choice(_PRIMS))
-                if self.rng.random() < 0.2:
-                    ftype = ast.ListOf(ftype)
-                elif beans and self.rng.random() < 0.2:
-                    # only reference earlier beans: acyclic by construction
-                    ftype = ast.BeanRef(beans[self.rng.randrange(len(beans))].name)
-                fields.append(ast.BeanField(f"f{j}", ftype))
+                fields.append(ast.BeanField(f"f{j}", self.field_type(beans)))
             beans.append(ast.BeanDef(f"B{i}", tuple(fields)))
         return tuple(beans)
+
+    def field_type(self, beans: list[ast.BeanDef]) -> ast.FieldType:
+        ftype: ast.FieldType = ast.Prim(self.rng.choice(_PRIMS))
+        if self.rng.random() < 0.2:
+            return ast.ListOf(ftype)
+        if beans and self.rng.random() < 0.2:
+            # only reference earlier beans: acyclic by construction
+            return ast.BeanRef(beans[self.rng.randrange(len(beans))].name)
+        return ftype
 
     def expr(self, bound: list[str], beans: tuple[ast.BeanDef, ...], depth: int = 0) -> ast.Expr:
         leafs = ["lit", "str"]
@@ -121,9 +124,9 @@ class ScriptGen:
         if kind == "parse_typed":
             if not beans:
                 return self._leaf("lit", bound)
-            bean = self.rng.choice(beans).name
+            bean = self.rng.choice(beans)
             return ast.ParseTyped(
-                self.text_expr(bound, beans, depth), bean, self.features(_FEATURES_R)
+                self.typed_text(bean, bound, beans, depth), bean.name, self.features(_FEATURES_R)
             )
         if kind == "serialize":
             return ast.Serialize(self.expr(bound, beans, depth + 1), self.features(_FEATURES_W))
@@ -169,6 +172,10 @@ class ScriptGen:
             return ast.Lit(self.text())
         return self.expr(bound, beans, depth + 1)
 
+    def typed_text(self, bean: ast.BeanDef, bound, beans, depth) -> ast.Expr:
+        """The text a parse_typed reads into `bean`."""
+        return self.text_expr(bound, beans, depth)
+
     def path(self) -> str:
         steps = []
         for _ in range(self.rng.randint(0, 3)):
@@ -205,8 +212,10 @@ class WideScriptGen(ScriptGen):
     """A ScriptGen whose literals reach the edges the DSL must carry
     exactly: non-ASCII, escaped and lone-surrogate strings, int64 edges,
     decimals beyond int64 and beyond 4300 digits, exponents far beyond
-    float range, and arrays and objects nested to jsontext's cap. It
-    still never makes a scale-0 decimal within int64 range."""
+    float range, and arrays and objects nested to jsontext's cap. Its
+    beans nest lists deeper, and its parse_typed texts mostly fit the
+    bean with huge integral decimals in every decimal field. It still
+    never makes a scale-0 decimal within int64 range."""
 
     def json_value(self, depth: int = 0):
         if depth == 0 and self.rng.random() < 0.05:
@@ -242,6 +251,43 @@ class WideScriptGen(ScriptGen):
             return super().text()
         text = "".join(self.rng.choice(_WIDE_CHARS) for _ in range(self.rng.randint(1, 10)))
         return _SURROGATE_PAIR.sub(lambda m: m.group() + "a", text)
+
+    def field_type(self, beans: list[ast.BeanDef]) -> ast.FieldType:
+        ftype = super().field_type(beans)
+        if self.rng.random() < 0.3:
+            return ast.ListOf(ftype)
+        return ftype
+
+    def typed_text(self, bean: ast.BeanDef, bound, beans, depth) -> ast.Expr:
+        """Mostly a document that fits `bean`, whose decimal fields,
+        direct, listed or in nested beans, hold integral decimals beyond
+        int64 of up to 5000 digits."""
+        if self.rng.random() < 0.2:
+            return super().typed_text(bean, bound, beans, depth)
+        bean_map = {b.name: b for b in beans}
+        return ast.Lit(dump_value(self.field_value(ast.BeanRef(bean.name), bean_map)))
+
+    def field_value(self, ftype: ast.FieldType, beans: dict[str, ast.BeanDef]):
+        if isinstance(ftype, ast.BeanRef):
+            return {f.name: self.field_value(f.type, beans) for f in beans[ftype.name].fields}
+        if isinstance(ftype, ast.ListOf):
+            return [self.field_value(ftype.element, beans) for _ in range(self.rng.randint(0, 3))]
+        if ftype.name == "decimal":
+            return self.integral_beyond_int64()
+        if ftype.name == "integer":
+            return self.integer()
+        if ftype.name == "boolean":
+            return self.rng.random() < 0.5
+        return self.text()
+
+    def integral_beyond_int64(self) -> Decimal:
+        if self.rng.random() < 0.2:
+            return Decimal(self.rng.choice(_BEYOND_INT64))
+        # mostly more digits than int() reads
+        count = self.rng.randint(20, 40) if self.rng.random() < 0.2 else self.rng.randint(4290, 5000)
+        digits = self.rng.choice("123456789") + "".join(self.rng.choices(string.digits, k=count - 1))
+        sign = self.rng.choice(["", "-"])
+        return Decimal(f"{sign}{digits}{self.rng.choice(['', '.000', 'E+3'])}")
 
 
 def generate_scripts(seed: int, count: int) -> list[ast.Script]:

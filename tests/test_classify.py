@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from jsonduel.backends import resolve_backend
 from jsonduel.backends.executor import execute
 from jsonduel.backends.outcomes import describe
-from jsonduel.backends.planted import BugId, planted_backend
 from jsonduel.classify.evaluate import Category, FailedCase, evaluate_accuracy
 from jsonduel.classify.exemplars import EXEMPLARS
 from jsonduel.classify.prompts import (
@@ -30,14 +29,14 @@ from jsonduel.classify.voting import (
     parse_verdict,
     tally_votes,
 )
-from jsonduel.llm.client import TransportError
+from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
 from jsonduel.llm.generation import GenParams
 from jsonduel.llm.mock import ReplayClient
 from jsonduel.pipeline.cli import main
 from jsonduel.tdsl.parser import parse_script
 
 from casefix import build_case_fixture, confusion_responses
-from clientfix import RecordingScenario, ScriptedClient
+from clientfix import FakeSession, RecordingScenario, ScriptedClient, completion
 from conftest import read_golden, render_transcript
 
 PARAMS = GenParams()
@@ -134,7 +133,7 @@ class TestExemplarsAreReal:
         backend = (
             resolve_backend("reference")
             if exemplar.verdict == "bad"
-            else planted_backend(list(BugId))
+            else resolve_backend("planted:L1+L2+L3")
         )
         assert describe(execute(script, backend)) == exemplar.result_text
 
@@ -227,8 +226,8 @@ def _outcome(fn):
 
 def _sequential_reference(entries, case, mode):
     """Send the vote requests one after another, then apply the failure
-    rule: the first failed slot decides; a TransportError aborts with the
-    votes of every slot that succeeded."""
+    rule: the first failed slot decides; a TransportError or
+    GenerationError aborts with the votes of every slot that succeeded."""
     client = ScriptedClient(entries)
     prompt = tuple(build_classify_prompt(case, mode))
     responses, failures = [], []
@@ -238,7 +237,7 @@ def _sequential_reference(entries, case, mode):
         except Exception as exc:
             failures.append(exc)
     votes = tuple(parse_verdict(r) for r in responses)
-    if failures and isinstance(failures[0], TransportError):
+    if failures and isinstance(failures[0], (TransportError, GenerationError)):
         raise ClassificationAborted(failures[0], votes)
     if failures:
         raise failures[0]
@@ -298,7 +297,9 @@ class TestConcurrentVotes:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(
-        st.sampled_from([GOOD, BAD, "No verdict here.", TransportError("down")]),
+        st.sampled_from([
+            GOOD, BAD, "No verdict here.", TransportError("down"), GenerationError("empty"),
+        ]),
         max_size=8,
     ))
     def test_matches_a_sequential_loop(self, entries):
@@ -321,3 +322,16 @@ class TestClassifyCli:
         assert main(["classify", "--cases", str(cases_path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: case 1: classification aborted with 5 votes: endpoint down\n"
+
+    def test_empty_completion_exits_aborted(self, tmp_path, monkeypatch, capsys):
+        cases_path = build_case_fixture(tmp_path / "cases")
+        responses = [completion(reply) for reply in confusion_responses()]
+        responses[VOTE_COUNT + 2] = completion("")
+        session = FakeSession(responses)
+        monkeypatch.setattr(
+            "jsonduel.pipeline.cli.HttpChatClient",
+            lambda: HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None),
+        )
+        assert main(["classify", "--cases", str(cases_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: case 1: classification aborted with 5 votes: empty completion response\n"

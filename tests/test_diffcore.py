@@ -5,7 +5,6 @@ import pytest
 from jsonduel.backends import resolve_backend
 from jsonduel.backends.executor import execute
 from jsonduel.backends.outcomes import Error, ErrorKind, Fail, Pass
-from jsonduel.backends.planted import BugId, planted_backend
 from jsonduel.diffcore import (
     DiffConfigError,
     VerdictStatus,
@@ -123,7 +122,7 @@ class TestDedup:
         from test_planted import LISTING_BOOL, LISTING_DECIMAL, LISTING_PATH
 
         reference = resolve_backend("reference")
-        planted = planted_backend(list(BugId))
+        planted = resolve_backend("planted:L1+L2+L3")
         verdicts = []
         for i, src in enumerate((LISTING_PATH, LISTING_BOOL, LISTING_DECIMAL)):
             script = parse_script(src)

@@ -175,6 +175,10 @@ class TestLimits:
 
 
 class TestNothingEscapes:
+    """WideScriptGen reaches the value edges, and its parse_typed texts put
+    integral decimals of up to 5000 digits in bean decimal fields, which
+    planted:L3 wraps."""
+
     @settings(max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=True).map(lambda rng: WideScriptGen(rng).script()))
     def test_every_engine_returns_an_outcome(self, script):

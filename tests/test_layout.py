@@ -17,7 +17,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jsonduel"
 INIT_IMPORTS = {
     "jsonduel.backends": {
         "Iterable", "Mapping", "Protocol", "Union", "ast",
-        "BugId", "planted_backend", "ReferenceBackend",
+        "BugId", "PlantedBackend", "ReferenceBackend",
     },
     "jsonduel.tdsl": {"Script", "parse_script"},
 }
@@ -129,5 +129,26 @@ def test_json_text_has_one_reader():
             if isinstance(node, ast.ImportFrom):
                 names += [alias.name for alias in node.names]
             if any(n and n.lstrip("_").startswith("scan_") for n in names):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_planted_bugs_live_in_one_module():
+    """Outside `backends/__init__.py`, which resolves engine names, no
+    module imports from `backends/planted.py` or names `BugId`, so only
+    the planted engine can branch on a planted bug."""
+    modules = _modules()
+    graph = _import_graph(modules)
+    found = []
+    for name, (tree, _) in modules.items():
+        if name in ("jsonduel.backends", "jsonduel.backends.planted"):
+            continue
+        if "jsonduel.backends.planted" in graph[name]:
+            found.append(name)
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            if "BugId" in names:
                 found.append(f"{name}:{node.lineno}")
     assert found == []

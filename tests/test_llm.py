@@ -19,7 +19,14 @@ from jsonduel.llm.prompts import (
 )
 from jsonduel.llm.rules import ALL_RULES, MutationRule
 
-from clientfix import RecordingScenario, ScriptedClient, ScriptedExhaustedError
+from clientfix import (
+    FakeResponse,
+    FakeSession,
+    RecordingScenario,
+    ScriptedClient,
+    ScriptedExhaustedError,
+    completion,
+)
 from conftest import SEEDS_DIR, read_golden, render_transcript
 
 SEED_TEXT = (SEEDS_DIR / "issue1874.t").read_text(encoding="utf-8")
@@ -86,38 +93,9 @@ class TestContextTemplate:
         assert all(s[0].islower() and not s.endswith(".") for s in sentences)
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
-def _ok(content: str) -> _FakeResponse:
-    return _FakeResponse(200, {"choices": [{"message": {"content": content}}]})
-
-
-class _FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 class TestHttpClient:
     def test_success_sends_wire_format(self):
-        session = _FakeSession([_ok("hello")])
+        session = FakeSession([completion("hello")])
         client = HttpChatClient(
             endpoint="http://example/chat", api_key="k", session=session, sleep=lambda s: None
         )
@@ -131,7 +109,7 @@ class TestHttpClient:
         assert session.requests[0]["headers"]["Authorization"] == "Bearer k"
 
     def test_debug_level_logs_request_and_response(self, caplog):
-        session = _FakeSession([_ok("hello")])
+        session = FakeSession([completion("hello")])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
         with caplog.at_level("DEBUG", logger="jsonduel.llm.client"):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
@@ -141,8 +119,8 @@ class TestHttpClient:
         ]
 
     def test_two_refusals_then_success_retries(self, caplog):
-        session = _FakeSession(
-            [requests.ConnectionError("refused"), requests.ConnectionError("refused"), _ok("ok")]
+        session = FakeSession(
+            [requests.ConnectionError("refused"), requests.ConnectionError("refused"), completion("ok")]
         )
         sleeps = []
         client = HttpChatClient(endpoint="http://x", session=session, sleep=sleeps.append)
@@ -153,25 +131,25 @@ class TestHttpClient:
         assert sum("retrying" in r.message for r in caplog.records) == 2
 
     def test_gives_up_after_three_attempts(self):
-        session = _FakeSession([requests.ConnectionError("x")] * 3)
+        session = FakeSession([requests.ConnectionError("x")] * 3)
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
         with pytest.raises(TransportError):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
         assert len(session.requests) == 3
 
     def test_5xx_is_retried_4xx_is_not(self):
-        session = _FakeSession([_FakeResponse(500), _ok("ok")])
+        session = FakeSession([FakeResponse(500), completion("ok")])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
         assert client.complete(build_summary_request(SEED_TEXT), PARAMS) == "ok"
 
-        session = _FakeSession([_FakeResponse(401, text="no auth")])
+        session = FakeSession([FakeResponse(401, text="no auth")])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
         with pytest.raises(TransportError, match="401"):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
         assert len(session.requests) == 1
 
     def test_empty_content_is_generation_error(self):
-        session = _FakeSession([_ok("")])
+        session = FakeSession([completion("")])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
         with pytest.raises(GenerationError):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)

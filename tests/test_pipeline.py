@@ -201,6 +201,16 @@ class TestGenerationRecords:
         text = (tmp_path / "out" / "scripts" / f"{script_id}.t").read_text(encoding="utf-8")
         assert parse_script(text) == record.extracted_script
 
+    def test_lone_surrogate_reply_is_recorded_exactly(self, tmp_path, seeds_dir):
+        """A raw lone surrogate in a reply is escaped in the record, which
+        reads back as the reply itself."""
+        response = "```\nassert_eq(1, 1);\n```\n\ud800"
+        report, _ = self._run(tmp_path, seeds_dir, [self.SUMMARY, response])
+        assert report.complete
+        (script_id, _), = report.records
+        record = tmp_path / "out" / "records" / f"{script_id}.json"
+        assert json.loads(record.read_text(encoding="utf-8"))["raw_response"] == response
+
     def test_empty_summary_aborts_the_run(self, tmp_path, seeds_dir):
         report, client = self._run(tmp_path, seeds_dir, ["", wrap_response(self.SEED)])
         assert not report.complete

@@ -115,12 +115,6 @@ class TestDump:
             dump_value([True], bool_as_number=True, nonstring_as_string=True) == '["1"]'
         )
 
-    def test_unquoted_bools_quirk(self):
-        assert (
-            dump_value({"b": True}, nonstring_as_string=True, quote_bools=False)
-            == '{"b":true}'
-        )
-
     def test_pretty_two_space_indent(self):
         value = {"a": [1, 2], "b": {"c": None}, "d": {}}
         expected = (
