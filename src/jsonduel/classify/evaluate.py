@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,19 @@ from ..llm.generation import GenParams
 from ..tdsl.ast import Script
 from ..tdsl.parser import parse_script
 from .prompts import ClassifyMode
-from .voting import VOTE_COUNT, ClassificationAborted, ClassificationResult, Verdict, classify
+from .voting import (
+    VOTE_COUNT,
+    ClassificationAborted,
+    ClassificationResult,
+    Verdict,
+    classify,
+    send_votes,
+)
+
+# Cases whose votes `classify_cases` keeps open at once, and the most
+# model requests that are open at once as a result.
+CASES_IN_FLIGHT = 4
+OPEN_REQUESTS = VOTE_COUNT * CASES_IN_FLIGHT
 
 
 class Category(enum.Enum):
@@ -138,20 +151,30 @@ def classify_cases(
     client: LlmClient,
     params: GenParams,
 ) -> Iterator[ClassificationResult]:
-    """Classify each case in list order, yielding one result per case.
+    """Classify each case, yielding one result per case in list order.
 
-    A case's votes are sent at once (see `classify`) on one pool of
-    `VOTE_COUNT` workers that serves every case, and case k is finished
-    before case k+1 is sent, so at most `VOTE_COUNT` requests are ever
-    open. An abort names the case: `ClassificationAborted.case_index`.
+    Up to `CASES_IN_FLIGHT` cases have their votes open at once, so at
+    most `OPEN_REQUESTS` requests are, on one pool of that many workers
+    that serves every case. The votes of case k + `CASES_IN_FLIGHT` are
+    sent as soon as case k is collected. Every request is prepared on the
+    calling thread in case order, then slot order (see `send_votes`).
+    The first case in list order with a failed slot decides an abort
+    (see `classify`); `ClassificationAborted.case_index` names that case,
+    and no request is sent after it.
     """
-    with ThreadPoolExecutor(max_workers=VOTE_COUNT) as pool:
-        for index, case in enumerate(cases):
+    with ThreadPoolExecutor(max_workers=OPEN_REQUESTS) as pool:
+        sent = deque(
+            send_votes(case, mode, client, params, pool) for case in cases[:CASES_IN_FLIGHT]
+        )
+        for index in range(len(cases)):
             try:
-                yield classify(case, mode, client, params, pool)
+                result = classify(sent.popleft())
             except ClassificationAborted as exc:
                 exc.case_index = index
                 raise
+            if index + CASES_IN_FLIGHT < len(cases):
+                sent.append(send_votes(cases[index + CASES_IN_FLIGHT], mode, client, params, pool))
+            yield result
 
 
 def render_accuracy_text(report: AccuracyReport) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
-from concurrent.futures import Executor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,9 +61,11 @@ class ClassificationResult:
 class ClassificationAborted(Exception):
     """A vote's request failed in transport or got an unusable reply.
 
-    `votes` holds every vote that did arrive, in slot order; the failed
-    slot and any other failed slot are missing from it. `case_index` is
-    the case's position when it came from `classify_cases`.
+    `votes` holds every vote of the case that did arrive, in slot order;
+    the failed slot and any other failed slot are missing from it.
+    `case_index` is the case's position when it came from
+    `classify_cases`, which raises this for the first case in list order
+    with a failed slot and sends no request after it.
     """
 
     def __init__(self, cause: Exception, votes: tuple[Verdict, ...]):
@@ -72,31 +74,37 @@ class ClassificationAborted(Exception):
         self.case_index: int | None = None
 
 
-def classify(
+def send_votes(
     case,
     mode: ClassifyMode,
     client: LlmClient,
     params: GenParams,
     pool: Executor,
-) -> ClassificationResult:
-    """Issue `VOTE_COUNT` independent generations and majority-vote them.
+) -> list[Future]:
+    """Send a case's `VOTE_COUNT` requests on `pool`, one per slot.
 
-    All `VOTE_COUNT` requests are open at once, one per slot, on `pool`,
-    which needs `VOTE_COUNT` workers; votes come back in slot order.
-    Each slot's request is prepared in slot order before any is sent
-    (`prepare_request`), so an offline client's replies land in the same
-    slots on every run. If any slot fails, the first failed slot in slot
-    order decides: a `TransportError` or `GenerationError` becomes
-    `ClassificationAborted` carrying the votes of every slot that
-    succeeded, and any other exception propagates unchanged.
+    Each slot's request is prepared in slot order on the calling thread
+    (`prepare_request`) before it is submitted, so an offline client's
+    replies land in the same slots on every run. The futures come back
+    in slot order; `classify` collects them.
     """
     prompt = tuple(build_classify_prompt(case, mode))
-    futures = [
+    return [
         pool.submit(prepare_request(client, prompt, params)) for _ in range(VOTE_COUNT)
     ]
-    responses = [f.result() for f in futures if f.exception() is None]
+
+
+def classify(sent: Sequence[Future]) -> ClassificationResult:
+    """Wait for one case's votes from `send_votes` and majority-vote them.
+
+    Votes are kept in slot order. If any slot fails, the first failed
+    slot in slot order decides: a `TransportError` or `GenerationError`
+    becomes `ClassificationAborted` carrying the votes of every slot that
+    succeeded, and any other exception propagates unchanged.
+    """
+    responses = [f.result() for f in sent if f.exception() is None]
     votes = tuple(parse_verdict(response) for response in responses)
-    failure = next((f.exception() for f in futures if f.exception() is not None), None)
+    failure = next((f.exception() for f in sent if f.exception() is not None), None)
     if isinstance(failure, (TransportError, GenerationError)):
         raise ClassificationAborted(failure, votes) from failure
     if failure is not None:

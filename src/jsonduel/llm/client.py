@@ -16,6 +16,7 @@ from functools import partial
 from typing import Callable, Protocol, Sequence
 
 import requests
+from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
 from .messages import ChatMessage, to_wire
 
@@ -58,7 +59,9 @@ def prepare_request(
 
 
 class HttpChatClient:
-    """Real transport. `session` and `sleep` are injectable for tests."""
+    """Real transport. `session` and `sleep` are injectable for tests. A
+    session built here keeps up to `open_requests` connections for reuse:
+    the most requests its caller keeps open at once."""
 
     def __init__(
         self,
@@ -66,10 +69,16 @@ class HttpChatClient:
         api_key: str | None = None,
         session=None,
         sleep=None,
+        open_requests: int = DEFAULT_POOLSIZE,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV) or DEFAULT_ENDPOINT
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=open_requests)
+            session.mount("https://", adapter)
+            session.mount("http://", adapter)
+        self.session = session
         self.sleep = sleep if sleep is not None else time.sleep
 
     def complete(self, messages: Sequence[ChatMessage], params) -> str:

@@ -15,6 +15,7 @@ from ..backends import BackendConfigError, resolve_backend
 from ..backends.executor import execute
 from ..backends.outcomes import describe
 from ..classify.evaluate import (
+    OPEN_REQUESTS,
     Category,
     classify_cases,
     evaluate_accuracy,
@@ -109,7 +110,10 @@ def _cmd_mine(args) -> int:
 def _cmd_classify(args) -> int:
     cases = load_cases(args.cases)
     mode = ClassifyMode(args.mode)
-    client = ReplayClient.from_file(args.mock) if args.mock else HttpChatClient()
+    client = (
+        ReplayClient.from_file(args.mock) if args.mock
+        else HttpChatClient(open_requests=OPEN_REQUESTS)
+    )
     labeled = all(case.category is not Category.UNKNOWN for case in cases)
     if labeled:
         report = evaluate_accuracy(cases, mode, client)

@@ -71,7 +71,7 @@ def _load(config: PipelineConfig):
 def _build_client(config: PipelineConfig) -> LlmClient:
     if config.mock_scenario is not None:
         return ReplayClient.from_file(config.mock_scenario)
-    return HttpChatClient(endpoint=config.endpoint)
+    return HttpChatClient(endpoint=config.endpoint, open_requests=config.in_flight)
 
 
 def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:

@@ -4,7 +4,8 @@ code, and an HTTP session for `HttpChatClient`.
 `ScriptedClient` returns responses in one fixed global order and can
 inject exceptions for fault testing. `RecordingScenario` records replies
 into a replay scenario and saves it in the format `--mock` loads.
-`FakeSession` answers each post with the next queued response.
+`FakeSession` answers each post with the next queued response, and
+`connection_pool_size` reads how many connections a real session keeps.
 """
 
 from __future__ import annotations
@@ -107,3 +108,10 @@ class FakeSession:
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
+
+
+def connection_pool_size(client, url: str | None = None) -> int:
+    """How many connections to `url` (by default, the client's endpoint)
+    the client's session keeps for reuse."""
+    url = url or client.endpoint
+    return client.session.get_adapter(url).poolmanager.connection_from_url(url).pool.maxsize

@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 from jsonduel.backends import resolve_backend
 from jsonduel.backends.executor import execute
 from jsonduel.backends.outcomes import describe
-from jsonduel.classify.evaluate import Category, FailedCase, evaluate_accuracy
+from jsonduel.classify.evaluate import (
+    CASES_IN_FLIGHT,
+    OPEN_REQUESTS,
+    Category,
+    FailedCase,
+    classify_cases,
+    evaluate_accuracy,
+    load_cases,
+)
 from jsonduel.classify.exemplars import EXEMPLARS
 from jsonduel.classify.prompts import (
     DEFINITION_BAD,
@@ -27,6 +36,7 @@ from jsonduel.classify.voting import (
     Verdict,
     classify,
     parse_verdict,
+    send_votes,
     tally_votes,
 )
 from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
@@ -36,7 +46,7 @@ from jsonduel.pipeline.cli import main
 from jsonduel.tdsl.parser import parse_script
 
 from casefix import build_case_fixture, confusion_responses
-from clientfix import FakeSession, RecordingScenario, ScriptedClient, completion
+from clientfix import RecordingScenario, ScriptedClient, completion
 from conftest import read_golden, render_transcript
 
 PARAMS = GenParams()
@@ -49,9 +59,9 @@ def make_case(src: str = "assert_eq(1, 2);", backend: str = "reference") -> Fail
 
 
 def classify_fs(case: FailedCase, client) -> ClassificationResult:
-    """`classify` in FS mode on a pool of its own."""
+    """One case's votes sent and classified in FS mode on a pool of its own."""
     with ThreadPoolExecutor(VOTE_COUNT) as pool:
-        return classify(case, ClassifyMode.FS, client, PARAMS, pool)
+        return classify(send_votes(case, ClassifyMode.FS, client, PARAMS, pool))
 
 
 FIXTURE_SRC = 'let o = parse("[10, 20]");\nassert_eq(99, get(o, 1, integer));\n'
@@ -191,10 +201,11 @@ BAD = "This test is a bad test."
 
 
 class _BarrierClient:
-    """Answers only once all six votes of a case are waiting at once."""
+    """Answers only once `parties` requests (by default, all six votes of
+    a case) are waiting at once."""
 
-    def __init__(self):
-        self.barrier = threading.Barrier(VOTE_COUNT, timeout=10)
+    def __init__(self, parties: int = VOTE_COUNT):
+        self.barrier = threading.Barrier(parties, timeout=10)
         self.threads = set()
 
     def complete(self, messages, params):
@@ -224,11 +235,10 @@ def _outcome(fn):
     return (result.votes, result.final)
 
 
-def _sequential_reference(entries, case, mode):
+def _sequential_reference(client, case, mode):
     """Send the vote requests one after another, then apply the failure
     rule: the first failed slot decides; a TransportError or
     GenerationError aborts with the votes of every slot that succeeded."""
-    client = ScriptedClient(entries)
     prompt = tuple(build_classify_prompt(case, mode))
     responses, failures = [], []
     for _ in range(VOTE_COUNT):
@@ -256,7 +266,8 @@ class TestConcurrentVotes:
         case = dataclasses.replace(make_case(), category=Category.E_GOOD)
         report = evaluate_accuracy([case] * 5, ClassifyMode.FS, client, PARAMS)
         assert report.average() == 100.0
-        assert len(client.threads) == VOTE_COUNT
+        # A pool per case would start 5 * VOTE_COUNT threads.
+        assert len(client.threads) <= OPEN_REQUESTS < 5 * VOTE_COUNT
         assert threading.current_thread() not in client.threads
 
     def test_replay_votes_stay_in_recording_order(self):
@@ -307,8 +318,145 @@ class TestConcurrentVotes:
         concurrent = _outcome(
             lambda: classify_fs(case, ScriptedClient(entries))
         )
-        sequential = _outcome(lambda: _sequential_reference(entries, case, ClassifyMode.FS))
+        sequential = _outcome(
+            lambda: _sequential_reference(ScriptedClient(entries), case, ClassifyMode.FS)
+        )
         assert concurrent == sequential
+
+
+UNPARSEABLE = "No verdict here."
+_VOTE_TEXT = {Verdict.GOOD: GOOD, Verdict.BAD: BAD, Verdict.UNPARSEABLE: UNPARSEABLE}
+
+
+def _labelled(count: int) -> list[FailedCase]:
+    return [
+        dataclasses.replace(make_case(f"assert_eq({i}, {i + 1});"), category=Category.F_GOOD)
+        for i in range(count)
+    ]
+
+
+def _case_outcomes(run):
+    """Each yielded result's fields in order, then how the run ended: the
+    abort's case index, message and votes, or another exception's type
+    and message."""
+    outcomes = []
+    try:
+        for result in run():
+            outcomes.append((result.votes, result.final))
+    except ClassificationAborted as exc:
+        outcomes.append(("aborted", exc.case_index, str(exc), exc.votes))
+    except Exception as exc:
+        outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _sequential_cases(client, cases, mode):
+    """Classify the cases one after another with one client, stopping at
+    the first case that fails."""
+    for index, case in enumerate(cases):
+        try:
+            yield _sequential_reference(client, case, mode)
+        except ClassificationAborted as exc:
+            exc.case_index = index
+            raise
+
+
+_FAILURES = [TransportError("down"), GenerationError("empty"), RuntimeError("boom")]
+
+
+@st.composite
+def _scripted_entries(draw):
+    """Votes for up to six cases (a short list runs the client dry), with
+    a few failures of each kind placed anywhere."""
+    entries = draw(st.lists(st.sampled_from([GOOD, BAD, UNPARSEABLE]), max_size=6 * VOTE_COUNT))
+    slots = draw(st.dictionaries(
+        st.integers(0, 6 * VOTE_COUNT - 1), st.sampled_from(_FAILURES), max_size=3
+    ))
+    for slot, failure in slots.items():
+        if slot < len(entries):
+            entries[slot] = failure
+    return entries
+
+
+class TestPipelinedCases:
+    def test_two_cases_votes_are_in_flight_at_once(self):
+        client = _BarrierClient(parties=2 * VOTE_COUNT)
+        results = list(classify_cases(_labelled(2), ClassifyMode.FS, client, PARAMS))
+        assert [r.votes for r in results] == [(Verdict.GOOD,) * VOTE_COUNT] * 2
+        assert not client.barrier.broken
+
+    def test_at_most_cases_in_flight_are_open(self):
+        open_now, most = 0, 0
+        lock = threading.Lock()
+
+        class Counting:
+            def complete(self, messages, params):
+                nonlocal open_now, most
+                with lock:
+                    open_now += 1
+                    most = max(most, open_now)
+                time.sleep(0.02)
+                with lock:
+                    open_now -= 1
+                return GOOD
+
+        cases = _labelled(3 * CASES_IN_FLIGHT)
+        assert len(list(classify_cases(cases, ClassifyMode.FS, Counting(), PARAMS))) == len(cases)
+        assert VOTE_COUNT < most <= OPEN_REQUESTS
+
+    def test_scripted_votes_land_in_their_own_cases(self):
+        cases = _labelled(2 * CASES_IN_FLIGHT + 1)
+        kinds = list(Verdict)
+        # Case i's votes spell i in base 3, so no two cases share them.
+        expected = [
+            tuple(kinds[i // 3**slot % 3] for slot in range(VOTE_COUNT))
+            for i in range(len(cases))
+        ]
+        entries = [_VOTE_TEXT[v] for votes in expected for v in votes]
+        reports = _repeat_under_fast_switching(
+            200,
+            lambda: evaluate_accuracy(cases, ClassifyMode.FS, ScriptedClient(entries), PARAMS),
+        )
+        for report in reports:
+            assert [r.result.votes for r in report.case_results] == expected
+
+    def test_no_request_is_sent_after_an_abort(self):
+        cases = _labelled(3 * CASES_IN_FLIGHT)
+        entries = [GOOD] * (VOTE_COUNT + 2) + [TransportError("down")] + [GOOD] * 100
+        client = ScriptedClient(entries)
+        with pytest.raises(ClassificationAborted) as info:
+            list(classify_cases(cases, ClassifyMode.FS, client, PARAMS))
+        assert info.value.case_index == 1
+        # Collecting case 0 sent case CASES_IN_FLIGHT; nothing after that.
+        assert client.calls == (CASES_IN_FLIGHT + 1) * VOTE_COUNT
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), _scripted_entries())
+    def test_matches_a_sequential_loop(self, count, entries):
+        cases = _labelled(count)
+        pipelined = _case_outcomes(
+            lambda: classify_cases(cases, ClassifyMode.FS, ScriptedClient(entries), PARAMS)
+        )
+        sequential = _case_outcomes(
+            lambda: _sequential_cases(ScriptedClient(entries), cases, ClassifyMode.FS)
+        )
+        assert pipelined == sequential
+
+
+class _OneEmptyReplySession:
+    """Answers each post by its prompt, whatever order the posts come in:
+    one post of `failing` gets an empty completion, every other a vote."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+        self.failed = False
+        self.lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            fail = not self.failed and json["messages"][-1]["content"] == self.failing
+            self.failed |= fail
+        return completion("" if fail else GOOD)
 
 
 class TestClassifyCli:
@@ -317,7 +465,7 @@ class TestClassifyCli:
         responses = confusion_responses()
         responses[VOTE_COUNT + 2] = TransportError("endpoint down")
         monkeypatch.setattr(
-            "jsonduel.pipeline.cli.HttpChatClient", lambda: ScriptedClient(responses)
+            "jsonduel.pipeline.cli.HttpChatClient", lambda **_: ScriptedClient(responses)
         )
         assert main(["classify", "--cases", str(cases_path)]) == 2
         err = capsys.readouterr().err
@@ -325,13 +473,24 @@ class TestClassifyCli:
 
     def test_empty_completion_exits_aborted(self, tmp_path, monkeypatch, capsys):
         cases_path = build_case_fixture(tmp_path / "cases")
-        responses = [completion(reply) for reply in confusion_responses()]
-        responses[VOTE_COUNT + 2] = completion("")
-        session = FakeSession(responses)
+        case_1 = load_cases(cases_path)[1]
+        session = _OneEmptyReplySession(build_classify_prompt(case_1, ClassifyMode.FS)[-1].content)
         monkeypatch.setattr(
             "jsonduel.pipeline.cli.HttpChatClient",
-            lambda: HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None),
+            lambda **_: HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None),
         )
         assert main(["classify", "--cases", str(cases_path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: case 1: classification aborted with 5 votes: empty completion response\n"
+
+    def test_live_client_keeps_a_connection_per_open_request(self, tmp_path, monkeypatch):
+        cases_path = build_case_fixture(tmp_path / "cases")
+        built = []
+
+        def client(**kwargs):
+            built.append(kwargs)
+            return ScriptedClient(confusion_responses())
+
+        monkeypatch.setattr("jsonduel.pipeline.cli.HttpChatClient", client)
+        assert main(["classify", "--cases", str(cases_path)]) == 0
+        assert built == [{"open_requests": VOTE_COUNT * CASES_IN_FLIGHT}]

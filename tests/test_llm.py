@@ -26,6 +26,7 @@ from clientfix import (
     ScriptedClient,
     ScriptedExhaustedError,
     completion,
+    connection_pool_size,
 )
 from conftest import SEEDS_DIR, read_golden, render_transcript
 
@@ -153,6 +154,11 @@ class TestHttpClient:
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
         with pytest.raises(GenerationError):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
+
+    def test_own_session_keeps_a_connection_per_open_request(self):
+        client = HttpChatClient(endpoint="https://example/chat", open_requests=24)
+        for url in ("https://example/chat", "http://example/chat"):
+            assert connection_pool_size(client, url) == 24
 
 
 class TestMocks:

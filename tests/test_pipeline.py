@@ -22,12 +22,12 @@ from jsonduel.pipeline.config import (
 )
 from jsonduel.pipeline.cli import main
 from jsonduel.pipeline.report import render_jsonl, render_text
-from jsonduel.pipeline.runner import run
+from jsonduel.pipeline.runner import _build_client, run
 from jsonduel.tdsl.ast import Script
 from jsonduel.tdsl.extract import ExtractionFailure
 from jsonduel.tdsl.parser import parse_script
 
-from clientfix import RecordingScenario, ScriptedClient
+from clientfix import RecordingScenario, ScriptedClient, connection_pool_size
 from conftest import SEEDS_DIR
 from scenariofix import build_planted_scenario, wrap_response, write_planted_scenario
 
@@ -614,6 +614,10 @@ class TestCli:
         script = tmp_path / "t.t"
         script.write_text("assert_eq(1, 1);\n")
         assert main(["exec", "--script", str(script), "--backend", "turbo"]) == 1
+
+    def test_live_client_keeps_a_connection_per_request_slot(self, tmp_path, fixture_corpus):
+        config = planted_config(tmp_path, fixture_corpus, mock_scenario=None, in_flight=16)
+        assert connection_pool_size(_build_client(config)) == 16
 
     def test_classify_with_replay_scenario(self, tmp_path, capsys):
         from casefix import build_case_fixture
