@@ -157,7 +157,8 @@ def _parse_path(path: str) -> list[Union[str, int]]:
                 ErrorKind.PATH_ERROR, f"invalid path step at offset {pos} in {path!r}"
             )
         member, index = match.groups()
-        steps.append(member if member is not None else int(index))
+        # At most 19 significant digits: beyond any array, and int() reads no more than 4300.
+        steps.append(member if member is not None else int(index.lstrip("0")[:19] or 0))
         pos = match.end()
     return steps
 

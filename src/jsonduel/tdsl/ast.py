@@ -223,13 +223,23 @@ class Script:
         return {bean.name: bean for bean in self.beans}
 
 
+# The keyword of each call and assert statement node. The parser and the
+# printer take its arguments in field order: its EXPR_FIELDS, then the rest.
+KEYWORDS: dict[type, str] = {
+    ParseValue: "parse",
+    ParseTyped: "parse_typed",
+    Serialize: "serialize",
+    Get: "get",
+    PathEval: "path_eval",
+    IsValid: "is_valid",
+    Size: "size",
+    MakeBean: "make_bean",
+    StripZeros: "strip_zeros",
+    AssertEq: "assert_eq",
+    AssertNull: "assert_null",
+    AssertNotNull: "assert_not_null",
+    AssertThrows: "assert_throws",
+}
+
 # Words that cannot be used as variable or bean names.
-RESERVED_WORDS = frozenset(
-    {
-        "bean", "let",
-        "assert_eq", "assert_null", "assert_not_null", "assert_throws",
-        "parse", "parse_typed", "serialize", "get", "path_eval",
-        "is_valid", "size", "make_bean", "strip_zeros",
-        "true", "false", "null", "list",
-    }
-)
+RESERVED_WORDS = frozenset(KEYWORDS.values()) | {"bean", "let", "true", "false", "null", "list"}

@@ -35,11 +35,6 @@ _TOKEN_RE = re.compile(
     r'|(?=(?P<JSON>["0-9-]))|(?P<EOF>\Z)|(?P<ERROR>.))'
 )
 
-_CALL_NAMES = frozenset(
-    {"parse", "parse_typed", "serialize", "get", "path_eval", "is_valid",
-     "size", "make_bean", "strip_zeros"}
-)
-
 _LITERAL_STARTS = frozenset({"[", "{", "true", "false", "null"})
 
 _AS_TYPES = {t.value: t for t in ast.AsType}
@@ -47,6 +42,8 @@ _READER_FEATURES = {f.value: f for f in ast.ReaderFeature}
 _WRITER_FEATURES = {f.value: f for f in ast.WriterFeature}
 _EXPR_TYPES = get_args(ast.Expr)
 _STATEMENT_TYPES = get_args(ast.Statement)
+_CALLS = {word: node for node, word in ast.KEYWORDS.items() if node in _EXPR_TYPES}
+_ASSERTS = {word: node for node, word in ast.KEYWORDS.items() if node in _STATEMENT_TYPES}
 
 _MAX_EXPR_DEPTH = 256
 _MAX_TYPE_DEPTH = 256
@@ -103,9 +100,6 @@ class _Parser:
     def at_punct(self, ch: str) -> bool:
         return self.tok.kind == "PUNCT" and self.tok.value == ch
 
-    def at_ident(self, name: str) -> bool:
-        return self.tok.kind == "IDENT" and self.tok.value == name
-
     def json_value(self, allowed: type | tuple = object, what: str = ""):
         """Read the JSON value at the current token with the engines' JSON
         reader, check that it is `allowed`, and resume lexing after it."""
@@ -130,7 +124,7 @@ class _Parser:
         beans: list[ast.BeanDef] = []
         statements: list[ast.Statement] = []
         while self.tok.kind != "EOF":
-            if self.at_ident("bean"):
+            if self.tok.kind == "IDENT" and self.tok.value == "bean":
                 beans.append(self.bean_def())
             else:
                 statements.append(self.statement())
@@ -176,28 +170,12 @@ class _Parser:
             expr = self.expr()
             self.expect_punct(";")
             return ast.Let(name.value, expr)
-        if tok.value == "assert_eq":
-            self.advance()
-            self.expect_punct("(")
-            expected = self.expr()
-            self.expect_punct(",")
-            actual = self.expr()
-            self.expect_punct(")")
-            self.expect_punct(";")
-            return ast.AssertEq(expected, actual)
-        if tok.value in ("assert_null", "assert_not_null", "assert_throws"):
-            self.advance()
-            self.expect_punct("(")
-            expr = self.expr()
-            self.expect_punct(")")
-            self.expect_punct(";")
-            klass = {
-                "assert_null": ast.AssertNull,
-                "assert_not_null": ast.AssertNotNull,
-                "assert_throws": ast.AssertThrows,
-            }[tok.value]
-            return klass(expr)
-        self.fail(f"unknown statement '{tok.value}'")
+        node = _ASSERTS.get(tok.value)
+        if node is None:
+            self.fail(f"unknown statement '{tok.value}'")
+        stmt = self.call(node, 0)
+        self.expect_punct(";")
+        return stmt
 
     def expr(self, depth: int = 0) -> ast.Expr:
         if depth > _MAX_EXPR_DEPTH:
@@ -206,67 +184,53 @@ class _Parser:
         if tok.kind == "JSON" or tok.value in _LITERAL_STARTS:
             return ast.Lit(self.json_value())
         if tok.kind == "IDENT":
-            if tok.value in _CALL_NAMES:
-                return self.call(tok.value, depth + 1)
+            node = _CALLS.get(tok.value)
+            if node is not None:
+                return self.call(node, depth + 1)
             self.advance()
             return ast.Var(tok.value)
         self.fail("expected an expression")
 
-    def call(self, name: str, depth: int) -> ast.Expr:
+    def call(self, node: type, depth: int):
+        """A call or an assert statement from its keyword to its closing
+        parenthesis: the node's EXPR_FIELDS, comma-separated, then its
+        other arguments, in the order of the node's fields."""
         self.advance()
         self.expect_punct("(")
-        if name == "parse":
-            text = self.expr(depth)
-            features = self.optional_features(_READER_FEATURES, "reader")
-            self.expect_punct(")")
-            return ast.ParseValue(text, features)
-        if name == "parse_typed":
-            text = self.expr(depth)
+        args: list = []
+        for _ in ast.EXPR_FIELDS[node]:
+            if args:
+                self.expect_punct(",")
+            args.append(self.expr(depth))
+        if node is ast.ParseTyped:
             self.expect_punct(",")
-            bean = self.expect_ident("bean name")
-            features = self.optional_features(_READER_FEATURES, "reader")
-            self.expect_punct(")")
-            return ast.ParseTyped(text, bean.value, features)
-        if name == "serialize":
-            value = self.expr(depth)
-            features = self.optional_features(_WRITER_FEATURES, "writer")
-            self.expect_punct(")")
-            return ast.Serialize(value, features)
-        if name == "get":
-            target = self.expr(depth)
+            args.append(self.expect_ident("bean name").value)
+        if node in (ast.ParseValue, ast.ParseTyped):
+            args.append(self.optional_features(_READER_FEATURES, "reader"))
+        elif node is ast.Serialize:
+            args.append(self.optional_features(_WRITER_FEATURES, "writer"))
+        elif node is ast.Get:
             self.expect_punct(",")
-            accessor = self.accessor()
+            args.append(self.scalar((str, int), "a key string or integer index"))
             self.expect_punct(",")
             as_tok = self.expect_ident("result type")
             if as_tok.value not in _AS_TYPES:
                 self.fail(f"unknown result type '{as_tok.value}'", as_tok)
-            self.expect_punct(")")
-            return ast.Get(target, accessor, _AS_TYPES[as_tok.value])
-        if name == "path_eval":
-            target = self.expr(depth)
+            args.append(_AS_TYPES[as_tok.value])
+        elif node is ast.PathEval:
             self.expect_punct(",")
-            path = self.scalar(str, "a path string")
-            self.expect_punct(")")
-            return ast.PathEval(target, path)
-        if name in ("is_valid", "size", "strip_zeros"):
-            inner = self.expr(depth)
-            self.expect_punct(")")
-            klass = {"is_valid": ast.IsValid, "size": ast.Size, "strip_zeros": ast.StripZeros}[name]
-            return klass(inner)
-        if name == "make_bean":
-            bean = self.expect_ident("bean name")
+            args.append(self.scalar(str, "a path string"))
+        elif node is ast.MakeBean:
+            args.append(self.expect_ident("bean name").value)
             assignments: list[tuple[str, ast.Expr]] = []
             while self.at_punct(","):
                 self.advance()
                 fname = self.expect_ident("field name")
                 self.expect_punct("=")
                 assignments.append((fname.value, self.expr(depth)))
-            self.expect_punct(")")
-            return ast.MakeBean(bean.value, tuple(assignments))
-        raise AssertionError(name)
-
-    def accessor(self) -> str | int:
-        return self.scalar((str, int), "a key string or integer index")
+            args.append(tuple(assignments))
+        self.expect_punct(")")
+        return node(*args)
 
     def optional_features(self, table: dict, flavor: str) -> tuple:
         if not self.at_punct(","):

@@ -213,9 +213,10 @@ class WideScriptGen(ScriptGen):
     exactly: non-ASCII, escaped and lone-surrogate strings, int64 edges,
     decimals beyond int64 and beyond 4300 digits, exponents far beyond
     float range, and arrays and objects nested to jsontext's cap. Its
-    beans nest lists deeper, and its parse_typed texts mostly fit the
-    bean with huge integral decimals in every decimal field. It still
-    never makes a scale-0 decimal within int64 range."""
+    beans nest lists deeper, its parse_typed texts mostly fit the bean
+    with huge integral decimals in every decimal field, and its paths
+    may end in an index of thousands of digits. It still never makes a
+    scale-0 decimal within int64 range."""
 
     def json_value(self, depth: int = 0):
         if depth == 0 and self.rng.random() < 0.05:
@@ -280,12 +281,28 @@ class WideScriptGen(ScriptGen):
             return self.rng.random() < 0.5
         return self.text()
 
+    def path(self) -> str:
+        """Sometimes with a last index of 4290 to 5000 digits, around and
+        beyond the 4300 that int() reads: out of range, or a small index
+        behind leading zeros."""
+        if self.rng.random() < 0.8:
+            return super().path()
+        count = self.rng.randint(4290, 5000)
+        if self.rng.random() < 0.5:
+            return f"{super().path()}[{self.digits(count)}]"
+        return f"{super().path()}[{self.rng.randint(0, 4):0{count}}]"
+
+    def digits(self, count: int) -> str:
+        """`count` random decimal digits, the first of them nonzero."""
+        first = self.rng.choice("123456789")
+        return first + "".join(self.rng.choices(string.digits, k=count - 1))
+
     def integral_beyond_int64(self) -> Decimal:
         if self.rng.random() < 0.2:
             return Decimal(self.rng.choice(_BEYOND_INT64))
         # mostly more digits than int() reads
         count = self.rng.randint(20, 40) if self.rng.random() < 0.2 else self.rng.randint(4290, 5000)
-        digits = self.rng.choice("123456789") + "".join(self.rng.choices(string.digits, k=count - 1))
+        digits = self.digits(count)
         sign = self.rng.choice(["", "-"])
         return Decimal(f"{sign}{digits}{self.rng.choice(['', '.000', 'E+3'])}")
 

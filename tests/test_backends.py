@@ -1,14 +1,16 @@
 """Tests for the reference engine: features, getters, paths, typed parsing."""
 
 from decimal import Decimal
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jsonduel.backends import BackendConfigError, resolve_backend
 from jsonduel.backends.outcomes import BackendError, ErrorKind
 from jsonduel.backends.reference import ReferenceBackend
+from jsonduel.jsontext import MAX_DEPTH
 from jsonduel.tdsl.ast import (
     AsType,
     BeanDef,
@@ -70,6 +72,16 @@ def _round_trip_values(draw):
     return parts if draw(st.booleans()) else {gen.text(): part for part in parts}
 
 
+def _depth(value) -> int:
+    """The nesting level of the deepest value inside `value`, counted as
+    jsontext counts it: the outermost value is at level 0."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, list):
+        return 0
+    return max((1 + _depth(item) for item in value), default=0)
+
+
 def _read_back(value, write_nulls: bool):
     """What `value` reads back as after serialize then parse: itself,
     except that an object member holding null is dropped unless
@@ -99,10 +111,17 @@ class TestSerializeRoundTrip:
 
     @settings(max_examples=300, deadline=None)
     @given(_round_trip_values(), st.sets(st.sampled_from(_VALUE_PRESERVING_FEATURES)))
+    @example(reduce(lambda value, _: [value], range(MAX_DEPTH + 1), 0), set())
     def test_round_trip_property(self, value, features):
         """parse(serialize(v)) == v, but for the two blind spots in
-        docs/features.md (see `_read_back`)."""
+        docs/features.md (see `_read_back`), and for a value nested deeper
+        than the documented cap, which serializes but parses as an error."""
         text = REF.serialize(value, features)
+        if _depth(value) > MAX_DEPTH:
+            with pytest.raises(BackendError) as info:
+                REF.parse(text)
+            assert info.value.kind is ErrorKind.PARSE_ERROR
+            return
         expected = _read_back(value, WriterFeature.WRITE_NULLS in features)
         assert values_equal(REF.parse(text), expected)
 
@@ -225,6 +244,7 @@ class TestGetters:
 class TestPathEval:
     def test_single_step(self):
         assert REF.path_eval({"data": [1]}, "$.data[0]") == 1
+        assert REF.path_eval({"data": [1, 2]}, f"$.data[{'0' * 5000}1]") == 2
 
     def test_string_target_is_parsed_first(self):
         assert REF.path_eval('{"data": [1]}', "$.data[0]") == 1
@@ -236,6 +256,8 @@ class TestPathEval:
         assert REF.path_eval({"data": [1]}, "$.data[0][0]") is None
         assert REF.path_eval({"data": [1]}, "$.ghost") is None
         assert REF.path_eval({"data": [1]}, "$.data[9]") is None
+        assert REF.path_eval({"data": [1]}, f"$.data[{'1' * 5000}]") is None
+        assert REF.path_eval('{"data": [1]}', f"$.data[0{'1' * 19}]") is None
 
     def test_malformed_path_is_path_error(self):
         for bad in ("data", "$.", "$[", "$.data[-1]", "$..x", "$.data[0]!"):

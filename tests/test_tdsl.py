@@ -1,7 +1,9 @@
 """Tests for the test DSL: parser, validator, printer, extraction."""
 
 import dataclasses
+import re
 from decimal import Decimal
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import pytest
@@ -37,6 +39,8 @@ from jsonduel.tdsl.parser import parse_script
 from jsonduel.tdsl.printer import print_script
 
 from scriptgen import WideScriptGen
+
+GRAMMAR = Path(__file__).resolve().parents[1] / "docs" / "grammar.ebnf"
 
 LISTING_BOOL_QUOTING = """\
 bean Bean { b: boolean; }
@@ -213,21 +217,34 @@ class TestParser:
             parse_script(bean_chain(1500, ring=True))
 
     @pytest.mark.parametrize(
-        "src, reason, line, col",
+        "src, message",
         [
             (
                 "I'm sorry, but I cannot write test 5 without more context about the library.",
-                "unknown statement 'I'", 1, 1,
+                "unknown statement 'I' (line 1, column 1)",
             ),
-            ('let a = ;\nassert_eq("a\tb", 1);', "expected an expression", 1, 9),
-            ('let a = "a\tb";\nlet = 1;', "raw control character in string", 1, 11),
+            ('let a = ;\nassert_eq("a\tb", 1);', "expected an expression (line 1, column 9)"),
+            ('let a = "a\tb";\nlet = 1;', "raw control character in string (line 1, column 11)"),
+            ("assert_eq(1;", "expected ',' (line 1, column 12)"),
+            ("assert_eq(1, is_valid(1, 2));", "expected ')' (line 1, column 24)"),
+            (
+                "let x = [1];\nassert_eq(1, get(x, 0, nope));",
+                "unknown result type 'nope' (line 2, column 24)",
+            ),
+            ('parse("1");', "unknown statement 'parse' (line 1, column 1)"),
+            ("let a = assert_eq(1, 1);", "expected ';' (line 1, column 18)"),
+            ("assert_null(parse(1, [WriteNulls]));", "unknown reader feature 'WriteNulls'"),
         ],
-        ids=["prose", "syntax-before-control-character", "control-character-before-syntax"],
+        ids=[
+            "prose", "syntax-before-control-character", "control-character-before-syntax",
+            "assert-missing-comma", "call-extra-argument", "unknown-result-type",
+            "call-as-statement", "assert-as-expression", "writer-feature-in-parse",
+        ],
     )
-    def test_first_error_in_the_text_wins(self, src, reason, line, col):
-        with pytest.raises(DslSyntaxError) as info:
+    def test_first_error_in_the_text_wins(self, src, message):
+        with pytest.raises(DslError) as info:
             parse_script(src)
-        assert (info.value.reason, info.value.line, info.value.col) == (reason, line, col)
+        assert str(info.value) == message
 
     def test_identifiers_are_ascii(self):
         with pytest.raises(DslSyntaxError, match="unexpected character 'é'") as info:
@@ -239,12 +256,31 @@ class TestParser:
 
 class TestAst:
     def test_expr_fields_lists_every_sub_expression_field(self):
+        """EXPR_FIELDS and KEYWORDS cover every node, and a keyed node's
+        fields start with its EXPR_FIELDS, the order in which the parser
+        and the printer take its arguments."""
         nodes = get_args(ast.Expr) + get_args(ast.Statement)
         assert set(ast.EXPR_FIELDS) == set(nodes)
+        assert set(ast.KEYWORDS) == set(nodes) - {Lit, Var, Let}
+        assert len(set(ast.KEYWORDS.values())) == len(ast.KEYWORDS)
+        assert set(ast.KEYWORDS.values()) <= ast.RESERVED_WORDS
         for node in nodes:
+            fields = tuple(f.name for f in dataclasses.fields(node))
             hints = get_type_hints(node)
-            expected = tuple(f.name for f in dataclasses.fields(node) if hints[f.name] == ast.Expr)
+            expected = tuple(name for name in fields if hints[name] == ast.Expr)
             assert ast.EXPR_FIELDS[node] == expected, node.__name__
+            if node in ast.KEYWORDS:
+                assert fields[: len(expected)] == expected, node.__name__
+
+    def test_grammar_file_matches_the_keyword_table(self):
+        grammar = GRAMMAR.read_text()
+        # A rule runs from "name =" over the indented lines after it.
+        rules = dict(re.findall(r"^(\w+) +=(.*(?:\n +.*)*)", grammar, re.M))
+        for rule, union in (("call", ast.Expr), ("assert_stmt", ast.Statement)):
+            keyed = [node for node in get_args(union) if node in ast.KEYWORDS]
+            assert re.findall(r'"(\w+)" "\("', rules[rule]) == [ast.KEYWORDS[n] for n in keyed]
+        reserved = re.search(r"Reserved words \(.*?\):(.*?)\. \*\)", grammar, re.S).group(1)
+        assert set(re.findall(r"\w+", reserved)) == ast.RESERVED_WORDS
 
 
 class TestPrinter:
