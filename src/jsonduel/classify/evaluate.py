@@ -80,8 +80,9 @@ def load_cases(path: Path | str) -> list[FailedCase]:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
-        script_path = path.parent / data["script_path"]
-        text = script_path.read_text(encoding="utf-8")
+        if not isinstance(data, dict) or not isinstance(data.get("script_path"), str):
+            raise ValueError(f"{path}:{lineno}: not an object with a string script_path")
+        text = (path.parent / data["script_path"]).read_text(encoding="utf-8")
         cases.append(
             FailedCase(
                 script=parse_script(text),
@@ -135,9 +136,8 @@ def evaluate_accuracy(
     per-category accuracy."""
     if not cases:
         raise ValueError("nothing to evaluate: empty case list")
-    for case in cases:
-        if case.category is Category.UNKNOWN:
-            raise ValueError("evaluation requires ground-truth categories")
+    if any(case.category is Category.UNKNOWN for case in cases):
+        raise ValueError("evaluation requires ground-truth categories")
     results = tuple(
         CaseResult(case.category, case.category.expected_verdict, result)
         for result, case in zip(classify_cases(cases, mode, client, params), cases)
@@ -179,10 +179,9 @@ def classify_cases(
 
 def render_accuracy_text(report: AccuracyReport) -> str:
     """Aligned one-row table: per-category accuracies plus the average."""
-    headers = [c.value for c in LABELED_CATEGORIES if report.counts(c)[1]] + ["avg."]
-    values = [
-        f"{report.accuracy(c):.1f}" for c in LABELED_CATEGORIES if report.counts(c)[1]
-    ] + [f"{report.average():.1f}"]
+    present = [c for c in LABELED_CATEGORIES if report.counts(c)[1]]
+    headers = [c.value for c in present] + ["avg."]
+    values = [f"{report.accuracy(c):.1f}" for c in present] + [f"{report.average():.1f}"]
     label = report.mode.value.upper().replace("-COT", "-CoT")
     width = max(len(h) for h in headers + values) + 2
     head = "mode".ljust(8) + "".join(h.rjust(width) for h in headers)

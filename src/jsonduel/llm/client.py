@@ -15,9 +15,6 @@ import time
 from functools import partial
 from typing import Callable, Protocol, Sequence
 
-import requests
-from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
-
 from .messages import ChatMessage, to_wire
 
 log = logging.getLogger(__name__)
@@ -59,9 +56,9 @@ def prepare_request(
 
 
 class HttpChatClient:
-    """Real transport. `session` and `sleep` are injectable for tests. A
-    session built here keeps up to `open_requests` connections for reuse:
-    the most requests its caller keeps open at once."""
+    """Real transport, and the only code that loads `requests`. `session`
+    and `sleep` are injectable for tests. A session built here keeps up to
+    `open_requests` connections: the most its caller keeps open at once."""
 
     def __init__(
         self,
@@ -69,12 +66,14 @@ class HttpChatClient:
         api_key: str | None = None,
         session=None,
         sleep=None,
-        open_requests: int = DEFAULT_POOLSIZE,
+        open_requests: int = 10,  # urllib3's default pool size
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV) or DEFAULT_ENDPOINT
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if session is None:
-            session = requests.Session()
+            from requests import Session
+            from requests.adapters import HTTPAdapter
+            session = Session()
             adapter = HTTPAdapter(pool_maxsize=open_requests)
             session.mount("https://", adapter)
             session.mount("http://", adapter)
@@ -82,6 +81,7 @@ class HttpChatClient:
         self.sleep = sleep if sleep is not None else time.sleep
 
     def complete(self, messages: Sequence[ChatMessage], params) -> str:
+        from requests import RequestException
         body = {
             "model": params.model,
             "messages": to_wire(messages),
@@ -106,7 +106,7 @@ class HttpChatClient:
                 response = self.session.post(
                     self.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
                 )
-            except requests.RequestException as exc:
+            except RequestException as exc:
                 last_error = exc
                 continue
             if response.status_code >= 500:
@@ -128,4 +128,6 @@ class HttpChatClient:
         log.debug("response: %s", content)
         if not content:
             raise GenerationError("empty completion response")
+        if not isinstance(content, str):
+            raise GenerationError(f"non-text completion response: {type(content).__name__}")
         return content

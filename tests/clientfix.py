@@ -89,7 +89,7 @@ class FakeResponse:
         return self._payload
 
 
-def completion(content: str) -> FakeResponse:
+def completion(content) -> FakeResponse:
     """A 200 response carrying one chat completion."""
     return FakeResponse(200, {"choices": [{"message": {"content": content}}]})
 

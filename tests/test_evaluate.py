@@ -11,6 +11,7 @@ from jsonduel.classify.evaluate import (
 )
 from jsonduel.classify.prompts import ClassifyMode
 from jsonduel.llm.generation import GenParams
+from jsonduel.pipeline.cli import main
 from jsonduel.tdsl.parser import parse_script
 
 from casefix import SPLIT, build_case_fixture, confusion_responses
@@ -40,6 +41,31 @@ class TestLoadCases:
         path.write_text("{broken\n")
         with pytest.raises(ValueError, match="cases.jsonl:1"):
             load_cases(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1]",
+            '"a.t"',
+            "null",
+            '{"outcome": {"result": "error", "kind": "parse"}}',
+            '{"script_path": 5, "outcome": {"result": "error", "kind": "parse"}}',
+        ],
+    )
+    def test_line_that_is_not_a_case_object_reports_position(self, tmp_path, line):
+        path = tmp_path / "cases.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(ValueError, match="cases.jsonl:2: not an object with a string script_path"):
+            load_cases(path)
+
+    @pytest.mark.parametrize("line", ["[1]", '{"outcome": {"result": "pass"}}'])
+    def test_cli_reports_a_bad_case_line_and_exits_1(self, tmp_path, capsys, line):
+        path = tmp_path / "cases.jsonl"
+        path.write_text(line + "\n")
+        assert main(["classify", "--cases", str(path), "--mock", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: not an object with a string script_path\n"
+        )
 
 
 class TestEvaluate:

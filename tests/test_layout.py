@@ -1,5 +1,6 @@
-"""Package layout: the import graph has no cycle, and package
-`__init__.py` files hold no re-exports beyond the few callers rely on.
+"""Package layout: the import graph has no cycle, package `__init__.py`
+files hold no re-exports beyond the few callers rely on, and only a
+live model client loads the HTTP stack.
 
 Every module under `src/jsonduel` is parsed with `ast`; imports inside
 functions count too, since they close a cycle just the same.
@@ -7,6 +8,9 @@ functions count too, since they close a cycle just the same.
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jsonduel"
@@ -152,3 +156,32 @@ def test_planted_bugs_live_in_one_module():
             if "BugId" in names:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+_HTTP_STACK_PROBE = """
+import pkgutil, sys
+import jsonduel
+for module in pkgutil.walk_packages(jsonduel.__path__, "jsonduel."):
+    __import__(module.name)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("jsonduel"))))
+print(sorted(m for m in ("requests", "urllib3") if m in sys.modules))
+from jsonduel.llm.client import HttpChatClient
+HttpChatClient(endpoint="http://x")
+print("requests" in sys.modules)
+"""
+
+
+def test_only_a_live_client_loads_the_http_stack():
+    """Importing every module leaves `requests` and `urllib3` unloaded, so
+    offline commands never pay for them; building `HttpChatClient` loads
+    `requests`. A fresh interpreter, since other tests load `requests`
+    into this one."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _HTTP_STACK_PROBE],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    imported, http_stack, client_loads = proc.stdout.splitlines()
+    assert imported.split() == sorted(_modules())
+    assert http_stack == "[]"
+    assert client_loads == "True"

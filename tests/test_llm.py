@@ -155,10 +155,24 @@ class TestHttpClient:
         with pytest.raises(GenerationError):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
+    @pytest.mark.parametrize("content", [["x"], {}, 7, True, None, [], 0])
+    def test_non_text_content_is_generation_error(self, content):
+        """Only a non-empty string reaches extraction and voting, which
+        assume text."""
+        session = FakeSession([completion(content)])
+        client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
+        with pytest.raises(GenerationError, match="completion response"):
+            client.complete(build_summary_request(SEED_TEXT), PARAMS)
+
     def test_own_session_keeps_a_connection_per_open_request(self):
         client = HttpChatClient(endpoint="https://example/chat", open_requests=24)
         for url in ("https://example/chat", "http://example/chat"):
             assert connection_pool_size(client, url) == 24
+
+    def test_own_session_keeps_urllib3s_default_pool_unless_told(self):
+        client = HttpChatClient(endpoint="https://example/chat")
+        for url in ("https://example/chat", "http://example/chat"):
+            assert connection_pool_size(client, url) == 10
 
 
 class TestMocks:
