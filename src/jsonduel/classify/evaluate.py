@@ -83,15 +83,17 @@ def load_cases(path: Path | str) -> list[FailedCase]:
         if not isinstance(data, dict) or not isinstance(data.get("script_path"), str):
             raise ValueError(f"{path}:{lineno}: not an object with a string script_path")
         text = (path.parent / data["script_path"]).read_text(encoding="utf-8")
-        cases.append(
-            FailedCase(
-                script=parse_script(text),
-                script_text=text,
-                outcome=outcome_from_dict(data["outcome"]),
-                backend=data.get("backend", "reference"),
-                category=Category(data.get("category", "unknown")),
-            )
-        )
+        script = parse_script(text)
+        try:
+            if not isinstance(data.get("outcome"), dict):
+                raise ValueError("outcome is not an object")
+            outcome = outcome_from_dict(data["outcome"])
+            category = Category(data.get("category", "unknown"))
+            cases.append(FailedCase(script, text, outcome, data.get("backend", "reference"), category))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: outcome has no {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return cases
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,20 +66,19 @@ def _hash_seeds(seeds: list[SeedTest]) -> str:
     return digest.hexdigest()
 
 
-def _load_seed(seed_id: str, path: Path) -> SeedTest:
-    text = path.read_text(encoding="utf-8")
-    parse_script(text)  # a seed that does not parse is rejected
-    return SeedTest(seed_id, path, text)
-
-
 def _build(entries: list[tuple[str, Path]]) -> tuple[Corpus, list[SeedLoadError]]:
     seeds: list[SeedTest] = []
     errors: list[SeedLoadError] = []
     for seed_id, path in entries:
+        # text mode's universal newlines, without its per-file decoder set-up
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         try:
-            seeds.append(_load_seed(seed_id, path))
+            parse_script(text)  # a seed that does not parse is rejected
         except DslError as exc:
             errors.append(SeedLoadError(path, str(exc)))
+        else:
+            seeds.append(SeedTest(seed_id, path, text))
     seeds.sort(key=lambda s: s.id)
     return Corpus(tuple(seeds), _hash_seeds(seeds)), errors
 
@@ -96,11 +96,17 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadErr
     if not root.is_dir():
         raise CorpusError(f"corpus root is not a readable directory: {root}")
     needle = keyword.lower()
-    entries = sorted(
-        (path.relative_to(root).with_suffix("").as_posix(), path)
-        for path in root.rglob(f"*{SEED_EXTENSION}")
-        if needle in path.name.lower() and path.is_file()
-    )
+    top, entries = str(root), []
+    # Like `rglob`: unreadable directories are skipped, links to
+    # directories are not followed, and links to files are kept.
+    for dirpath, _, filenames in os.walk(top):
+        prefix = "" if dirpath == top else os.path.relpath(dirpath, top).replace(os.sep, "/") + "/"
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            if name.endswith(SEED_EXTENSION) and needle in name.lower() and os.path.isfile(path):
+                # as in `Path.with_suffix`, a name that is all extension keeps it
+                entries.append((prefix + (name[: -len(SEED_EXTENSION)] or name), Path(path)))
+    entries.sort()
     if not entries:
         raise EmptyCorpusError(
             f"no seed files matching '*{keyword}*{SEED_EXTENSION}' under {root}"

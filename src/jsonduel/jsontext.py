@@ -28,6 +28,8 @@ _ESCAPES = {
     "r": "\r",
     "t": "\t",
 }
+# Per quote character: the longest run of plain characters in a string.
+_PLAIN_RUNS = {q: re.compile(rf"[^{q}\\\x00-\x1f]*").match for q in "\"'"}
 
 
 class JsonTextError(ValueError):
@@ -64,36 +66,35 @@ def _scan_string(text: str, pos: int) -> tuple[str, int]:
     out: list[str] = []
     i = pos + 1
     while True:
+        end = _PLAIN_RUNS[quote](text, i).end()
+        out.append(text[i:end])
+        i = end
         if i >= len(text):
             raise JsonTextError("unterminated string", pos)
         ch = text[i]
         if ch == quote:
             return "".join(out), i + 1
-        if ch == "\\":
-            i += 1
-            if i >= len(text):
-                raise JsonTextError("unterminated escape", i)
-            esc = text[i]
-            if esc in _ESCAPES or esc == quote:  # \' only inside '...'
-                out.append(_ESCAPES.get(esc, esc))
-                i += 1
-            elif esc == "u":
-                code = _hex4(text, i + 1)
-                i += 5
-                # merge a high surrogate with a following low-surrogate escape
-                if 0xD800 <= code <= 0xDBFF and text[i : i + 2] == "\\u":
-                    low = _hex4(text, i + 2)
-                    if 0xDC00 <= low <= 0xDFFF:
-                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                        i += 6
-                out.append(chr(code))
-            else:
-                raise JsonTextError(f"invalid escape '\\{esc}'", i - 1)
-        elif ord(ch) < 0x20:
+        if ch != "\\":
             raise JsonTextError("raw control character in string", i)
-        else:
-            out.append(ch)
+        i += 1
+        if i >= len(text):
+            raise JsonTextError("unterminated escape", i)
+        esc = text[i]
+        if esc in _ESCAPES or esc == quote:  # \' only inside '...'
+            out.append(_ESCAPES.get(esc, esc))
             i += 1
+        elif esc == "u":
+            code = _hex4(text, i + 1)
+            i += 5
+            # merge a high surrogate with a following low-surrogate escape
+            if 0xD800 <= code <= 0xDBFF and text[i : i + 2] == "\\u":
+                low = _hex4(text, i + 2)
+                if 0xDC00 <= low <= 0xDFFF:
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                    i += 6
+            out.append(chr(code))
+        else:
+            raise JsonTextError(f"invalid escape '\\{esc}'", i - 1)
 
 
 def _hex4(text: str, pos: int) -> int:

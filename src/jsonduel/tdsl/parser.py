@@ -1,21 +1,21 @@
-"""Lexer, recursive-descent parser and validator for the test DSL.
+"""Tokenizer, recursive-descent parser and validator for the test DSL.
 
 Grammar summary (the full EBNF ships in docs/grammar.ebnf): statements
 are terminated by ";"; feature lists are bracketed identifier lists.
-The lexer runs on demand, one token ahead of the parser, and knows only
-identifiers and punctuation. Every literal (string, number, true, false,
-null, array or object) is read by the engines' own JSON reader
+One regex pass turns the text into (kind, text, offset) tuples that the
+parser walks by index. Every literal (string, number, true, false, null,
+array or object) is read by the engines' own JSON reader
 (`jsontext.parse_value`), so literals follow RFC 8259 with one nesting
-cap (`jsontext.MAX_DEPTH`). Text is read once, left to right, so the
-first error in the text is the one reported, whether lexical or
-syntactic. Parsing is deterministic: identical bytes always yield the
-identical AST.
+cap (`jsontext.MAX_DEPTH`); parsing resumes at the token where it ends.
+An ERROR token raises only once it is current, so the first error in the
+text, lexical or syntactic, is the one reported. Parsing is
+deterministic: identical bytes always yield the identical AST.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, get_args
+from typing import get_args
 
 from .. import jsontext
 from . import ast
@@ -27,12 +27,15 @@ from .errors import (
     UnknownFeatureError,
 )
 
-# One match per token: whitespace, then an identifier, a punctuation mark,
-# the first character of a string or number (not consumed: `json_value`
-# reads the value), the end of the text, or any other character.
+# One match per token, whitespace skipped: a punctuation mark, an identifier,
+# a JSON string or number (a lone `"` or `-` where none scans, which the JSON
+# reader then rejects), or any other character. Only a punctuation token has
+# a punctuation mark's text, so the text alone tells a mark.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[{}()\[\],;:=<>])"
-    r'|(?=(?P<JSON>["0-9-]))|(?P<EOF>\Z)|(?P<ERROR>.))'
+    r"(?P<PUNCT>[{}()\[\],;:=<>])|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r'|(?P<JSON>"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*"|'
+    + jsontext.NUMBER_RE.pattern
+    + r'|["-])|(?P<ERROR>[^ \t\r\n])'
 )
 
 _LITERAL_STARTS = frozenset({"[", "{", "true", "false", "null"})
@@ -49,82 +52,79 @@ _MAX_EXPR_DEPTH = 256
 _MAX_TYPE_DEPTH = 256
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT | PUNCT | JSON (a string or number starts here) | EOF
-    value: str  # the token's text; a JSON token's first character only
-    pos: int  # offset of the token's first character
-    end: int
-
-
-def _syntax_error(text: str, message: str, pos: int) -> DslSyntaxError:
-    """A DslSyntaxError at offset `pos`, located by line and column."""
-    line_start = text.rfind("\n", 0, pos) + 1
-    return DslSyntaxError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
+def _tokenize(text: str, pos: int = 0) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of every token from `pos` on, then EOF."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text, pos)]
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tok = self.lex(0)
+        self.text, self.tokens = text, _tokenize(text)
+        self.i, self.tok = -1, None
+        self.advance()
 
     # -- token helpers --
 
-    def lex(self, pos: int) -> Token:
-        """The token at or after `pos`. A JSON token only marks where a
-        string or number starts; `json_value` reads it."""
-        match = _TOKEN_RE.match(self.text, pos)
-        kind = match.lastgroup
-        if kind == "ERROR":
-            ch = match.group(kind)
-            raise _syntax_error(self.text, f"unexpected character {ch!r}", match.start(kind))
-        return Token(kind, match.group(kind), match.start(kind), match.end())
-
-    def advance(self) -> Token:
+    def advance(self) -> tuple[str, str, int]:
+        """Consume the current token and return it; an ERROR token raises
+        when it becomes current."""
         tok = self.tok
-        self.tok = self.lex(tok.end)
+        self.i += 1
+        self.tok = self.tokens[self.i]
+        if self.tok[0] == "ERROR":
+            self.fail(f"unexpected character {self.tok[1]!r}")
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        raise _syntax_error(self.text, message, (tok or self.tok).pos)
+    def fail(self, message: str, pos: int | None = None):
+        """Raise a DslSyntaxError at offset `pos`, the current token's by default."""
+        pos = self.tok[2] if pos is None else pos
+        line, col = self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
+        raise DslSyntaxError(message, line, col) from None
 
-    def expect_punct(self, ch: str) -> Token:
-        if not self.at_punct(ch):
+    def expect_punct(self, ch: str) -> None:
+        if self.tok[1] != ch:
             self.fail(f"expected '{ch}'")
-        return self.advance()
+        self.advance()
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        if self.tok.kind != "IDENT":
+    def expect_ident(self, what: str = "identifier") -> str:
+        if self.tok[0] != "IDENT":
             self.fail(f"expected {what}")
-        return self.advance()
-
-    def at_punct(self, ch: str) -> bool:
-        return self.tok.kind == "PUNCT" and self.tok.value == ch
+        return self.advance()[1]
 
     def json_value(self, allowed: type | tuple = object, what: str = ""):
         """Read the JSON value at the current token with the engines' JSON
-        reader, check that it is `allowed`, and resume lexing after it."""
+        reader; given `what`, it must be a string or number that is
+        `allowed`. The token that starts where the value ends becomes
+        current, or, if a token runs across that end, the first token of
+        the text tokenized again from there."""
+        if what and self.tok[0] != "JSON":
+            self.fail(f"expected {what}")
         try:
-            value, end = jsontext.parse_value(self.text, self.tok.pos)
+            value, end = jsontext.parse_value(self.text, self.tok[2])
         except jsontext.JsonTextError as exc:
-            raise _syntax_error(self.text, exc.reason, exc.pos) from None
+            self.fail(exc.reason, exc.pos)
         if not isinstance(value, allowed):
             self.fail(f"expected {what}")
-        self.tok = self.lex(end)
+        tokens, i = self.tokens, self.i + 1
+        while tokens[i][2] < end:
+            i += 1
+        _, last, pos = tokens[i - 1]
+        if pos + len(last) > end:
+            i -= 1
+            tokens[i:] = _tokenize(self.text, end)
+        self.i = i - 1
+        self.advance()
         return value
-
-    def scalar(self, allowed: type | tuple, what: str):
-        """The string or number at the current token, if it is `allowed`."""
-        if self.tok.kind != "JSON":
-            self.fail(f"expected {what}")
-        return self.json_value(allowed, what)
 
     # -- grammar --
 
     def script(self) -> ast.Script:
         beans: list[ast.BeanDef] = []
         statements: list[ast.Statement] = []
-        while self.tok.kind != "EOF":
-            if self.tok.kind == "IDENT" and self.tok.value == "bean":
+        while self.tok[0] != "EOF":
+            if self.tok[1] == "bean":
                 beans.append(self.bean_def())
             else:
                 statements.append(self.statement())
@@ -135,44 +135,43 @@ class _Parser:
         name = self.expect_ident("bean name")
         self.expect_punct("{")
         fields: list[ast.BeanField] = []
-        while not self.at_punct("}"):
+        while self.tok[1] != "}":
             fname = self.expect_ident("field name")
             self.expect_punct(":")
-            ftype = self.field_type()
+            fields.append(ast.BeanField(fname, self.field_type()))
             self.expect_punct(";")
-            fields.append(ast.BeanField(fname.value, ftype))
         self.expect_punct("}")
-        return ast.BeanDef(name.value, tuple(fields))
+        return ast.BeanDef(name, tuple(fields))
 
     def field_type(self, depth: int = 0) -> ast.FieldType:
         if depth > _MAX_TYPE_DEPTH:
             self.fail("field type nesting too deep")
-        tok = self.expect_ident("field type")
-        if tok.value in ast.PRIMITIVE_TYPES:
-            return ast.Prim(tok.value)
-        if tok.value == "list":
+        name = self.expect_ident("field type")
+        if name in ast.PRIMITIVE_TYPES:
+            return ast.Prim(name)
+        if name == "list":
             self.expect_punct("<")
             element = self.field_type(depth + 1)
             self.expect_punct(">")
             return ast.ListOf(element)
-        return ast.BeanRef(tok.value)
+        return ast.BeanRef(name)
 
     def statement(self) -> ast.Statement:
-        tok = self.tok
-        if tok.kind != "IDENT":
+        kind, word, _ = self.tok
+        if kind != "IDENT":
             self.fail("expected a statement")
-        if tok.value == "let":
+        if word == "let":
             self.advance()
             name = self.expect_ident("variable name")
-            if name.value in ast.RESERVED_WORDS:
-                self.fail(f"'{name.value}' is a reserved word", name)
+            if name in ast.RESERVED_WORDS:
+                self.fail(f"'{name}' is a reserved word", self.tokens[self.i - 1][2])
             self.expect_punct("=")
             expr = self.expr()
             self.expect_punct(";")
-            return ast.Let(name.value, expr)
-        node = _ASSERTS.get(tok.value)
+            return ast.Let(name, expr)
+        node = _ASSERTS.get(word)
         if node is None:
-            self.fail(f"unknown statement '{tok.value}'")
+            self.fail(f"unknown statement '{word}'")
         stmt = self.call(node, 0)
         self.expect_punct(";")
         return stmt
@@ -180,15 +179,15 @@ class _Parser:
     def expr(self, depth: int = 0) -> ast.Expr:
         if depth > _MAX_EXPR_DEPTH:
             self.fail("expression nesting too deep")
-        tok = self.tok
-        if tok.kind == "JSON" or tok.value in _LITERAL_STARTS:
+        kind, word, _ = self.tok
+        if kind == "JSON" or word in _LITERAL_STARTS:
             return ast.Lit(self.json_value())
-        if tok.kind == "IDENT":
-            node = _CALLS.get(tok.value)
+        if kind == "IDENT":
+            node = _CALLS.get(word)
             if node is not None:
                 return self.call(node, depth + 1)
             self.advance()
-            return ast.Var(tok.value)
+            return ast.Var(word)
         self.fail("expected an expression")
 
     def call(self, node: type, depth: int):
@@ -204,53 +203,51 @@ class _Parser:
             args.append(self.expr(depth))
         if node is ast.ParseTyped:
             self.expect_punct(",")
-            args.append(self.expect_ident("bean name").value)
+            args.append(self.expect_ident("bean name"))
         if node in (ast.ParseValue, ast.ParseTyped):
             args.append(self.optional_features(_READER_FEATURES, "reader"))
         elif node is ast.Serialize:
             args.append(self.optional_features(_WRITER_FEATURES, "writer"))
         elif node is ast.Get:
             self.expect_punct(",")
-            args.append(self.scalar((str, int), "a key string or integer index"))
+            args.append(self.json_value((str, int), "a key string or integer index"))
             self.expect_punct(",")
-            as_tok = self.expect_ident("result type")
-            if as_tok.value not in _AS_TYPES:
-                self.fail(f"unknown result type '{as_tok.value}'", as_tok)
-            args.append(_AS_TYPES[as_tok.value])
+            as_type = self.expect_ident("result type")
+            if as_type not in _AS_TYPES:
+                self.fail(f"unknown result type '{as_type}'", self.tokens[self.i - 1][2])
+            args.append(_AS_TYPES[as_type])
         elif node is ast.PathEval:
             self.expect_punct(",")
-            args.append(self.scalar(str, "a path string"))
+            args.append(self.json_value(str, "a path string"))
         elif node is ast.MakeBean:
-            args.append(self.expect_ident("bean name").value)
+            args.append(self.expect_ident("bean name"))
             assignments: list[tuple[str, ast.Expr]] = []
-            while self.at_punct(","):
+            while self.tok[1] == ",":
                 self.advance()
                 fname = self.expect_ident("field name")
                 self.expect_punct("=")
-                assignments.append((fname.value, self.expr(depth)))
+                assignments.append((fname, self.expr(depth)))
             args.append(tuple(assignments))
         self.expect_punct(")")
         return node(*args)
 
     def optional_features(self, table: dict, flavor: str) -> tuple:
-        if not self.at_punct(","):
+        if self.tok[1] != ",":
             return ()
         self.advance()
         self.expect_punct("[")
         features: list = []
-        if not self.at_punct("]"):
+        if self.tok[1] != "]":
             while True:
-                tok = self.expect_ident("feature name")
-                if tok.value not in table:
-                    raise UnknownFeatureError(tok.value, flavor)
-                feature = table[tok.value]
-                if feature in features:
-                    raise DslValidationError(f"duplicate feature '{tok.value}'")
-                features.append(feature)
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
+                name = self.expect_ident("feature name")
+                if name not in table:
+                    raise UnknownFeatureError(name, flavor)
+                if table[name] in features:
+                    raise DslValidationError(f"duplicate feature '{name}'")
+                features.append(table[name])
+                if self.tok[1] != ",":
+                    break
+                self.advance()
         self.expect_punct("]")
         return tuple(features)
 
@@ -274,9 +271,7 @@ def validate_script(script: ast.Script) -> None:
         seen: set[str] = set()
         for field in bean.fields:
             if field.name in seen:
-                raise DslValidationError(
-                    f"duplicate field '{field.name}' in bean '{bean.name}'"
-                )
+                raise DslValidationError(f"duplicate field '{field.name}' in bean '{bean.name}'")
             seen.add(field.name)
 
     for bean in script.beans:
@@ -345,9 +340,7 @@ def _check_bean_nesting(beans: dict[str, ast.BeanDef]) -> None:
                 visiting.discard(name)
                 depths[name] = _bean_depth(beans[name], depths)
                 if depths[name] > _MAX_TYPE_DEPTH:
-                    raise DslValidationError(
-                        f"bean '{name}' nests more than {_MAX_TYPE_DEPTH} levels"
-                    )
+                    raise DslValidationError(f"bean '{name}' nests more than {_MAX_TYPE_DEPTH} levels")
             elif ref in visiting:
                 raise DslValidationError(f"recursive bean cycle through '{ref}'")
             elif ref not in depths:
@@ -368,9 +361,7 @@ def _check_expr(expr: ast.Expr, bound: set[str], beans: dict) -> None:
         seen: set[str] = set()
         for name, value in expr.assignments:
             if name not in fields:
-                raise DslValidationError(
-                    f"bean '{expr.bean}' has no field '{name}'"
-                )
+                raise DslValidationError(f"bean '{expr.bean}' has no field '{name}'")
             if name in seen:
                 raise DslValidationError(f"duplicate assignment to '{name}'")
             seen.add(name)

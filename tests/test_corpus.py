@@ -1,6 +1,7 @@
 """Tests for seed-corpus mining and manifest loading."""
 
 import json
+import os
 
 import pytest
 
@@ -50,6 +51,44 @@ class TestMineSeeds:
         (seeds_dir / "v2" / "issue7.t").write_text(VALID)
         corpus, _ = mine_seeds(seeds_dir, "issue")
         assert [s.id for s in corpus.seeds] == ["v1/issue7", "v2/issue7"]
+
+    @pytest.mark.parametrize(
+        "files, links, expected",
+        [
+            pytest.param(
+                ["a/b/ISSUE1.t", ".hidden/issue2.t", ".Issue3.t", "Helper.t"],
+                {},
+                [".Issue3", ".hidden/issue2", "a/b/ISSUE1"],
+                id="nested-dirs-dotfiles-any-case",
+            ),
+            pytest.param(
+                ["x_issue.T", "a_issue.t/issue9.t", "issue.t.bak"],
+                {},
+                ["a_issue.t/issue9"],
+                id="suffix-is-exact-and-a-directory-is-no-seed",
+            ),
+            pytest.param(
+                ["issue1.t"],
+                {"link_issue.t": "../elsewhere/real.t", "linkdir": "../elsewhere", "broken_issue.t": "nowhere.t"},
+                ["issue1", "link_issue"],
+                id="file-link-kept-dir-link-not-followed-broken-link-skipped",
+            ),
+        ],
+    )
+    def test_mined_file_set(self, seeds_dir, files, links, expected):
+        elsewhere = seeds_dir.parent / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "real.t").write_text(VALID)
+        (elsewhere / "issue5.t").write_text(VALID)
+        for name in files:
+            (seeds_dir / name).parent.mkdir(parents=True, exist_ok=True)
+            (seeds_dir / name).write_text(VALID)
+        for name, target in links.items():
+            os.symlink(target, seeds_dir / name)
+        corpus, errors = mine_seeds(seeds_dir, "iSSue")
+        assert [s.id for s in corpus.seeds] == expected
+        assert [s.source_path for s in corpus.seeds] == [seeds_dir / f"{i}.t" for i in expected]
+        assert errors == []
 
     def test_missing_root_is_an_error(self, tmp_path):
         with pytest.raises(CorpusError):

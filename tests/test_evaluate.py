@@ -68,6 +68,54 @@ class TestLoadCases:
         )
 
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param('"outcome": [1]', "outcome is not an object", id="outcome-not-an-object"),
+            pytest.param('"category": "E_bad"', "outcome is not an object", id="no-outcome"),
+            pytest.param(
+                '"outcome": {"kind": "fail", "assertion_index": 0}',
+                "unknown outcome encoding: {'kind': 'fail', 'assertion_index': 0}",
+                id="unknown-outcome-encoding",
+            ),
+            pytest.param(
+                '"outcome": {"result": "fail", "expected": "1", "actual": "2"}',
+                "outcome has no 'assertion_index'",
+                id="fail-without-assertion-index",
+            ),
+            pytest.param(
+                '"outcome": {"result": "error", "kind": "Nope"}',
+                "'Nope' is not a valid ErrorKind",
+                id="unknown-error-kind",
+            ),
+            pytest.param(
+                '"outcome": {"result": "error", "kind": "ParseError"}, "category": "nope"',
+                "'nope' is not a valid Category",
+                id="unknown-category",
+            ),
+            pytest.param(
+                '"outcome": {"result": "pass"}',
+                "a failed case cannot carry a Pass outcome",
+                id="pass-outcome",
+            ),
+        ],
+    )
+    def test_bad_case_fields_report_position(self, tmp_path, fields, message):
+        (tmp_path / "a.t").write_text("assert_eq(1, 1);\n")
+        path = tmp_path / "cases.jsonl"
+        path.write_text('\n{"script_path": "a.t", ' + fields + "}\n")
+        with pytest.raises(ValueError) as info:
+            load_cases(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_cli_reports_bad_case_fields_and_exits_1(self, tmp_path, capsys):
+        (tmp_path / "a.t").write_text("assert_eq(1, 1);\n")
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"script_path": "a.t", "outcome": [1]}\n')
+        assert main(["classify", "--cases", str(path), "--mock", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1: outcome is not an object\n"
+
+
 class TestEvaluate:
     def test_scripted_confusion_reproduces_the_table(self, case_file):
         cases = load_cases(case_file)

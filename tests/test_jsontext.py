@@ -26,6 +26,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
+SHORT_ESCAPES = {"\b": "b", "\f": "f", "\n": "n", "\r": "r", "\t": "t"}
 
 
 @st.composite
@@ -34,6 +35,26 @@ def json_texts(draw) -> str:
     text = draw(st.just("") | st.builds(json.dumps, JSON_VALUES, ensure_ascii=st.booleans()))
     cut = draw(st.integers(0, len(text)))
     return text[:cut] + draw(st.text(st.sampled_from(JSON_ALPHABET), max_size=12)) + text[cut:]
+
+
+@st.composite
+def single_quoted(draw) -> tuple[str, str]:
+    """A string, and that string written single-quoted: `\\'` and `\\\\`
+    escaped, each control character escaped in one of the ways JSON
+    allows, and everything else, `"` included, as a plain character."""
+    value = draw(st.text(st.characters() | st.sampled_from("'\"\\\x00\n\x1f")))
+    parts = []
+    for ch in value:
+        if ch in "'\\":
+            parts.append("\\" + ch)
+        elif ch < " ":
+            escapes = [f"\\u{ord(ch):04x}", f"\\u{ord(ch):04X}"]
+            if ch in SHORT_ESCAPES:
+                escapes.append("\\" + SHORT_ESCAPES[ch])
+            parts.append(draw(st.sampled_from(escapes)))
+        else:
+            parts.append(ch)
+    return value, "'" + "".join(parts) + "'"
 
 
 def _int_or_decimal(token: str):
@@ -178,6 +199,18 @@ class TestOptions:
         assert parse_document("'it\\'s'", options) == "it's"
         with pytest.raises(JsonTextError):
             parse_document("{'a': 1}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(single_quoted())
+    @example(('"', "'\"'"))
+    @example(("it's \\ \"q\"\n", "'it\\'s \\\\ \"q\"\\n'"))
+    def test_single_quoted_string_reads_back(self, case):
+        """The stdlib cannot read `'...'`, so this property stands in for
+        the stdlib agreement there: a value and a key read back as written."""
+        value, written = case
+        options = ParseOptions(single_quotes=True)
+        assert parse_document(written, options) == value
+        assert parse_document(f"{{{written}: [{written}]}}", options) == {value: [value]}
 
     def test_trim_strings_applies_to_values_not_keys(self):
         options = ParseOptions(trim_strings=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import time
 from decimal import Decimal
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -245,6 +246,146 @@ class TestParser:
         with pytest.raises(DslError) as info:
             parse_script(src)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            pytest.param(
+                "let a = trueX;\nassert_eq(1, 1);",
+                (UnboundVariableError, "variable 'trueX' referenced before assignment", None, None),
+                id="true-touching-identifier",
+            ),
+            pytest.param(
+                "let a = nullish;\nassert_eq(1, 1);",
+                (UnboundVariableError, "variable 'nullish' referenced before assignment", None, None),
+                id="null-touching-identifier",
+            ),
+            pytest.param(
+                "assert_eq([trueX], 1);",
+                (DslSyntaxError, "expected ',' or ']' in array", 1, 16),
+                id="true-touching-identifier-in-array",
+            ),
+            pytest.param("assert_eq(01, 1);", (DslSyntaxError, "expected ','", 1, 12), id="leading-zero"),
+            pytest.param(
+                "assert_eq(1., 1);", (DslSyntaxError, "unexpected character '.'", 1, 12), id="trailing-dot"
+            ),
+            pytest.param("assert_eq(1e, 1);", (DslSyntaxError, "expected ','", 1, 12), id="bare-exponent"),
+            pytest.param(
+                "assert_eq(1, 1e5x);", (DslSyntaxError, "expected ')'", 1, 17), id="exponent-touching-identifier"
+            ),
+            pytest.param("assert_eq(-x, 1);", (DslSyntaxError, "invalid number", 1, 11), id="minus-identifier"),
+            pytest.param(
+                "assert_eq({\"a\": -}, 1);", (DslSyntaxError, "invalid number", 1, 17), id="minus-in-object"
+            ),
+            pytest.param(
+                "assert_eq(-0, 1);",
+                Script(statements=(AssertEq(Lit(0), Lit(1)),)),
+                id="negative-zero",
+            ),
+            pytest.param(
+                'assert_eq("a;b)c]", "(");',
+                Script(statements=(AssertEq(Lit("a;b)c]"), Lit("(")),)),
+                id="string-holding-punctuation",
+            ),
+            pytest.param(
+                'assert_eq("q\\"q;", "b\\\\");',
+                Script(statements=(AssertEq(Lit('q"q;'), Lit("b\\")),)),
+                id="string-holding-escaped-quote-and-backslash",
+            ),
+            pytest.param(
+                'assert_eq("é", ["é"]);',
+                Script(statements=(AssertEq(Lit("é"), Lit(["é"])),)),
+                id="string-holding-non-ascii",
+            ),
+            pytest.param(
+                'assert_eq("a\x01b", 1);',
+                (DslSyntaxError, "raw control character in string", 1, 13),
+                id="raw-control-character-in-string",
+            ),
+            pytest.param(
+                'assert_eq("a\nb", 1);',
+                (DslSyntaxError, "raw control character in string", 1, 13),
+                id="newline-in-string",
+            ),
+            pytest.param(
+                'assert_eq([1, "a\tb"], 1);',
+                (DslSyntaxError, "raw control character in string", 1, 17),
+                id="raw-control-character-in-array",
+            ),
+            pytest.param(
+                'assert_eq(1, "abc', (DslSyntaxError, "unterminated string", 1, 14), id="unterminated-string"
+            ),
+            pytest.param(
+                'assert_eq(1, "abc\\', (DslSyntaxError, "unterminated escape", 1, 19), id="unterminated-escape"
+            ),
+            pytest.param(
+                "assert_eq(1, é);", (DslSyntaxError, "unexpected character 'é'", 1, 14), id="non-ascii-expression"
+            ),
+            pytest.param(
+                "assert_eq(1, 1);é", (DslSyntaxError, "unexpected character 'é'", 1, 17), id="non-ascii-at-end"
+            ),
+            pytest.param(
+                "let parse é= 1;",
+                (DslSyntaxError, "unexpected character 'é'", 1, 11),
+                id="non-ascii-before-reserved-word-error",
+            ),
+            pytest.param(
+                'let a = parse("1", [Nope é]);',
+                (DslSyntaxError, "unexpected character 'é'", 1, 26),
+                id="non-ascii-before-unknown-feature-error",
+            ),
+            pytest.param(
+                'let a = parse("1", [TrimString]);\nassert_eq([1, [2]], a);',
+                Script(
+                    statements=(
+                        Let("a", ParseValue(Lit("1"), (ast.ReaderFeature.TRIM_STRING,))),
+                        AssertEq(Lit([1, [2]]), Var("a")),
+                    )
+                ),
+                id="feature-list-and-array-literal",
+            ),
+            pytest.param(
+                'let a = parse("1", []);\nassert_eq([], a);',
+                Script(statements=(Let("a", ParseValue(Lit("1"), ())), AssertEq(Lit([]), Var("a")))),
+                id="empty-feature-list-and-empty-array",
+            ),
+            pytest.param(
+                'let a = parse("1", ["x"]);\nassert_eq(1, a);',
+                (DslSyntaxError, "expected feature name", 1, 21),
+                id="string-in-feature-list",
+            ),
+        ],
+    )
+    def test_token_edge_cases(self, src, expected):
+        """The AST, or the error's class, message, line and column."""
+        if isinstance(expected, Script):
+            assert repr(parse_script(src)) == repr(expected)
+            return
+        with pytest.raises(DslError) as info:
+            parse_script(src)
+        exc = info.value
+        reason = getattr(exc, "reason", str(exc))
+        assert (type(exc), reason, getattr(exc, "line", None), getattr(exc, "col", None)) == expected
+
+    def test_parse_time_is_linear_in_script_length(self):
+        """Every literal kind, 4k and then 16k statements: linear is 4x."""
+        block = (
+            'let a = parse("[1]", [TrimString]);\n'
+            'assert_eq({"k": [1, -2.5e3, "s\\"", true, false, null]}, get(a, 0, integer));\n'
+            "assert_not_null(true);\nassert_null(null);\nassert_eq(false, -7);\n"
+        )
+
+        def best_of_3(statements: int) -> float:
+            text = block * (statements // 5)
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                parse_script(text)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = best_of_3(4000), best_of_3(16000)
+        assert large < 10 * small, f"4k statements: {small:.3f} s, 16k: {large:.3f} s"
 
     def test_identifiers_are_ascii(self):
         with pytest.raises(DslSyntaxError, match="unexpected character 'é'") as info:
