@@ -139,9 +139,9 @@ def load_corpus(manifest: Path | str) -> tuple[Corpus, list[SeedLoadError]]:
     entries: list[tuple[str, Path]] = []
     seen: set[str] = set()
     for item in data["seeds"]:
-        if not isinstance(item, dict) or "id" not in item or "path" not in item:
-            raise ManifestFormatError(f'seed entries need "id" and "path": {item!r}')
-        seed_id = str(item["id"])
+        if not isinstance(item, dict) or not all(isinstance(item.get(k), str) for k in ("id", "path")):
+            raise ManifestFormatError(f'seed entries need string "id" and "path": {item!r}')
+        seed_id = item["id"]
         if seed_id in seen:
             raise CorpusError(f"duplicate seed id '{seed_id}' in manifest")
         seen.add(seed_id)

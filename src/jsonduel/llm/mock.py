@@ -37,10 +37,19 @@ class ReplayScenario:
 
     @classmethod
     def load(cls, path: Path | str) -> "ReplayScenario":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("version") != SCENARIO_VERSION:
-            raise ValueError(f"unsupported scenario version in {path}")
-        return cls(payload["responses"])
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"scenario {path} is not JSON: {exc}") from None
+        if not isinstance(payload, dict) or payload.get("version") != SCENARIO_VERSION:
+            raise ValueError(f"scenario {path} must be an object with version {SCENARIO_VERSION}")
+        responses = payload.get("responses")
+        if not isinstance(responses, dict) or not all(
+            isinstance(queue, list) and all(isinstance(r, str) for r in queue)
+            for queue in responses.values()
+        ):
+            raise ValueError(f"scenario {path} needs a 'responses' object of lists of strings")
+        return cls(responses)
 
 
 class ReplayClient:

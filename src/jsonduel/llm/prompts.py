@@ -36,8 +36,6 @@ def build_context(
     seed_text: str, summary: str, rule: MutationRule | None = None
 ) -> list[ChatMessage]:
     """Full generation context; the mutation clause is omitted without a rule."""
-    if not summary:
-        raise ValueError("summary must be non-empty")
     mutation_clause = f" Write a new test that {rule.sentence}." if rule else ""
     request = f"{GENERATE_LEAD}{mutation_clause} {GENERATE_SUFFIX}"
     return build_summary_request(seed_text) + [assistant(summary), user(request)]

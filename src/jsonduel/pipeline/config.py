@@ -98,6 +98,24 @@ def parse_mutation(value: str) -> MutationMode:
     return _MUTATION_ALIASES[value]
 
 
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list of strings"}
+
+
+def _get(raw: dict, key: str, want: type, default=None, prefix: str = ""):
+    """`raw[key]` if it has JSON type `want` (a number may be an integer),
+    `default` if the key is absent or, for an optional key, null."""
+    if key not in raw or (raw[key] is None and default is None):
+        return default
+    value = raw[key]
+    if want is list:
+        ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
+    else:
+        ok = isinstance(value, (int, float) if want is float else want) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"config key '{prefix}{key}' must be {_JSON_TYPES[want]}")
+    return value
+
+
 def load_config(path: Path | str) -> PipelineConfig:
     """Read a JSON config file; relative paths resolve against its directory."""
     path = Path(path)
@@ -120,35 +138,38 @@ def load_config(path: Path | str) -> PipelineConfig:
     corpus_raw = data.get("corpus")
     if not isinstance(corpus_raw, dict):
         raise ConfigError("config needs a 'corpus' object")
+    root = _get(corpus_raw, "root", str, prefix="corpus.")
+    manifest = _get(corpus_raw, "manifest", str, prefix="corpus.")
     corpus = CorpusSource(
-        root=rel(corpus_raw["root"]) if corpus_raw.get("root") else None,
-        keyword=corpus_raw.get("keyword", "issue"),
-        manifest=rel(corpus_raw["manifest"]) if corpus_raw.get("manifest") else None,
+        root=rel(root) if root else None,
+        keyword=_get(corpus_raw, "keyword", str, "issue", "corpus."),
+        manifest=rel(manifest) if manifest else None,
     )
 
     try:
         params = GenParams(
-            model=data.get("model", GenParams.model),
-            temperature=data.get("temperature", GenParams.temperature),
-            top_p=data.get("top_p", GenParams.top_p),
-            n_per_seed=data.get("n_per_seed", GenParams.n_per_seed),
-            seed=data.get("rng_seed", GenParams.seed),
+            model=_get(data, "model", str, GenParams.model),
+            temperature=_get(data, "temperature", float, GenParams.temperature),
+            top_p=_get(data, "top_p", float, GenParams.top_p),
+            n_per_seed=_get(data, "n_per_seed", int, GenParams.n_per_seed),
+            seed=_get(data, "rng_seed", int, GenParams.seed),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
+    mock_scenario = _get(data, "mock_scenario", str)
     config = PipelineConfig(
         corpus=corpus,
-        backends=tuple(data.get("backends", ())),
+        backends=tuple(_get(data, "backends", list, [])),
         params=params,
-        mutation=parse_mutation(data.get("mutation", "random_one")),
-        suppress=frozenset(data.get("suppress", ())),
-        out_dir=rel(data.get("out_dir", "out")),
-        endpoint=data.get("endpoint"),
-        mock_scenario=rel(data["mock_scenario"]) if data.get("mock_scenario") else None,
-        in_flight=data.get("in_flight", 4),
-        context_limit_chars=data.get("context_limit_chars", 0),
-        rounds=data.get("rounds", 1),
+        mutation=parse_mutation(_get(data, "mutation", str, "random_one")),
+        suppress=frozenset(_get(data, "suppress", list, [])),
+        out_dir=rel(_get(data, "out_dir", str, "out")),
+        endpoint=_get(data, "endpoint", str),
+        mock_scenario=rel(mock_scenario) if mock_scenario else None,
+        in_flight=_get(data, "in_flight", int, 4),
+        context_limit_chars=_get(data, "context_limit_chars", int, 0),
+        rounds=_get(data, "rounds", int, 1),
     )
     config.validate()
     return config

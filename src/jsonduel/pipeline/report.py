@@ -26,9 +26,6 @@ class OutcomeCounts:
     failed: int = 0
     errored: int = 0
 
-    def executed(self) -> int:
-        return self.passed + self.failed + self.errored
-
     def add(self, outcome: TestOutcome) -> None:
         if isinstance(outcome, Pass):
             self.passed += 1

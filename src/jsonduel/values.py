@@ -94,26 +94,6 @@ def strip_trailing_zeros(value):
     return Decimal((sign, tuple(digits), exponent))
 
 
-def _format_decimal(d: Decimal) -> str:
-    if not d.is_finite():
-        raise ValueError("non-finite decimals cannot be serialized")
-    return str(d)
-
-
-def _scalar_text(value) -> str:
-    """Unquoted canonical text of a scalar (used for quoting features)."""
-    k = kind(value)
-    if k == "null":
-        return "null"
-    if k == "bool":
-        return "true" if value else "false"
-    if k == "int":
-        return str(value)
-    if k == "dec":
-        return _format_decimal(value)
-    raise TypeError(f"not a scalar: {k}")
-
-
 def dump_value(
     value,
     *,
@@ -143,11 +123,10 @@ def _dump(value, out, depth, write_nulls, bool_as_number, nonstring_as_string, p
     if k == "bool" and bool_as_number:
         value, k = (1 if value else 0), "int"
     if k in ("int", "dec", "bool"):
-        text = _scalar_text(value)
-        if nonstring_as_string:
-            out.append(json.dumps(text))
-        else:
-            out.append(text)
+        if k == "dec" and not value.is_finite():
+            raise ValueError("non-finite decimals cannot be serialized")
+        text = ("true" if value else "false") if k == "bool" else str(value)
+        out.append(json.dumps(text) if nonstring_as_string else text)
         return
     if k == "null":
         out.append("null")

@@ -165,6 +165,18 @@ class TestManifest:
         with pytest.raises(CorpusError, match="duplicate seed id"):
             load_corpus(manifest)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"id": "a", "path": 5}, {"id": None, "path": "a.t"}, {"id": 1, "path": "a.t"}, {"id": "a"}, "a.t"],
+        ids=["path-number", "id-null", "id-number", "no-path", "not-an-object"],
+    )
+    def test_entry_needs_string_id_and_path(self, tmp_path, entry):
+        (tmp_path / "a.t").write_text(VALID)
+        manifest = self._manifest(tmp_path, [entry])
+        with pytest.raises(ManifestFormatError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == f'seed entries need string "id" and "path": {entry!r}'
+
     def test_write_then_load_round_trip(self, seeds_dir, tmp_path):
         (seeds_dir / "issue1.t").write_text(VALID)
         (seeds_dir / "issue2.t").write_text(VALID)

@@ -1,6 +1,7 @@
 """Package layout: the import graph has no cycle, package `__init__.py`
-files hold no re-exports beyond the few callers rely on, and only a
-live model client loads the HTTP stack.
+files hold no re-exports beyond the few callers rely on, the printer
+does not import the parser, and only a live model client loads the HTTP
+stack.
 
 Every module under `src/jsonduel` is parsed with `ast`; imports inside
 functions count too, since they close a cycle just the same.
@@ -95,6 +96,19 @@ def test_package_inits_hold_no_re_exports():
             if isinstance(target, ast.Name)
         }
         assert "__all__" not in assigned, name
+
+
+def test_printer_does_not_import_the_parser():
+    """`parse_script` is the one place a script is validated, so the
+    printer reaches nothing in `tdsl/parser.py`, directly or through the
+    modules it imports."""
+    graph = _import_graph(_modules())
+    reached, todo = set(), ["jsonduel.tdsl.printer"]
+    while todo:
+        for target in graph[todo.pop()] - reached:
+            reached.add(target)
+            todo.append(target)
+    assert "jsonduel.tdsl.parser" not in reached, sorted(reached)
 
 
 def test_model_requests_go_through_one_function():

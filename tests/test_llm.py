@@ -200,6 +200,30 @@ class TestMocks:
         second = ReplayClient.from_file(path).complete(messages, PARAMS)
         assert first == second == "same answer"
 
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ("{nope", "is not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ([], "must be an object with version 1"),
+            ({"responses": {}}, "must be an object with version 1"),
+            ({"version": 2, "responses": {}}, "must be an object with version 1"),
+            ({"version": 1}, "needs a 'responses' object of lists of strings"),
+            ({"version": 1, "responses": []}, "needs a 'responses' object of lists of strings"),
+            ({"version": 1, "responses": {"ab": "hello"}}, "needs a 'responses' object of lists of strings"),
+            ({"version": 1, "responses": {"ab": ["hi", 5]}}, "needs a 'responses' object of lists of strings"),
+        ],
+        ids=[
+            "not-json", "list", "no-version", "version-2",
+            "no-responses", "responses-list", "reply-string", "reply-number",
+        ],
+    )
+    def test_malformed_scenario_names_the_file(self, tmp_path, payload, reason):
+        path = tmp_path / "s.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            ReplayScenario.load(path)
+        assert str(info.value) == f"scenario {path} {reason}"
+
     def test_scripted_order_and_exhaustion(self):
         client = ScriptedClient(["a", "b"])
         messages = build_summary_request(SEED_TEXT)

@@ -78,7 +78,7 @@ class TestRun:
         for counts in report.counts.values():
             assert counts.generated == counts.extraction_failures + counts.executed()
             for oc in counts.per_backend.values():
-                assert oc.executed() == counts.executed()
+                assert oc.passed + oc.failed + oc.errored == counts.executed()
 
     def test_every_record_lands_in_one_bucket(self, tmp_path, fixture_corpus):
         report = run(planted_config(tmp_path, fixture_corpus))
@@ -500,12 +500,15 @@ class TestConfig:
                 "rng_seed": 7,
                 "mutation": "none",
                 "out_dir": "results",
+                "temperature": 1,
+                "endpoint": None,
             },
         )
         config = load_config(path)
         assert config.corpus.root == tmp_path / "seeds"
         assert config.out_dir == tmp_path / "results"
         assert config.params.seed == 7
+        assert (config.params.temperature, config.endpoint) == (1, None)
         assert config.mutation is MutationMode.NONE
 
     def test_fewer_than_two_backends_rejected(self, tmp_path):
@@ -546,6 +549,43 @@ class TestConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="line 1"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("in_flight", "4", "config key 'in_flight' must be an integer"),
+            ("in_flight", True, "config key 'in_flight' must be an integer"),
+            ("in_flight", None, "config key 'in_flight' must be an integer"),
+            ("n_per_seed", "3", "config key 'n_per_seed' must be an integer"),
+            ("n_per_seed", 2.5, "config key 'n_per_seed' must be an integer"),
+            ("rounds", 1.5, "config key 'rounds' must be an integer"),
+            ("rng_seed", "7", "config key 'rng_seed' must be an integer"),
+            ("temperature", "hot", "config key 'temperature' must be a number"),
+            ("temperature", False, "config key 'temperature' must be a number"),
+            ("model", 5, "config key 'model' must be a string"),
+            ("mutation", ["none"], "config key 'mutation' must be a string"),
+            ("out_dir", 5, "config key 'out_dir' must be a string"),
+            ("suppress", 5, "config key 'suppress' must be a list of strings"),
+            ("suppress", [5], "config key 'suppress' must be a list of strings"),
+            ("backends", "reference", "config key 'backends' must be a list of strings"),
+            ("corpus", {"root": 5}, "config key 'corpus.root' must be a string"),
+            ("corpus", {"manifest": 5}, "config key 'corpus.manifest' must be a string"),
+            ("corpus", {"root": ".", "keyword": 7}, "config key 'corpus.keyword' must be a string"),
+        ],
+        ids=[
+            "in_flight-string", "in_flight-true", "in_flight-null", "n_per_seed-string",
+            "n_per_seed-fraction", "rounds-fraction", "rng_seed-string", "temperature-string",
+            "temperature-false", "model-number", "mutation-list", "out_dir-number",
+            "suppress-number", "suppress-number-list", "backends-string", "corpus-root-number",
+            "corpus-manifest-number", "corpus-keyword-number",
+        ],
+    )
+    def test_wrong_json_type_rejected(self, tmp_path, key, value, message):
+        payload = {"corpus": {"root": "."}, "backends": ["reference", "reference-copy"]}
+        path = self._write(tmp_path, {**payload, key: value})
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
 
     def test_overrides(self, tmp_path):
         config = PipelineConfig(
@@ -588,6 +628,13 @@ class TestCli:
     def test_run_usage_error_exit_1(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert main(["run", "--config", str(missing)]) == 1
+
+    def test_config_type_error_exit_1(self, tmp_path, fixture_corpus, capsys):
+        config = self._config_file(tmp_path, fixture_corpus)
+        payload = json.loads(config.read_text())
+        config.write_text(json.dumps({**payload, "in_flight": "4"}))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: config key 'in_flight' must be an integer\n"
 
     def test_mine_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"

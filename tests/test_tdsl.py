@@ -248,6 +248,48 @@ class TestParser:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "src, error, message",
+        [
+            ("bean let { x: integer; }\nassert_eq(1, 1);",
+             DslValidationError, "'let' cannot be used as a bean name"),
+            ("bean string { x: integer; }\nassert_eq(1, 1);",
+             DslValidationError, "'string' cannot be used as a bean name"),
+            ("bean B { x: integer; }\nbean B { y: string; }\nassert_eq(1, 1);",
+             DslValidationError, "duplicate bean 'B'"),
+            ("bean B { x: integer; x: string; }\nassert_eq(1, 1);",
+             DslValidationError, "duplicate field 'x' in bean 'B'"),
+            ("bean B { x: list<Ghost>; }\nassert_eq(1, 1);", UnknownBeanError, "unknown bean 'Ghost'"),
+            (bean_chain(300), DslValidationError, "bean 'B42' nests more than 256 levels"),
+            ("bean A { b: B; }\nbean B { a: list<A>; }\nassert_eq(1, 1);",
+             DslValidationError, "recursive bean cycle through 'A'"),
+            ("assert_eq(a, 1);", UnboundVariableError, "variable 'a' referenced before assignment"),
+            ("assert_not_null(make_bean(Ghost));", UnknownBeanError, "unknown bean 'Ghost'"),
+            ("bean B { x: integer; }\nassert_not_null(make_bean(B, y = 1));",
+             DslValidationError, "bean 'B' has no field 'y'"),
+            ("bean B { x: integer; }\nassert_not_null(make_bean(B, x = 1, x = 2));",
+             DslValidationError, "duplicate assignment to 'x'"),
+            ('assert_not_null(parse_typed("{}", Ghost));', UnknownBeanError, "unknown bean 'Ghost'"),
+            ('let a = parse("[1]");', DslValidationError, "script contains no assertions"),
+            # a syntax error anywhere beats any validation error
+            ("assert_eq(a, 1);\nlet b = ;", DslSyntaxError, "expected an expression (line 2, column 9)"),
+            # beans are checked before statements, wherever they stand
+            ("assert_eq(a, 1);\nbean B { x: integer; x: string; }",
+             DslValidationError, "duplicate field 'x' in bean 'B'"),
+        ],
+        ids=[
+            "reserved-bean-name", "primitive-bean-name", "duplicate-bean", "duplicate-field",
+            "unknown-field-bean", "bean-too-deep", "bean-cycle", "unbound-variable",
+            "unknown-make-bean", "no-such-field", "duplicate-assignment", "unknown-typed-bean",
+            "no-assertions", "syntax-beats-unbound", "bean-beats-statement",
+        ],
+    )
+    def test_validator_messages(self, src, error, message):
+        """Each message the validator raises, reached through script text."""
+        with pytest.raises(DslError) as info:
+            parse_script(src)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize(
         "src, expected",
         [
             pytest.param(
@@ -439,10 +481,6 @@ class TestPrinter:
         assert repr(again) == repr(script), f"round-trip mismatch:\n{text}"
         assert print_script(again) == text
         text.encode("utf-8")  # scripts are written to disk as UTF-8
-
-    def test_print_rejects_invalid_script(self):
-        with pytest.raises(DslValidationError):
-            print_script(Script((), (Let("a", Lit(1)),)))
 
     def test_feature_list_rendering(self):
         script = parse_script(
