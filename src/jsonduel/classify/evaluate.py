@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import enum
 import json
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
 from ..backends.outcomes import Pass, TestOutcome, outcome_from_dict
-from ..llm.client import LlmClient
+from ..llm.client import LlmClient, send_ahead
 from ..llm.generation import GenParams
 from ..tdsl.ast import Script
 from ..tdsl.parser import parse_script
@@ -158,25 +158,21 @@ def classify_cases(
     Up to `CASES_IN_FLIGHT` cases have their votes open at once, so at
     most `OPEN_REQUESTS` requests are, on one pool of that many workers
     that serves every case. The votes of case k + `CASES_IN_FLIGHT` are
-    sent as soon as case k is collected. Every request is prepared on the
-    calling thread in case order, then slot order (see `send_votes`).
+    sent once case k's result is taken (`send_ahead`). Every request is
+    prepared on the calling thread in case order, then slot order (see
+    `send_votes`).
     The first case in list order with a failed slot decides an abort
     (see `classify`); `ClassificationAborted.case_index` names that case,
     and no request is sent after it.
     """
     with ThreadPoolExecutor(max_workers=OPEN_REQUESTS) as pool:
-        sent = deque(
-            send_votes(case, mode, client, params, pool) for case in cases[:CASES_IN_FLIGHT]
-        )
-        for index in range(len(cases)):
+        send = partial(send_votes, mode=mode, client=client, params=params, pool=pool)
+        for index, votes in enumerate(send_ahead(cases, send, CASES_IN_FLIGHT)):
             try:
-                result = classify(sent.popleft())
+                yield classify(votes)
             except ClassificationAborted as exc:
                 exc.case_index = index
                 raise
-            if index + CASES_IN_FLIGHT < len(cases):
-                sent.append(send_votes(cases[index + CASES_IN_FLIGHT], mode, client, params, pool))
-            yield result
 
 
 def render_accuracy_text(report: AccuracyReport) -> str:

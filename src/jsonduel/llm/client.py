@@ -12,8 +12,10 @@ from __future__ import annotations
 import logging
 import os
 import time
+from collections import deque
 from functools import partial
-from typing import Callable, Protocol, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .messages import ChatMessage, to_wire
 
@@ -53,6 +55,18 @@ def prepare_request(
     """
     reserve = getattr(client, "reserve", None)
     return reserve(messages) if reserve else partial(client.complete, messages, params)
+
+
+def send_ahead(items: Iterable, send: Callable, ahead: int) -> Iterator:
+    """`send(item)` for each item in order, yielding what it returned in
+    the same order. Item k + `ahead` is taken from `items` and sent only
+    when the caller asks for item k + 1, after it is done with item k, so
+    a caller that stops asking sends nothing more."""
+    items = iter(items)
+    sent = deque(send(item) for item in islice(items, ahead))
+    while sent:
+        yield sent.popleft()
+        sent.extend(send(item) for item in islice(items, 1))
 
 
 class HttpChatClient:

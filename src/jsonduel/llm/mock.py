@@ -41,7 +41,8 @@ class ReplayScenario:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"scenario {path} is not JSON: {exc}") from None
-        if not isinstance(payload, dict) or payload.get("version") != SCENARIO_VERSION:
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if type(version) is not int or version != SCENARIO_VERSION:  # not True or 1.0
             raise ValueError(f"scenario {path} must be an object with version {SCENARIO_VERSION}")
         responses = payload.get("responses")
         if not isinstance(responses, dict) or not all(

@@ -4,12 +4,14 @@ Summaries and generations share one pool of `in_flight` request slots.
 The calling thread builds every request and prepares it with
 `prepare_request`, in request order, so worker threads only wait on the
 model: one summary per distinct seed text first, then each task's
-generation, in task order, once its seed's summary is in. It then takes
-the replies back in task order and extracts, executes, judges and writes
-each one (`records/`, `scripts/`) while later requests are still out;
-`verdicts.jsonl`, `bugs.jsonl` and `report.txt` are written once, at
-the end. The writers and the `RunReport` that `run` returns live in
-`report`.
+generation, in task order, once its seed's summary is in and once the
+task `AHEAD_PER_SLOT * in_flight` places before it has been handled
+(`send_ahead`). Tasks with the same seed text and rule share one message
+tuple. It takes the replies back in task order and extracts, executes,
+judges and writes each one (`records/`, `scripts/`) while later requests
+are still out; `verdicts.jsonl`, `bugs.jsonl` and `report.txt` are
+written once, at the end. The writers and the `RunReport` that `run`
+returns live in `report`.
 
 Reproducibility contract: with a fixed config, corpus, replay scenario
 and RNG seed, two runs produce identical reports (verdicts.jsonl,
@@ -29,13 +31,15 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Iterator
 
 from ..backends import resolve_backend
 from ..backends.executor import execute
 from ..backends.outcomes import TestOutcome
 from ..corpus import SeedTest, load_corpus, mine_seeds
 from ..diffcore import DiffVerdict, VerdictStatus, dedup, make_verdict
-from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError, prepare_request
+from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError
+from ..llm.client import prepare_request, send_ahead
 from ..llm.generation import GenerationRecord, pick_rule
 from ..llm.messages import ChatMessage
 from ..llm.mock import ReplayClient
@@ -49,6 +53,11 @@ log = logging.getLogger(__name__)
 
 PLAIN = "plain"
 MUTATE = "mutate"
+
+# Generations sent ahead of the one being handled, per request slot: enough
+# that a stall of the calling thread leaves no slot idle, and a bound that
+# keeps a run's memory from growing with the number of its tasks.
+AHEAD_PER_SLOT = 8
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,16 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
         def send(messages) -> Future:
             return pool.submit(_guarded, stop, prepare_request(client, messages, config.params))
 
+        def send_generation(conversation):
+            task, messages = conversation
+            limit = config.context_limit_chars
+            chars = sum(len(m.content) for m in messages)
+            if limit and chars > limit:
+                return task, messages, ExtractionFailure(
+                    CONTEXT_OVERFLOW, f"prompt of {chars} chars exceeds the {limit}-char context limit"
+                )
+            return task, messages, send(messages)
+
         try:
             # One summary per distinct seed text, queued first: the pool takes
             # work in submission order, so they go out before any generation.
@@ -123,8 +142,9 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
             for seed in corpus.seeds:
                 if seed.script_text not in summaries:
                     summaries[seed.script_text] = send(build_summary_request(seed.script_text))
-            sent = _send_generations(tasks, summaries, send, config.context_limit_chars, stop)
-            for task, messages, reply in sent:
+            conversations = _conversations(tasks, summaries, stop)
+            ahead = AHEAD_PER_SLOT * config.in_flight
+            for task, messages, reply in send_ahead(conversations, send_generation, ahead):
                 raw, extraction = "", reply
                 if isinstance(reply, Future):
                     try:
@@ -198,30 +218,27 @@ def _guarded(stop: threading.Event, fn):
         raise
 
 
-def _send_generations(
-    tasks: list[_Task], summaries: dict[str, Future], send, limit: int, stop: threading.Event
-) -> list[tuple[_Task, tuple[ChatMessage, ...], Future | ExtractionFailure]]:
-    """Build and send each task's request in task order, once its seed's
-    summary is in. A prompt over `limit` chars is not sent but recorded as
-    a context overflow. A failed or empty summary stops the run."""
-    sent = []
+def _conversations(
+    tasks: list[_Task], summaries: dict[str, Future], stop: threading.Event
+) -> Iterator[tuple[_Task, tuple[ChatMessage, ...]]]:
+    """Each task with its generation request, in task order, once its seed's
+    summary is in, until the run stops. Tasks with the same seed text and
+    rule share one message tuple. A failed or empty summary stops the run."""
+    prompts: dict[tuple[str, MutationRule | None], tuple[ChatMessage, ...]] = {}
     for task in tasks:
         try:
             summary = summaries[task.seed.script_text].result()
             if not summary:
                 raise GenerationError("empty summary response")
         except _Stopped:
-            break
+            return
         except (TransportError, GenerationError) as exc:
             stop.set()
             log.error("aborting run, summary of %s failed: %s", task.seed.id, exc)
-            break
-        messages = tuple(build_context(task.seed.script_text, summary, task.rule))
-        chars = sum(len(m.content) for m in messages)
-        if limit and chars > limit:
-            sent.append((task, messages, ExtractionFailure(
-                CONTEXT_OVERFLOW, f"prompt of {chars} chars exceeds the {limit}-char context limit"
-            )))
-        else:
-            sent.append((task, messages, send(messages)))
-    return sent
+            return
+        if stop.is_set():
+            return
+        key = (task.seed.script_text, task.rule)
+        if key not in prompts:
+            prompts[key] = tuple(build_context(task.seed.script_text, summary, task.rule))
+        yield task, prompts[key]

@@ -3,7 +3,8 @@
 A script is the neutral form of a unit test: optional bean definitions
 (record schemas for typed (de)serialization) followed by straight-line
 statements. There are no loops, conditionals or user-defined functions.
-All nodes are immutable; structural equality is dataclass equality.
+All nodes are immutable slotted dataclasses (no per-node `__dict__`);
+structural equality is dataclass equality.
 """
 
 from __future__ import annotations
@@ -45,21 +46,21 @@ class AsType(enum.Enum):
 
 # --- bean field types ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prim:
     """Primitive field type: string, integer, decimal or boolean."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeanRef:
     """Field typed as another bean (nested object)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListOf:
     """Field typed as a homogeneous list."""
 
@@ -71,13 +72,13 @@ FieldType = Union[Prim, BeanRef, ListOf]
 PRIMITIVE_TYPES = ("string", "integer", "decimal", "boolean")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeanField:
     name: str
     type: FieldType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeanDef:
     name: str
     fields: tuple[BeanField, ...]
@@ -85,7 +86,7 @@ class BeanDef:
 
 # --- expressions ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     """A JSON literal: null, boolean, number, string, array or object,
     as `jsontext.parse_value` reads it."""
@@ -93,60 +94,60 @@ class Lit:
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseValue:
     text: "Expr"
     features: tuple[ReaderFeature, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseTyped:
     text: "Expr"
     bean: str
     features: tuple[ReaderFeature, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Serialize:
     value: "Expr"
     features: tuple[WriterFeature, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Get:
     target: "Expr"
     accessor: Union[str, int]
     as_type: AsType = AsType.VALUE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathEval:
     target: "Expr"
     path: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsValid:
     text: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Size:
     target: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MakeBean:
     bean: str
     assignments: tuple[tuple[str, "Expr"], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StripZeros:
     value: "Expr"
 
@@ -159,29 +160,29 @@ Expr = Union[
 
 # --- statements ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Let:
     name: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssertEq:
     expected: Expr
     actual: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssertNull:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssertNotNull:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssertThrows:
     expr: Expr
 
@@ -212,7 +213,7 @@ EXPR_FIELDS: dict[type, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Script:
     """A complete test script: bean definitions plus ordered statements."""
 

@@ -29,21 +29,21 @@ class ScriptedClient:
 
     `calls` counts the requests sent so far (each hand-over, also past the
     end of the list), not the ones reserved, so a reserved request that is
-    never sent does not count.
+    never sent does not count. `reserved` counts the requests prepared.
     """
 
     def __init__(self, responses: Sequence[str | Exception]):
         self.responses = list(responses)
         self.calls = 0
-        self._reserved = 0
+        self.reserved = 0
         self._lock = threading.Lock()
 
     def reserve(self, messages: Sequence[ChatMessage]) -> Callable[[], str]:
         """Take the next entry now; the returned function returns it, or
         raises it (or `ScriptedExhaustedError` when none was left)."""
         with self._lock:
-            index = self._reserved
-            self._reserved += 1
+            index = self.reserved
+            self.reserved += 1
 
         def hand_over() -> str:
             with self._lock:

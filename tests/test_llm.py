@@ -6,7 +6,7 @@ import random
 import pytest
 import requests
 
-from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
+from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError, send_ahead
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import ChatMessage, Role, conversation_hash
 from jsonduel.llm.mock import ReplayClient, ReplayMissError, ReplayScenario
@@ -207,6 +207,9 @@ class TestMocks:
             ([], "must be an object with version 1"),
             ({"responses": {}}, "must be an object with version 1"),
             ({"version": 2, "responses": {}}, "must be an object with version 1"),
+            ({"version": True, "responses": {}}, "must be an object with version 1"),
+            ({"version": 1.0, "responses": {}}, "must be an object with version 1"),
+            ({"version": "1", "responses": {}}, "must be an object with version 1"),
             ({"version": 1}, "needs a 'responses' object of lists of strings"),
             ({"version": 1, "responses": []}, "needs a 'responses' object of lists of strings"),
             ({"version": 1, "responses": {"ab": "hello"}}, "needs a 'responses' object of lists of strings"),
@@ -214,6 +217,7 @@ class TestMocks:
         ],
         ids=[
             "not-json", "list", "no-version", "version-2",
+            "version-true", "version-float", "version-string",
             "no-responses", "responses-list", "reply-string", "reply-number",
         ],
     )
@@ -236,6 +240,25 @@ class TestMocks:
         client = ScriptedClient([TransportError("down")])
         with pytest.raises(TransportError):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
+
+
+class TestSendAhead:
+    def test_item_k_plus_ahead_is_sent_after_item_k_is_taken(self):
+        sent = []
+
+        def send(item):
+            sent.append(item)
+            return item * 10
+
+        window = send_ahead(iter(range(6)), send, 2)
+        assert next(window) == 0 and sent == [0, 1]
+        assert next(window) == 10 and sent == [0, 1, 2]
+        window.close()  # a caller that stops asking sends nothing more
+        assert sent == [0, 1, 2]
+
+    def test_fewer_items_than_the_window(self):
+        assert list(send_ahead([1, 2], lambda item: -item, 5)) == [-1, -2]
+        assert list(send_ahead([], lambda item: item, 3)) == []
 
 
 class TestGenParams:

@@ -13,6 +13,7 @@ from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import Role
 from jsonduel.llm.mock import ReplayClient
 from jsonduel.llm.prompts import SUMMARIZE_PROMPT, build_context
+from jsonduel.pipeline import runner
 from jsonduel.pipeline.config import (
     ConfigError,
     CorpusSource,
@@ -440,6 +441,33 @@ class TestFailureModes:
         text = (config.out_dir / "report.txt").read_text()
         assert "lost:          3 of 12 planned generations" in text
 
+    @pytest.mark.parametrize("in_flight", [1, 4])
+    def test_late_transport_failure_prepares_nothing_after_it(
+        self, tmp_path, seeds_dir, in_flight
+    ):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        script = wrap_response("assert_eq(1, 1);\n")
+        client = ScriptedClient(["summary"] + [script] * 9 + [TransportError("down")] + [script] * 50)
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=1, n_per_seed=60),
+            mutation=MutationMode.NONE,
+            out_dir=tmp_path / "out",
+            in_flight=in_flight,
+        )
+        report = run(config, client=client)
+        assert not report.complete
+        # Of the 61 requests, only the summary, the ten generations up to the
+        # failure and the ones sent ahead of them were prepared.
+        assert client.calls <= client.reserved <= 1 + 9 + runner.AHEAD_PER_SLOT * in_flight
+        ids = [sid for sid, _ in report.records]
+        # Workers may drop one of the nine once the failure is seen.
+        assert ids == [f"issue1-g{k}" for k in range(9) if f"issue1-g{k}" in ids]
+        assert len(report.verdicts) == len(ids)
+        text = (config.out_dir / "report.txt").read_text()
+        assert f"lost:          {60 - len(ids)} of 60 planned generations" in text
+
     def test_empty_completion_aborts_like_transport_failure(self, tmp_path, seeds_dir):
         from jsonduel.llm.client import GenerationError
 
@@ -481,6 +509,62 @@ class TestFailureModes:
         assert report.counts["plain"].extraction_failures == 1
         (_, record), = report.records
         assert record.extraction.category == "context-overflow"
+
+
+class TestSendWindow:
+    """A run prepares a task's generation only once the task
+    `AHEAD_PER_SLOT * in_flight` places before it has been handled, and
+    builds each conversation once."""
+
+    @pytest.mark.parametrize("in_flight", [1, 4])
+    def test_generations_prepared_ahead_of_the_one_handled(
+        self, tmp_path, seeds_dir, monkeypatch, in_flight
+    ):
+        for i in range(3):
+            (seeds_dir / f"issue{i}.t").write_text(f"assert_eq({i}, {i});\n")
+        client = ScriptedClient(["summary"] * 3 + [wrap_response("assert_eq(1, 1);\n")] * 60)
+        prepared: list[int] = []
+        write_record = runner.write_record
+
+        def spy(*args):
+            prepared.append(client.reserved)
+            write_record(*args)
+
+        monkeypatch.setattr(runner, "write_record", spy)
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=1, n_per_seed=20),
+            out_dir=tmp_path / "out",
+            in_flight=in_flight,
+        )
+        assert run(config, client=client).complete
+        ahead = runner.AHEAD_PER_SLOT * in_flight
+        assert len(prepared) == 60
+        # Handling the first generation: the three summaries and the first
+        # `ahead` generations, not all 60.
+        assert prepared[0] == 3 + ahead
+        assert all(count <= 3 + k + ahead for k, count in enumerate(prepared))
+
+    def test_tasks_with_one_conversation_share_its_messages(self, tmp_path, seeds_dir):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        (seeds_dir / "issue2.t").write_text("assert_eq(2, 2);\n")
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=1, n_per_seed=3),
+            mutation=MutationMode.NONE,
+            out_dir=tmp_path / "out",
+            in_flight=2,
+        )
+        client = ScriptedClient(["one", "two"] + [wrap_response("assert_eq(1, 1);\n")] * 6)
+        report = run(config, client=client)
+        by_seed: dict[str, set[int]] = {}
+        for _, record in report.records:
+            by_seed.setdefault(record.seed_id, set()).add(id(record.messages))
+        assert sorted(len(ids) for ids in by_seed.values()) == [1, 1]
+        first, second = (record.messages for _, record in report.records[::3])
+        assert first is not second and first[2].content == "one" and second[2].content == "two"
 
 
 class TestConfig:

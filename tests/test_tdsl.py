@@ -455,6 +455,37 @@ class TestAst:
             if node in ast.KEYWORDS:
                 assert fields[: len(expected)] == expected, node.__name__
 
+    def test_nodes_are_slotted_frozen_dataclasses(self):
+        nodes = [
+            value for value in vars(ast).values()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+        ]
+        assert set(ast.EXPR_FIELDS) | {Script, ast.BeanDef, ast.BeanField, Prim} <= set(nodes)
+        for node in nodes:
+            assert "__slots__" in vars(node), node.__name__
+        script = parse_script(
+            "bean B { x: list<integer>; }\n"
+            'let b = make_bean(B, x = [1]);\n'
+            'assert_eq("1", get(parse(serialize(b)), "x", string));\n'
+        )
+        instances = [script, *script.beans, *script.beans[0].fields, script.beans[0].fields[0].type]
+        stack = list(script.statements)
+        while stack:
+            node = stack.pop()
+            instances.append(node)
+            stack += [getattr(node, name) for name in ast.EXPR_FIELDS[type(node)]]
+            stack += [expr for _, expr in getattr(node, "assignments", ())]
+        assert {type(node) for node in instances} >= {Let, AssertEq, Get, ParseValue, Serialize, Lit}
+        for node in instances:
+            assert not hasattr(node, "__dict__"), type(node).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            script.statements[0].name = "c"
+        assert Lit("x") != Var("x")
+        assert Lit("x") == Lit("x") and hash(Lit("x")) == hash(Lit("x"))
+        assert {Prim("string"), Prim("string"), ast.BeanRef("string")} == {
+            Prim("string"), ast.BeanRef("string")
+        }
+
     def test_grammar_file_matches_the_keyword_table(self):
         grammar = GRAMMAR.read_text()
         # A rule runs from "name =" over the indented lines after it.
