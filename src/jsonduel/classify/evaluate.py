@@ -167,7 +167,7 @@ def classify_cases(
     """
     with ThreadPoolExecutor(max_workers=OPEN_REQUESTS) as pool:
         send = partial(send_votes, mode=mode, client=client, params=params, pool=pool)
-        for index, votes in enumerate(send_ahead(cases, send, CASES_IN_FLIGHT)):
+        for index, (_, votes) in enumerate(send_ahead(cases, send, CASES_IN_FLIGHT)):
             try:
                 yield classify(votes)
             except ClassificationAborted as exc:

@@ -13,6 +13,7 @@ import logging
 import os
 import time
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
@@ -57,16 +58,38 @@ def prepare_request(
     return reserve(messages) if reserve else partial(client.complete, messages, params)
 
 
-def send_ahead(items: Iterable, send: Callable, ahead: int) -> Iterator:
-    """`send(item)` for each item in order, yielding what it returned in
-    the same order. Item k + `ahead` is taken from `items` and sent only
-    when the caller asks for item k + 1, after it is done with item k, so
-    a caller that stops asking sends nothing more."""
+def send_ahead(items: Iterable, send: Callable, ready: int, open_max: int = 0) -> Iterator:
+    """`send(item)` for each item in order, yielding (item, what `send`
+    returned) in the same order. Up to `open_max` returned futures are
+    unfinished at once; once at most half of them are, the window is
+    topped up in one batch. Sending pauses while `ready` sent items wait,
+    finished, to be yielded, unless the one due next is unfinished: a late
+    reply does not hold up the rest. Anything but a future counts as
+    finished, so with `open_max` 0 item k + `ready` is sent once item k is
+    yielded. Items are taken from `items` only as they are sent, so a
+    caller that stops asking sends nothing more."""
     items = iter(items)
-    sent = deque(send(item) for item in islice(items, ahead))
-    while sent:
-        yield sent.popleft()
-        sent.extend(send(item) for item in islice(items, 1))
+    held: deque = deque()
+    unfinished: set[Future] = set()
+    more = True
+    while more or held:
+        unfinished = {future for future in unfinished if not future.done()}
+        head = held[0][1] if held else None
+        late = isinstance(head, Future) and head in unfinished
+        room = late or len(held) - len(unfinished) < ready
+        if more and room and len(unfinished) <= open_max // 2:
+            batch = max(open_max - len(unfinished), 1)
+            for item in islice(items, batch):
+                sent = send(item)
+                if open_max and isinstance(sent, Future):
+                    unfinished.add(sent)
+                held.append((item, sent))
+                batch -= 1
+            more = batch == 0
+        elif late:
+            wait(unfinished, return_when=FIRST_COMPLETED)
+        else:
+            yield held.popleft()
 
 
 class HttpChatClient:

@@ -4,14 +4,12 @@ Summaries and generations share one pool of `in_flight` request slots.
 The calling thread builds every request and prepares it with
 `prepare_request`, in request order, so worker threads only wait on the
 model: one summary per distinct seed text first, then each task's
-generation, in task order, once its seed's summary is in and once the
-task `AHEAD_PER_SLOT * in_flight` places before it has been handled
-(`send_ahead`). Tasks with the same seed text and rule share one message
-tuple. It takes the replies back in task order and extracts, executes,
-judges and writes each one (`records/`, `scripts/`) while later requests
-are still out; `verdicts.jsonl`, `bugs.jsonl` and `report.txt` are
-written once, at the end. The writers and the `RunReport` that `run`
-returns live in `report`.
+generation, in task order, once its seed's summary is in and as the
+send window (`send_ahead`) lets it go. It takes the replies back in task
+order and extracts, executes, judges and writes each one (`records/`,
+`scripts/`) while later requests are still out; `verdicts.jsonl`,
+`bugs.jsonl` and `report.txt` are written once, at the end. The writers
+and the `RunReport` that `run` returns live in `report`.
 
 Reproducibility contract: with a fixed config, corpus, replay scenario
 and RNG seed, two runs produce identical reports (verdicts.jsonl,
@@ -54,10 +52,12 @@ log = logging.getLogger(__name__)
 PLAIN = "plain"
 MUTATE = "mutate"
 
-# Generations sent ahead of the one being handled, per request slot: enough
-# that a stall of the calling thread leaves no slot idle, and a bound that
-# keeps a run's memory from growing with the number of its tasks.
-AHEAD_PER_SLOT = 8
+# The send window (`send_ahead`), per request slot. Up to OPEN_PER_SLOT
+# generations are unfinished at once, sent in batches large enough that a
+# model answering at once seldom makes the threads trade turns. Sending
+# pauses while READY_PER_SLOT replies wait, unless the one due next is late.
+OPEN_PER_SLOT = 32
+READY_PER_SLOT = 128
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,8 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
             return pool.submit(_guarded, stop, prepare_request(client, messages, config.params))
 
         def send_generation(conversation):
-            task, messages = conversation
-            limit = config.context_limit_chars
-            chars = sum(len(m.content) for m in messages)
-            if limit and chars > limit:
-                return task, messages, ExtractionFailure(
-                    CONTEXT_OVERFLOW, f"prompt of {chars} chars exceeds the {limit}-char context limit"
-                )
-            return task, messages, send(messages)
+            _, messages, failure = conversation
+            return failure or send(messages)
 
         try:
             # One summary per distinct seed text, queued first: the pool takes
@@ -142,9 +136,10 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
             for seed in corpus.seeds:
                 if seed.script_text not in summaries:
                     summaries[seed.script_text] = send(build_summary_request(seed.script_text))
-            conversations = _conversations(tasks, summaries, stop)
-            ahead = AHEAD_PER_SLOT * config.in_flight
-            for task, messages, reply in send_ahead(conversations, send_generation, ahead):
+            conversations = _conversations(tasks, summaries, config.context_limit_chars, stop)
+            ready, open_max = READY_PER_SLOT * config.in_flight, OPEN_PER_SLOT * config.in_flight
+            window = send_ahead(conversations, send_generation, ready, open_max)
+            for (task, messages, _), reply in window:
                 raw, extraction = "", reply
                 if isinstance(reply, Future):
                     try:
@@ -219,12 +214,14 @@ def _guarded(stop: threading.Event, fn):
 
 
 def _conversations(
-    tasks: list[_Task], summaries: dict[str, Future], stop: threading.Event
-) -> Iterator[tuple[_Task, tuple[ChatMessage, ...]]]:
+    tasks: list[_Task], summaries: dict[str, Future], limit: int, stop: threading.Event
+) -> Iterator[tuple[_Task, tuple[ChatMessage, ...], ExtractionFailure | None]]:
     """Each task with its generation request, in task order, once its seed's
-    summary is in, until the run stops. Tasks with the same seed text and
-    rule share one message tuple. A failed or empty summary stops the run."""
-    prompts: dict[tuple[str, MutationRule | None], tuple[ChatMessage, ...]] = {}
+    summary is in. Tasks with the same seed text and rule share one message
+    tuple. A prompt over `limit` chars comes with a context-overflow
+    failure, as it is not to be sent; once the run stops, only those come.
+    A failed or empty summary stops the run."""
+    prompts: dict[tuple[str, MutationRule | None], tuple] = {}
     for task in tasks:
         try:
             summary = summaries[task.seed.script_text].result()
@@ -236,9 +233,16 @@ def _conversations(
             stop.set()
             log.error("aborting run, summary of %s failed: %s", task.seed.id, exc)
             return
-        if stop.is_set():
-            return
         key = (task.seed.script_text, task.rule)
         if key not in prompts:
-            prompts[key] = tuple(build_context(task.seed.script_text, summary, task.rule))
-        yield task, prompts[key]
+            messages = tuple(build_context(task.seed.script_text, summary, task.rule))
+            chars = sum(len(m.content) for m in messages)
+            failure = None
+            if limit and chars > limit:
+                failure = ExtractionFailure(
+                    CONTEXT_OVERFLOW, f"prompt of {chars} chars exceeds the {limit}-char context limit"
+                )
+            prompts[key] = messages, failure
+        messages, failure = prompts[key]
+        if failure or not stop.is_set():
+            yield task, messages, failure

@@ -2,6 +2,9 @@
 
 import json
 import random
+import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 import requests
@@ -242,8 +245,15 @@ class TestMocks:
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
 
+def _until(condition) -> None:
+    deadline = time.monotonic() + 5
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
 class TestSendAhead:
-    def test_item_k_plus_ahead_is_sent_after_item_k_is_taken(self):
+    def test_item_k_plus_ready_is_sent_after_item_k_is_taken(self):
         sent = []
 
         def send(item):
@@ -251,14 +261,69 @@ class TestSendAhead:
             return item * 10
 
         window = send_ahead(iter(range(6)), send, 2)
-        assert next(window) == 0 and sent == [0, 1]
-        assert next(window) == 10 and sent == [0, 1, 2]
+        assert next(window) == (0, 0) and sent == [0, 1]
+        assert next(window) == (1, 10) and sent == [0, 1, 2]
         window.close()  # a caller that stops asking sends nothing more
         assert sent == [0, 1, 2]
 
     def test_fewer_items_than_the_window(self):
-        assert list(send_ahead([1, 2], lambda item: -item, 5)) == [-1, -2]
+        assert list(send_ahead([1, 2], lambda item: -item, 5)) == [(1, -1), (2, -2)]
         assert list(send_ahead([], lambda item: item, 3)) == []
+
+    def test_sending_pauses_while_ready_items_wait(self):
+        sent = []
+
+        def send(item):
+            sent.append(item)
+            future = Future()
+            future.set_result(item)
+            return future
+
+        window = send_ahead(range(50), send, 3, open_max=4)
+        assert next(window)[1].result() == 0 and len(sent) == 4
+        assert next(window)[1].result() == 1 and len(sent) == 4
+        # Two ready items are fewer than three: the next batch goes out.
+        assert next(window)[1].result() == 2 and len(sent) == 8
+
+    def test_open_futures_are_refilled_in_batches(self):
+        futures: list[Future] = []
+
+        def send(item):
+            futures.append(Future())
+            return futures[-1]
+
+        window = send_ahead(range(20), send, 100, open_max=4)
+        taken = []
+        taker = threading.Thread(target=lambda: taken.append(next(window)))
+        taker.start()
+        _until(lambda: len(futures) == 4)
+        futures[1].set_result(1)  # three unfinished: more than half of four
+        time.sleep(0.05)
+        assert len(futures) == 4
+        futures[2].set_result(2)  # two unfinished: two more go out
+        _until(lambda: len(futures) == 6)
+        futures[0].set_result(0)
+        taker.join(5)
+        assert taken == [(0, futures[0])] and len(futures) == 6
+
+    def test_a_late_item_does_not_hold_up_the_rest(self):
+        futures: list[Future] = []
+
+        def send(item):
+            futures.append(Future())
+            if item:
+                futures[-1].set_result(item)
+            return futures[-1]
+
+        window = send_ahead(range(50), send, 2, open_max=4)
+        taken = []
+        taker = threading.Thread(target=lambda: taken.append(next(window)))
+        taker.start()
+        # Item 0 is late, so the ready items behind it do not pause sending.
+        _until(lambda: len(futures) == 50)
+        futures[0].set_result(0)
+        taker.join(5)
+        assert [future.result() for _, future in taken + list(window)] == list(range(50))
 
 
 class TestGenParams:

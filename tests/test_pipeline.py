@@ -443,30 +443,73 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("in_flight", [1, 4])
     def test_late_transport_failure_prepares_nothing_after_it(
-        self, tmp_path, seeds_dir, in_flight
+        self, tmp_path, seeds_dir, monkeypatch, in_flight
     ):
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
         script = wrap_response("assert_eq(1, 1);\n")
-        client = ScriptedClient(["summary"] + [script] * 9 + [TransportError("down")] + [script] * 50)
+        client = ScriptedClient(["summary"] + [script] * 9 + [TransportError("down")] + [script] * 390)
+        prepared_at_failure = []
+        guarded = runner._guarded
+
+        def spy(stop, fn):
+            try:
+                return guarded(stop, fn)
+            except TransportError:
+                prepared_at_failure.append(client.reserved)
+                raise
+
+        monkeypatch.setattr(runner, "_guarded", spy)
         config = PipelineConfig(
             corpus=CorpusSource(root=seeds_dir),
             backends=("reference", "reference-copy"),
-            params=GenParams(seed=1, n_per_seed=60),
+            params=GenParams(seed=1, n_per_seed=400),
             mutation=MutationMode.NONE,
             out_dir=tmp_path / "out",
             in_flight=in_flight,
         )
         report = run(config, client=client)
         assert not report.complete
-        # Of the 61 requests, only the summary, the ten generations up to the
-        # failure and the ones sent ahead of them were prepared.
-        assert client.calls <= client.reserved <= 1 + 9 + runner.AHEAD_PER_SLOT * in_flight
+        # The run stops before the spy sees the failure; after that, at most
+        # the request whose task was already taken is prepared.
+        assert client.reserved <= prepared_at_failure[0] + 1 < 401
         ids = [sid for sid, _ in report.records]
         # Workers may drop one of the nine once the failure is seen.
         assert ids == [f"issue1-g{k}" for k in range(9) if f"issue1-g{k}" in ids]
         assert len(report.verdicts) == len(ids)
         text = (config.out_dir / "report.txt").read_text()
-        assert f"lost:          {60 - len(ids)} of 60 planned generations" in text
+        assert f"lost:          {400 - len(ids)} of 400 planned generations" in text
+
+    @pytest.mark.parametrize("in_flight", [1, 4])
+    def test_transport_failure_still_records_later_context_overflows(
+        self, tmp_path, seeds_dir, in_flight
+    ):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        (seeds_dir / "issue2.t").write_text(f'assert_eq("{"x" * 2000}", "x");\n')
+        fits = sum(len(m.content) for m in build_context("assert_eq(1, 1);\n", "s1", None))
+        script = wrap_response("assert_eq(1, 1);\n")
+        client = ScriptedClient(["s1", "s2", script, script, TransportError("down")])
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=1, n_per_seed=20),
+            mutation=MutationMode.NONE,
+            out_dir=tmp_path / "out",
+            in_flight=in_flight,
+            context_limit_chars=fits + 500,
+        )
+        report = run(config, client=client)
+        assert not report.complete
+        ids = [sid for sid, _ in report.records]
+        # issue2's prompts need no request: each is recorded as an overflow,
+        # however far the run had got when issue1-g2 failed.
+        overflows = [f"issue2-g{k}" for k in range(20)]
+        assert ids == [sid for sid in ("issue1-g0", "issue1-g1") if sid in ids] + overflows
+        assert all(
+            record.extraction.category == "context-overflow"
+            for sid, record in report.records if sid in overflows
+        )
+        text = (config.out_dir / "report.txt").read_text()
+        assert f"lost:          {40 - len(ids)} of 40 planned generations" in text
 
     def test_empty_completion_aborts_like_transport_failure(self, tmp_path, seeds_dir):
         from jsonduel.llm.client import GenerationError
@@ -511,40 +554,98 @@ class TestFailureModes:
         assert record.extraction.category == "context-overflow"
 
 
-class TestSendWindow:
-    """A run prepares a task's generation only once the task
-    `AHEAD_PER_SLOT * in_flight` places before it has been handled, and
-    builds each conversation once."""
+class InOrderClient(ScriptedClient):
+    """Hands replies over in the order the requests were prepared."""
 
-    @pytest.mark.parametrize("in_flight", [1, 4])
+    def __init__(self, responses):
+        super().__init__(responses)
+        self._turn = 0
+        self._turns = threading.Condition()
+
+    def reserve(self, messages):
+        hand_over = super().reserve(messages)
+        index = self.reserved - 1
+
+        def in_turn() -> str:
+            with self._turns:
+                assert self._turns.wait_for(lambda: self._turn == index, 10), "out of turn"
+            try:
+                return hand_over()
+            finally:
+                with self._turns:
+                    self._turn += 1
+                    self._turns.notify_all()
+
+        return in_turn
+
+
+class LateClient(ScriptedClient):
+    """Hands reply `late` over only once every other one has been."""
+
+    def __init__(self, responses, late: int):
+        super().__init__(responses)
+        self.others_done = threading.Event()
+        self._late = late
+
+    def reserve(self, messages):
+        hand_over = super().reserve(messages)
+        index = self.reserved - 1
+
+        def deliver() -> str:
+            if index == self._late:
+                assert self.others_done.wait(10), "the other replies were held up"
+                return hand_over()
+            reply = hand_over()
+            if self.calls == len(self.responses) - 1:
+                self.others_done.set()
+            return reply
+
+        return deliver
+
+
+class TestSendWindow:
+    """A run keeps `OPEN_PER_SLOT * in_flight` generations open and stops
+    sending while `READY_PER_SLOT * in_flight` replies wait for it, unless
+    the one it waits for is late; it builds each conversation once."""
+
+    @pytest.mark.parametrize("in_flight", [1, 2])
     def test_generations_prepared_ahead_of_the_one_handled(
         self, tmp_path, seeds_dir, monkeypatch, in_flight
     ):
         for i in range(3):
             (seeds_dir / f"issue{i}.t").write_text(f"assert_eq({i}, {i});\n")
-        client = ScriptedClient(["summary"] * 3 + [wrap_response("assert_eq(1, 1);\n")] * 60)
+        client = InOrderClient(["summary"] * 3 + [wrap_response("assert_eq(1, 1);\n")] * 360)
         prepared: list[int] = []
-        write_record = runner.write_record
-
-        def spy(*args):
-            prepared.append(client.reserved)
-            write_record(*args)
-
-        monkeypatch.setattr(runner, "write_record", spy)
+        monkeypatch.setattr(runner, "write_record", lambda *args: prepared.append(client.reserved))
         config = PipelineConfig(
             corpus=CorpusSource(root=seeds_dir),
             backends=("reference", "reference-copy"),
-            params=GenParams(seed=1, n_per_seed=20),
+            params=GenParams(seed=1, n_per_seed=120),
             out_dir=tmp_path / "out",
             in_flight=in_flight,
         )
         assert run(config, client=client).complete
-        ahead = runner.AHEAD_PER_SLOT * in_flight
-        assert len(prepared) == 60
-        # Handling the first generation: the three summaries and the first
-        # `ahead` generations, not all 60.
-        assert prepared[0] == 3 + ahead
+        ahead = (runner.OPEN_PER_SLOT + runner.READY_PER_SLOT) * in_flight
+        assert len(prepared) == 360
+        # Handling generation k: at most the three summaries, k and the
+        # `ahead` after it, not all 360.
         assert all(count <= 3 + k + ahead for k, count in enumerate(prepared))
+
+    def test_a_late_reply_does_not_hold_up_the_others(self, tmp_path, seeds_dir):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        script = wrap_response("assert_eq(1, 1);\n")
+        # The first generation arrives only after the 299 behind it.
+        client = LateClient(["summary"] + [script] * 300, late=1)
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=1, n_per_seed=300),
+            mutation=MutationMode.NONE,
+            out_dir=tmp_path / "out",
+            in_flight=2,
+        )
+        report = run(config, client=client)
+        assert report.complete and client.others_done.is_set()
 
     def test_tasks_with_one_conversation_share_its_messages(self, tmp_path, seeds_dir):
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
