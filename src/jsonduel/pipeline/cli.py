@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="override the RNG seed")
     p_run.add_argument("--mutation", choices=["none", "random"], help="mutation mode")
     p_run.add_argument("--out", type=Path, help="override the output directory")
-    p_run.add_argument("--rounds", type=int, help="repeat the generation loop N times")
 
     p_mine = sub.add_parser("mine", help="mine seed scripts into a manifest")
     p_mine.add_argument("--root", required=True, type=Path)
@@ -84,7 +83,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         mutation=args.mutation,
         out=args.out,
-        rounds=args.rounds,
     )
     report = run(config)
     print(f"report written to {config.out_dir}")

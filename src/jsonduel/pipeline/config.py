@@ -42,7 +42,6 @@ class PipelineConfig:
     mock_scenario: Path | None = None
     in_flight: int = 4
     context_limit_chars: int = 0  # 0 = unlimited
-    rounds: int = 1
 
     def validate(self) -> None:
         self.corpus.validate()
@@ -57,8 +56,6 @@ class PipelineConfig:
                 raise ConfigError(str(exc)) from None
         if self.in_flight < 1:
             raise ConfigError("in_flight must be >= 1")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
 
     def echo(self) -> dict:
         """JSON-safe snapshot of the effective configuration."""
@@ -81,7 +78,6 @@ class PipelineConfig:
             "mock_scenario": str(self.mock_scenario) if self.mock_scenario else None,
             "in_flight": self.in_flight,
             "context_limit_chars": self.context_limit_chars,
-            "rounds": self.rounds,
         }
 
 
@@ -102,11 +98,12 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a l
 
 
 def _get(raw: dict, key: str, want: type, default=None, prefix: str = ""):
-    """`raw[key]` if it has JSON type `want` (a number may be an integer),
-    `default` if the key is absent or, for an optional key, null."""
-    if key not in raw or (raw[key] is None and default is None):
-        return default
-    value = raw[key]
+    """Take `key` out of `raw`: its value if it has JSON type `want` (a
+    number may be an integer), `default` if the key is absent or, for an
+    optional key, null. Keys left in `raw` once all are taken are unknown."""
+    value = raw.pop(key, default)
+    if value is None and default is None:
+        return None
     if want is list:
         ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
     else:
@@ -135,7 +132,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    corpus_raw = data.get("corpus")
+    corpus_raw = data.pop("corpus", None)
     if not isinstance(corpus_raw, dict):
         raise ConfigError("config needs a 'corpus' object")
     root = _get(corpus_raw, "root", str, prefix="corpus.")
@@ -169,8 +166,10 @@ def load_config(path: Path | str) -> PipelineConfig:
         mock_scenario=rel(mock_scenario) if mock_scenario else None,
         in_flight=_get(data, "in_flight", int, 4),
         context_limit_chars=_get(data, "context_limit_chars", int, 0),
-        rounds=_get(data, "rounds", int, 1),
     )
+    for raw, prefix in ((data, ""), (corpus_raw, "corpus.")):
+        if raw:
+            raise ConfigError(f"unknown config key '{prefix}{next(iter(raw))}'")
     config.validate()
     return config
 
@@ -182,7 +181,6 @@ def with_overrides(
     seed: int | None = None,
     mutation: str | None = None,
     out: Path | str | None = None,
-    rounds: int | None = None,
 ) -> PipelineConfig:
     """Apply CLI flag overrides on top of a loaded config."""
     if mock is not None:
@@ -195,7 +193,5 @@ def with_overrides(
         config = dataclasses.replace(config, mutation=parse_mutation(mutation))
     if out is not None:
         config = dataclasses.replace(config, out_dir=Path(out))
-    if rounds is not None:
-        config = dataclasses.replace(config, rounds=rounds)
     config.validate()
     return config

@@ -51,7 +51,7 @@ class RunReport:
     manifest_hash: str
     started_at: str
     counts: dict[str, ModeCounts]
-    records: list[tuple[str, GenerationRecord]]  # (script_id, record), in order
+    records: list[tuple[str, GenerationRecord]]  # (script_id, record), in task order
     verdicts: list[DiffVerdict]
     bug_reports: list[BugReport]
     suppressed_signatures: list[str]

@@ -4,12 +4,14 @@ Summaries and generations share one pool of `in_flight` request slots.
 The calling thread builds every request and prepares it with
 `prepare_request`, in request order, so worker threads only wait on the
 model: one summary per distinct seed text first, then each task's
-generation, in task order, once its seed's summary is in and as the
-send window (`send_ahead`) lets it go. It takes the replies back in task
-order and extracts, executes, judges and writes each one (`records/`,
-`scripts/`) while later requests are still out; `verdicts.jsonl`,
-`bugs.jsonl` and `report.txt` are written once, at the end. The writers
-and the `RunReport` that `run` returns live in `report`.
+generation, in task order, once its seed's summary is in, with at most
+`OPEN_PER_SLOT * in_flight` generations sent but not yet handled.
+It handles each reply as it arrives: extracts, executes, judges and
+writes it (`records/`, `scripts/`) while later requests are still out.
+Each record and verdict is stored at its task's place, so
+`verdicts.jsonl`, `bugs.jsonl` and `report.txt`, written once at the
+end, list them in task order. The writers and the `RunReport` that
+`run` returns live in `report`.
 
 Reproducibility contract: with a fixed config, corpus, replay scenario
 and RNG seed, two runs produce identical reports (verdicts.jsonl,
@@ -29,6 +31,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from queue import SimpleQueue
 from typing import Iterator
 
 from ..backends import resolve_backend
@@ -37,7 +40,7 @@ from ..backends.outcomes import TestOutcome
 from ..corpus import SeedTest, load_corpus, mine_seeds
 from ..diffcore import DiffVerdict, VerdictStatus, dedup, make_verdict
 from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError
-from ..llm.client import prepare_request, send_ahead
+from ..llm.client import prepare_request
 from ..llm.generation import GenerationRecord, pick_rule
 from ..llm.messages import ChatMessage
 from ..llm.mock import ReplayClient
@@ -52,12 +55,11 @@ log = logging.getLogger(__name__)
 PLAIN = "plain"
 MUTATE = "mutate"
 
-# The send window (`send_ahead`), per request slot. Up to OPEN_PER_SLOT
-# generations are unfinished at once, sent in batches large enough that a
-# model answering at once seldom makes the threads trade turns. Sending
-# pauses while READY_PER_SLOT replies wait, unless the one due next is late.
+# Generations sent but not yet handled, at most, per request slot. Once
+# that many are, replies are handled until one per slot is left, and then
+# the next batch is sent: a model that answers at once then wakes a
+# worker once per batch, not once per generation.
 OPEN_PER_SLOT = 32
-READY_PER_SLOT = 128
 
 
 @dataclass(frozen=True)
@@ -101,33 +103,58 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     # Rules are pre-drawn in one deterministic sweep so that parallel
     # generation cannot perturb the sequence.
     rng = random.Random(config.params.seed)
-    per_seed_index: dict[str, int] = {}
-    tasks: list[_Task] = []
-    for _ in range(config.rounds):
-        for seed in corpus.seeds:
-            for _ in range(config.params.n_per_seed):
-                k = per_seed_index.get(seed.id, 0)
-                per_seed_index[seed.id] = k + 1
-                tasks.append(
-                    _Task(f"{_sanitize(seed.id)}-g{k}", seed, pick_rule(rng, config.mutation))
-                )
+    tasks = [
+        _Task(f"{_sanitize(seed.id)}-g{k}", seed, pick_rule(rng, config.mutation))
+        for seed in corpus.seeds
+        for k in range(config.params.n_per_seed)
+    ]
 
     for folder in ("records", "scripts"):
         (config.out_dir / folder).mkdir(parents=True, exist_ok=True)
-    records: list[tuple[str, GenerationRecord]] = []
+    # Replies are handled as they arrive, so each lands at its task's index.
+    record_at: list[tuple[str, GenerationRecord] | None] = [None] * len(tasks)
+    verdict_at: list[DiffVerdict | None] = [None] * len(tasks)
     counts: dict[str, ModeCounts] = {}
-    verdicts: list[DiffVerdict] = []
     op_counts: dict[str, dict[str, int]] = {b.name: {} for b in backends}
     stop = threading.Event()
+
+    def handle(index: int, task: _Task, messages: tuple[ChatMessage, ...], reply) -> None:
+        raw, extraction = "", reply
+        if isinstance(reply, Future):
+            try:
+                raw = reply.result()
+            except _Stopped:
+                return
+            except (TransportError, GenerationError) as exc:
+                log.error("aborting run, generation %s failed: %s", task.script_id, exc)
+                return
+            extraction = extract_script(raw)
+        record = GenerationRecord(task.seed.id, task.rule, messages, raw, extraction)
+        record_at[index] = task.script_id, record
+        write_record(config.out_dir, task.script_id, record)
+        mode = MUTATE if record.rule is not None else PLAIN
+        mode_counts = counts.setdefault(mode, ModeCounts())
+        mode_counts.generated += 1
+        script = record.extracted_script
+        if script is None:
+            mode_counts.extraction_failures += 1
+            return
+        outcomes: dict[str, TestOutcome] = {}
+        for backend in backends:
+            hits = op_counts[backend.name]
+
+            def count_op(op: str, hits=hits) -> None:
+                hits[op] = hits.get(op, 0) + 1
+
+            outcome = execute(script, backend, on_op=count_op)
+            outcomes[backend.name] = outcome
+            mode_counts.per_backend.setdefault(backend.name, OutcomeCounts()).add(outcome)
+        verdict_at[index] = make_verdict(task.script_id, script, outcomes)
 
     with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
 
         def send(messages) -> Future:
             return pool.submit(_guarded, stop, prepare_request(client, messages, config.params))
-
-        def send_generation(conversation):
-            _, messages, failure = conversation
-            return failure or send(messages)
 
         try:
             # One summary per distinct seed text, queued first: the pool takes
@@ -137,43 +164,29 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
                 if seed.script_text not in summaries:
                     summaries[seed.script_text] = send(build_summary_request(seed.script_text))
             conversations = _conversations(tasks, summaries, config.context_limit_chars, stop)
-            ready, open_max = READY_PER_SLOT * config.in_flight, OPEN_PER_SLOT * config.in_flight
-            window = send_ahead(conversations, send_generation, ready, open_max)
-            for (task, messages, _), reply in window:
-                raw, extraction = "", reply
-                if isinstance(reply, Future):
-                    try:
-                        raw = reply.result()
-                    except _Stopped:
-                        continue
-                    except (TransportError, GenerationError) as exc:
-                        log.error("aborting run, generation %s failed: %s", task.script_id, exc)
-                        continue
-                    extraction = extract_script(raw)
-                record = GenerationRecord(task.seed.id, task.rule, messages, raw, extraction)
-                records.append((task.script_id, record))
-                write_record(config.out_dir, task.script_id, record)
-                mode = MUTATE if record.rule is not None else PLAIN
-                mode_counts = counts.setdefault(mode, ModeCounts())
-                mode_counts.generated += 1
-                script = record.extracted_script
-                if script is None:
-                    mode_counts.extraction_failures += 1
+            arrived: SimpleQueue[Future] = SimpleQueue()
+            pending: dict[Future, tuple[int, _Task, tuple]] = {}  # sent, not yet handled
+
+            def handle_until(left: int) -> None:
+                while len(pending) > left:
+                    reply = arrived.get()
+                    handle(*pending.pop(reply), reply)
+
+            for index, (task, messages, failure) in enumerate(conversations):
+                if failure:
+                    handle(index, task, messages, failure)
                     continue
-                outcomes: dict[str, TestOutcome] = {}
-                for backend in backends:
-                    hits = op_counts[backend.name]
-
-                    def count_op(op: str, hits=hits) -> None:
-                        hits[op] = hits.get(op, 0) + 1
-
-                    outcome = execute(script, backend, on_op=count_op)
-                    outcomes[backend.name] = outcome
-                    mode_counts.per_backend.setdefault(backend.name, OutcomeCounts()).add(outcome)
-                verdicts.append(make_verdict(task.script_id, script, outcomes))
+                future = send(messages)
+                pending[future] = index, task, messages
+                future.add_done_callback(arrived.put)
+                if len(pending) == OPEN_PER_SLOT * config.in_flight:
+                    handle_until(config.in_flight)
+            handle_until(0)
         finally:
             stop.set()  # queued requests are dropped if the loop ends early
 
+    records = [record for record in record_at if record is not None]
+    verdicts = [verdict for verdict in verdict_at if verdict is not None]
     inconsistent = [v for v in verdicts if v.status is VerdictStatus.INCONSISTENT]
     suppressed = sorted(
         {v.signature for v in inconsistent if v.signature in config.suppress}

@@ -1,7 +1,7 @@
 """Package layout: the import graph has no cycle, package `__init__.py`
 files hold no re-exports beyond the few callers rely on, the printer
-does not import the parser, and only a live model client loads the HTTP
-stack.
+does not import the parser, only a live model client loads the HTTP
+stack, and no production code is there only for the tests.
 
 Every module under `src/jsonduel` is parsed with `ast`; imports inside
 functions count too, since they close a cycle just the same.
@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jsonduel"
+BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
 
 # Names a package `__init__.py` may bind by import. `backends` defines
 # `Backend`, `BackendConfigError` and `resolve_backend` itself; `tdsl`
@@ -170,6 +171,50 @@ def test_planted_bugs_live_in_one_module():
             if "BugId" in names:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def _loaded_names(node: ast.AST) -> set[str]:
+    """Every name `node` reads: as a name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _bound_names(statement: ast.stmt) -> list[str]:
+    """The module-level function, class or constant `statement` defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else []
+    if isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_no_production_code_only_tests_use():
+    """Each module-level function, class and constant under `src/jsonduel`
+    (dunders aside) is read by another statement in `src/` or
+    `benchmarks/`; a name only the tests read is not production code."""
+    src = [statement for tree, _ in _modules().values() for statement in tree.body]
+    benchmarks = [
+        statement
+        for path in sorted(BENCHMARKS.glob("*.py"))
+        for statement in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+    ]
+    loads = [_loaded_names(statement) for statement in src + benchmarks]
+    unread = [
+        name
+        for i, statement in enumerate(src)
+        for name in _bound_names(statement)
+        if not name.startswith("__")
+        and not any(name in names for j, names in enumerate(loads) if j != i)
+    ]
+    assert unread == []
 
 
 _HTTP_STACK_PROBE = """

@@ -111,24 +111,6 @@ class TestRun:
         assert target in {v.signature for v in second.verdicts if v.signature}
         assert second.suppressed_signatures == [target]
 
-    def test_rounds_repeat_the_generation_loop(self, tmp_path, seeds_dir):
-        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
-        responses = ["summary"] + [wrap_response("assert_eq(1, 1);\n")] * 6
-        config = PipelineConfig(
-            corpus=CorpusSource(root=seeds_dir),
-            backends=("reference", "reference-copy"),
-            params=GenParams(seed=1, n_per_seed=3),
-            mutation=MutationMode.NONE,
-            out_dir=tmp_path / "out",
-            in_flight=1,
-            rounds=2,
-        )
-        report = run(config, client=ScriptedClient(responses))
-        assert [sid for sid, _ in report.records] == [
-            f"issue1-g{k}" for k in range(6)
-        ]
-        assert report.counts["plain"].generated == 6
-
     def test_summaries_are_requested_once_per_seed(self, tmp_path, fixture_corpus):
         # benign-only scenario: replace each buggy first generation response
         import scenariofix
@@ -604,9 +586,9 @@ class LateClient(ScriptedClient):
 
 
 class TestSendWindow:
-    """A run keeps `OPEN_PER_SLOT * in_flight` generations open and stops
-    sending while `READY_PER_SLOT * in_flight` replies wait for it, unless
-    the one it waits for is late; it builds each conversation once."""
+    """A run keeps at most `OPEN_PER_SLOT * in_flight` generations sent
+    but not handled, handles each reply as it arrives and reports in task
+    order; it builds each conversation once."""
 
     @pytest.mark.parametrize("in_flight", [1, 2])
     def test_generations_prepared_ahead_of_the_one_handled(
@@ -625,7 +607,7 @@ class TestSendWindow:
             in_flight=in_flight,
         )
         assert run(config, client=client).complete
-        ahead = (runner.OPEN_PER_SLOT + runner.READY_PER_SLOT) * in_flight
+        ahead = runner.OPEN_PER_SLOT * in_flight
         assert len(prepared) == 360
         # Handling generation k: at most the three summaries, k and the
         # `ahead` after it, not all 360.
@@ -646,6 +628,12 @@ class TestSendWindow:
         )
         report = run(config, client=client)
         assert report.complete and client.others_done.is_set()
+        # Handled last, the first generation is still reported first.
+        ids = [f"issue1-g{k}" for k in range(300)]
+        assert [sid for sid, _ in report.records] == ids
+        assert [v.script_id for v in report.verdicts] == ids
+        lines = (config.out_dir / "verdicts.jsonl").read_text().splitlines()
+        assert [json.loads(line)["script_id"] for line in lines] == ids
 
     def test_tasks_with_one_conversation_share_its_messages(self, tmp_path, seeds_dir):
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
@@ -743,7 +731,6 @@ class TestConfig:
             ("in_flight", None, "config key 'in_flight' must be an integer"),
             ("n_per_seed", "3", "config key 'n_per_seed' must be an integer"),
             ("n_per_seed", 2.5, "config key 'n_per_seed' must be an integer"),
-            ("rounds", 1.5, "config key 'rounds' must be an integer"),
             ("rng_seed", "7", "config key 'rng_seed' must be an integer"),
             ("temperature", "hot", "config key 'temperature' must be a number"),
             ("temperature", False, "config key 'temperature' must be a number"),
@@ -756,13 +743,17 @@ class TestConfig:
             ("corpus", {"root": 5}, "config key 'corpus.root' must be a string"),
             ("corpus", {"manifest": 5}, "config key 'corpus.manifest' must be a string"),
             ("corpus", {"root": ".", "keyword": 7}, "config key 'corpus.keyword' must be a string"),
+            ("n_per_sed", 9, "unknown config key 'n_per_sed'"),
+            ("rounds", 2, "unknown config key 'rounds'"),
+            ("corpus", {"root": ".", "kewyord": "x"}, "unknown config key 'corpus.kewyord'"),
         ],
         ids=[
             "in_flight-string", "in_flight-true", "in_flight-null", "n_per_seed-string",
-            "n_per_seed-fraction", "rounds-fraction", "rng_seed-string", "temperature-string",
+            "n_per_seed-fraction", "rng_seed-string", "temperature-string",
             "temperature-false", "model-number", "mutation-list", "out_dir-number",
             "suppress-number", "suppress-number-list", "backends-string", "corpus-root-number",
-            "corpus-manifest-number", "corpus-keyword-number",
+            "corpus-manifest-number", "corpus-keyword-number", "unknown-key", "unknown-rounds",
+            "unknown-corpus-key",
         ],
     )
     def test_wrong_json_type_rejected(self, tmp_path, key, value, message):
@@ -820,6 +811,18 @@ class TestCli:
         config.write_text(json.dumps({**payload, "in_flight": "4"}))
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == "error: config key 'in_flight' must be an integer\n"
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [({"in_fligth": 8}, "in_fligth"), ({"corpus": {"root": ".", "kewyord": "x"}}, "corpus.kewyord")],
+        ids=["top-level", "corpus"],
+    )
+    def test_unknown_config_key_exit_1(self, tmp_path, fixture_corpus, capsys, extra, key):
+        config = self._config_file(tmp_path, fixture_corpus)
+        payload = json.loads(config.read_text())
+        config.write_text(json.dumps({**payload, **extra}))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
 
     def test_mine_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
