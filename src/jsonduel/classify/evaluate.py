@@ -20,6 +20,7 @@ from ..backends.outcomes import Pass, TestOutcome, outcome_from_dict
 from ..llm.client import LlmClient, send_ahead
 from ..llm.generation import GenParams
 from ..tdsl.ast import Script
+from ..tdsl.errors import DslError
 from ..tdsl.parser import parse_script
 from .prompts import ClassifyMode
 from .voting import (
@@ -82,14 +83,17 @@ def load_cases(path: Path | str) -> list[FailedCase]:
             raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
         if not isinstance(data, dict) or not isinstance(data.get("script_path"), str):
             raise ValueError(f"{path}:{lineno}: not an object with a string script_path")
-        text = (path.parent / data["script_path"]).read_text(encoding="utf-8")
-        script = parse_script(text)
+        script_path = path.parent / data["script_path"]
+        text = script_path.read_text(encoding="utf-8")
         try:
+            script = parse_script(text)
             if not isinstance(data.get("outcome"), dict):
                 raise ValueError("outcome is not an object")
             outcome = outcome_from_dict(data["outcome"])
             category = Category(data.get("category", "unknown"))
             cases.append(FailedCase(script, text, outcome, data.get("backend", "reference"), category))
+        except DslError as exc:
+            raise ValueError(f"{path}:{lineno}: {script_path}: {exc}") from None
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: outcome has no {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -1,9 +1,9 @@
 """What a run produced, and the artifacts it writes.
 
-`RunReport` holds a finished run's data. `write_record` writes one
-generation's provenance (`records/<id>.json`, `scripts/<id>.t`);
-`write_reports` writes `verdicts.jsonl`, `bugs.jsonl` (`render_jsonl`)
-and `report.txt` (`render_text`).
+`RunReport` holds a finished run's data. `record_line` renders one
+generation's provenance as a `records.jsonl` line; `write_reports`
+writes `verdicts.jsonl`, `bugs.jsonl` (`render_jsonl`) and `report.txt`
+(`render_text`). Every JSONL line is one `_line`.
 """
 
 from __future__ import annotations
@@ -61,19 +61,21 @@ class RunReport:
     complete: bool
 
 
-def write_record(out_dir: Path, script_id: str, record: GenerationRecord) -> None:
-    """Write `records/<id>.json` and, for an extracted script, `scripts/<id>.t`."""
+def _line(obj) -> str:
+    return escape_surrogates(json.dumps(obj, ensure_ascii=False, sort_keys=True)) + "\n"
+
+
+def record_line(script_id: str, record: GenerationRecord) -> str:
+    """One generation's provenance, with its extracted script printed."""
     if isinstance(record.extraction, Script):
-        printed = print_script(record.extraction)
-        (out_dir / "scripts" / f"{script_id}.t").write_text(printed, encoding="utf-8")
-        extraction = {"ok": True, "script": printed}
+        extraction = {"ok": True, "script": print_script(record.extraction)}
     else:
         extraction = {
             "ok": False,
             "category": record.extraction.category,
             "error": record.extraction.error,
         }
-    payload = {
+    return _line({
         "script_id": script_id,
         "seed_id": record.seed_id,
         "rule": record.rule.value if record.rule else None,
@@ -81,37 +83,26 @@ def write_record(out_dir: Path, script_id: str, record: GenerationRecord) -> Non
         "raw_response": record.raw_response,
         "extraction": extraction,
         "timestamp": record.timestamp,
-    }
-    (out_dir / "records" / f"{script_id}.json").write_text(
-        escape_surrogates(json.dumps(payload, ensure_ascii=False, indent=2)) + "\n",
-        encoding="utf-8",
-    )
+    })
 
 
 def write_reports(report: RunReport, out_dir: Path) -> None:
     """Write `verdicts.jsonl`, `bugs.jsonl` and `report.txt`."""
     with (out_dir / "verdicts.jsonl").open("w", encoding="utf-8") as fh:
-        for verdict in report.verdicts:
-            fh.write(
-                json.dumps(
-                    {
-                        "script_id": verdict.script_id,
-                        "status": verdict.status.value,
-                        "signature": verdict.signature,
-                        "outcomes": {
-                            name: outcome_to_dict(outcome)
-                            for name, outcome in sorted(verdict.outcomes.items())
-                        },
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
+        fh.writelines(
+            _line({
+                "script_id": verdict.script_id,
+                "status": verdict.status.value,
+                "signature": verdict.signature,
+                "outcomes": {
+                    name: outcome_to_dict(outcome)
+                    for name, outcome in sorted(verdict.outcomes.items())
+                },
+            })
+            for verdict in report.verdicts
+        )
     (out_dir / "bugs.jsonl").write_bytes(render_jsonl(report))
     (out_dir / "report.txt").write_bytes(render_text(report))
-
 
 
 def _counts_dict(counts: dict[str, ModeCounts]) -> dict:
@@ -143,27 +134,21 @@ def render_jsonl(report: RunReport) -> bytes:
         "suppressed_signatures": report.suppressed_signatures,
         "bugs": len(report.bug_reports),
     }
-    lines = [json.dumps(header, ensure_ascii=False, sort_keys=True)]
+    lines = [_line(header)]
     for bug in report.bug_reports:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "bug",
-                    "signature": bug.signature,
-                    "locus": divergence_locus(bug.outcomes),
-                    "representative_id": bug.representative_id,
-                    "script_ids": list(bug.script_ids),
-                    "script": print_script(bug.representative_script),
-                    "outcomes": {
-                        name: outcome_to_dict(outcome)
-                        for name, outcome in sorted(bug.outcomes.items())
-                    },
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        lines.append(_line({
+            "type": "bug",
+            "signature": bug.signature,
+            "locus": divergence_locus(bug.outcomes),
+            "representative_id": bug.representative_id,
+            "script_ids": list(bug.script_ids),
+            "script": print_script(bug.representative_script),
+            "outcomes": {
+                name: outcome_to_dict(outcome)
+                for name, outcome in sorted(bug.outcomes.items())
+            },
+        }))
+    return "".join(lines).encode("utf-8")
 
 
 def _percent(part: int, whole: int) -> str:

@@ -6,20 +6,20 @@ The calling thread builds every request and prepares it with
 model: one summary per distinct seed text first, then each task's
 generation, in task order, once its seed's summary is in, with at most
 `OPEN_PER_SLOT * in_flight` generations sent but not yet handled.
-It handles each reply as it arrives: extracts, executes, judges and
-writes it (`records/`, `scripts/`) while later requests are still out.
-Each record and verdict is stored at its task's place, so
-`verdicts.jsonl`, `bugs.jsonl` and `report.txt`, written once at the
-end, list them in task order. The writers and the `RunReport` that
-`run` returns live in `report`.
+It handles each reply as it arrives, while later requests are still
+out: extracts, executes and judges it, and writes `scripts/<id>.t` if
+the engines disagree. Each record and verdict is stored at its task's
+place. A record joins `records.jsonl` once all before it have, or at
+the end if an abort dropped one; that file and `verdicts.jsonl`,
+`bugs.jsonl` and `report.txt`, written at the end, are in task order.
 
 Reproducibility contract: with a fixed config, corpus, replay scenario
 and RNG seed, two runs produce identical reports (verdicts.jsonl,
 report.txt, and bugs.jsonl up to the run timestamp, which is isolated
-to one header field). Per-record provenance files carry their own
-timestamps and are otherwise identical too. Replies are picked in
-request order, so the reports (apart from the config echoed in the
-bugs.jsonl header) do not depend on `in_flight` either.
+to one header field) and identical flagged scripts. Each line of
+records.jsonl carries its own timestamp and is otherwise identical too.
+Replies are picked in request order, so none of these (apart from the
+config echoed in the bugs.jsonl header) depend on `in_flight` either.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterator
 from ..backends import resolve_backend
 from ..backends.executor import execute
 from ..backends.outcomes import TestOutcome
-from ..corpus import SeedTest, load_corpus, mine_seeds
+from ..corpus import CorpusError, SeedTest, load_corpus, mine_seeds
 from ..diffcore import DiffVerdict, VerdictStatus, dedup, make_verdict
 from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError
 from ..llm.client import prepare_request
@@ -47,8 +47,9 @@ from ..llm.mock import ReplayClient
 from ..llm.prompts import build_context, build_summary_request
 from ..llm.rules import MutationRule
 from ..tdsl.extract import CONTEXT_OVERFLOW, ExtractionFailure, extract_script
+from ..tdsl.printer import print_script
 from .config import PipelineConfig
-from .report import ModeCounts, OutcomeCounts, RunReport, write_record, write_reports
+from .report import ModeCounts, OutcomeCounts, RunReport, record_line, write_reports
 
 log = logging.getLogger(__name__)
 
@@ -100,6 +101,11 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     corpus, load_errors = _load(config)
     log.info("corpus: %d seeds (%d load errors)", len(corpus.seeds), len(load_errors))
 
+    seed_of: dict[str, str] = {}  # sanitized id -> seed id
+    for seed in corpus.seeds:
+        name = _sanitize(seed.id)
+        if seed_of.setdefault(name, seed.id) != seed.id:
+            raise CorpusError(f"seed ids '{seed_of[name]}' and '{seed.id}' both sanitize to '{name}'")
     # Rules are pre-drawn in one deterministic sweep so that parallel
     # generation cannot perturb the sequence.
     rng = random.Random(config.params.seed)
@@ -109,16 +115,17 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
         for k in range(config.params.n_per_seed)
     ]
 
-    for folder in ("records", "scripts"):
-        (config.out_dir / folder).mkdir(parents=True, exist_ok=True)
+    (config.out_dir / "scripts").mkdir(parents=True, exist_ok=True)
     # Replies are handled as they arrive, so each lands at its task's index.
     record_at: list[tuple[str, GenerationRecord] | None] = [None] * len(tasks)
+    written = 0  # records.jsonl holds record_at[:written]
     verdict_at: list[DiffVerdict | None] = [None] * len(tasks)
     counts: dict[str, ModeCounts] = {}
     op_counts: dict[str, dict[str, int]] = {b.name: {} for b in backends}
     stop = threading.Event()
 
     def handle(index: int, task: _Task, messages: tuple[ChatMessage, ...], reply) -> None:
+        nonlocal written
         raw, extraction = "", reply
         if isinstance(reply, Future):
             try:
@@ -131,7 +138,9 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
             extraction = extract_script(raw)
         record = GenerationRecord(task.seed.id, task.rule, messages, raw, extraction)
         record_at[index] = task.script_id, record
-        write_record(config.out_dir, task.script_id, record)
+        while written < len(tasks) and record_at[written] is not None:
+            records_file.write(record_line(*record_at[written]))
+            written += 1
         mode = MUTATE if record.rule is not None else PLAIN
         mode_counts = counts.setdefault(mode, ModeCounts())
         mode_counts.generated += 1
@@ -149,9 +158,13 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
             outcome = execute(script, backend, on_op=count_op)
             outcomes[backend.name] = outcome
             mode_counts.per_backend.setdefault(backend.name, OutcomeCounts()).add(outcome)
-        verdict_at[index] = make_verdict(task.script_id, script, outcomes)
+        verdict = verdict_at[index] = make_verdict(task.script_id, script, outcomes)
+        if verdict.status is VerdictStatus.INCONSISTENT:
+            script_path = config.out_dir / "scripts" / f"{task.script_id}.t"
+            script_path.write_text(print_script(script), encoding="utf-8")
 
-    with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
+    with (config.out_dir / "records.jsonl").open("w", encoding="utf-8") as records_file, \
+            ThreadPoolExecutor(max_workers=config.in_flight) as pool:
 
         def send(messages) -> Future:
             return pool.submit(_guarded, stop, prepare_request(client, messages, config.params))
@@ -184,6 +197,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
             handle_until(0)
         finally:
             stop.set()  # queued requests are dropped if the loop ends early
+            records_file.writelines(record_line(*r) for r in record_at[written:] if r is not None)
 
     records = [record for record in record_at if record is not None]
     verdicts = [verdict for verdict in verdict_at if verdict is not None]

@@ -108,6 +108,15 @@ class TestLoadCases:
             load_cases(path)
         assert str(info.value) == f"{path}:2: {message}"
 
+    def test_cli_reports_an_unparseable_case_script_and_exits_1(self, tmp_path, capsys):
+        (tmp_path / "a.t").write_text("assert_eq(1 1);\n")
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"script_path": "a.t", "outcome": {"result": "error", "kind": "ParseError"}}\n')
+        assert main(["classify", "--cases", str(path), "--mock", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: {tmp_path / 'a.t'}: expected ',' (line 1, column 13)\n"
+        )
+
     def test_cli_reports_bad_case_fields_and_exits_1(self, tmp_path, capsys):
         (tmp_path / "a.t").write_text("assert_eq(1, 1);\n")
         path = tmp_path / "cases.jsonl"

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from jsonduel.backends.outcomes import describe
+from jsonduel.corpus import CorpusError
+from jsonduel.diffcore import VerdictStatus
 from jsonduel.llm.client import TransportError
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import Role
@@ -30,7 +33,18 @@ from jsonduel.tdsl.parser import parse_script
 
 from clientfix import RecordingScenario, ScriptedClient, connection_pool_size
 from conftest import SEEDS_DIR
-from scenariofix import build_planted_scenario, wrap_response, write_planted_scenario
+from scenariofix import (
+    BUGGY_SCRIPTS,
+    build_planted_scenario,
+    wrap_response,
+    write_planted_scenario,
+)
+
+
+def record_lines(out_dir: Path) -> list[dict]:
+    """`records.jsonl`, one payload per line."""
+    with (out_dir / "records.jsonl").open(encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 def planted_config(tmp_path, corpus, **kwargs) -> PipelineConfig:
@@ -93,10 +107,24 @@ class TestRun:
         assert (out / "bugs.jsonl").is_file()
         assert (out / "verdicts.jsonl").is_file()
         assert (out / "report.txt").is_file()
-        ids = sorted(sid for sid, _ in report.records)
+        ids = [sid for sid, _ in report.records]
         assert len(ids) == 9
-        assert sorted(p.stem for p in (out / "records").glob("*.json")) == ids
-        assert sorted(p.stem for p in (out / "scripts").glob("*.t")) == ids
+        assert [line["script_id"] for line in record_lines(out)] == ids
+        flagged = [v.script_id for v in report.verdicts if v.status is VerdictStatus.INCONSISTENT]
+        assert len(flagged) == 3
+        assert sorted(p.stem for p in (out / "scripts").iterdir()) == sorted(flagged)
+
+    def test_flagged_scripts_exec_to_their_recorded_outcomes(self, tmp_path, fixture_corpus, capsys):
+        config = planted_config(tmp_path, fixture_corpus)
+        report = run(config)
+        capsys.readouterr()
+        flagged = [v for v in report.verdicts if v.status is VerdictStatus.INCONSISTENT]
+        assert flagged
+        for verdict in flagged:
+            script = config.out_dir / "scripts" / f"{verdict.script_id}.t"
+            for engine, outcome in verdict.outcomes.items():
+                assert main(["exec", "--script", str(script), "--backend", engine]) == 0
+                assert capsys.readouterr().out == describe(outcome) + "\n"
 
     def test_suppression_removes_bug_but_keeps_verdict(self, tmp_path, fixture_corpus):
         first = run(planted_config(tmp_path, fixture_corpus))
@@ -135,11 +163,12 @@ class TestGenerationRecords:
     SEED = "assert_eq(1, 1);\n"
     SUMMARY = "Tests that one equals one."
 
-    def _run(self, tmp_path, seeds_dir, responses, mutation=MutationMode.RANDOM_ONE):
+    def _run(self, tmp_path, seeds_dir, responses, mutation=MutationMode.RANDOM_ONE,
+             backends=("reference", "reference-copy")):
         (seeds_dir / "issue1.t").write_text(self.SEED)
         config = PipelineConfig(
             corpus=CorpusSource(root=seeds_dir),
-            backends=("reference", "reference-copy"),
+            backends=backends,
             params=GenParams(seed=5, n_per_seed=1),
             mutation=mutation,
             out_dir=tmp_path / "out",
@@ -178,11 +207,18 @@ class TestGenerationRecords:
 
     def test_lone_surrogate_script_is_written_and_reparses(self, tmp_path, seeds_dir):
         """UTF-8 cannot carry a lone surrogate raw, so the printer escapes it."""
-        response = wrap_response('assert_eq("\\ud800", "x");\n')
-        report, _ = self._run(tmp_path, seeds_dir, [self.SUMMARY, response])
+        text = BUGGY_SCRIPTS["issue1204"] + 'assert_eq("\\ud800", "\\ud800");\n'
+        report, _ = self._run(
+            tmp_path, seeds_dir, [self.SUMMARY, wrap_response(text)],
+            backends=("reference", "planted:L3"),
+        )
         (script_id, record), = report.records
-        text = (tmp_path / "out" / "scripts" / f"{script_id}.t").read_text(encoding="utf-8")
-        assert parse_script(text) == record.extracted_script
+        (verdict,) = report.verdicts
+        assert verdict.status is VerdictStatus.INCONSISTENT
+        script = (tmp_path / "out" / "scripts" / f"{script_id}.t").read_text(encoding="utf-8")
+        (line,) = record_lines(tmp_path / "out")
+        assert line["extraction"]["script"] == script
+        assert parse_script(script) == record.extracted_script
 
     def test_lone_surrogate_reply_is_recorded_exactly(self, tmp_path, seeds_dir):
         """A raw lone surrogate in a reply is escaped in the record, which
@@ -190,9 +226,8 @@ class TestGenerationRecords:
         response = "```\nassert_eq(1, 1);\n```\n\ud800"
         report, _ = self._run(tmp_path, seeds_dir, [self.SUMMARY, response])
         assert report.complete
-        (script_id, _), = report.records
-        record = tmp_path / "out" / "records" / f"{script_id}.json"
-        assert json.loads(record.read_text(encoding="utf-8"))["raw_response"] == response
+        (line,) = record_lines(tmp_path / "out")
+        assert line["raw_response"] == response
 
     def test_empty_summary_aborts_the_run(self, tmp_path, seeds_dir):
         report, client = self._run(tmp_path, seeds_dir, ["", wrap_response(self.SEED)])
@@ -281,7 +316,7 @@ class TestScheduling:
         assert not report.complete
         assert [sid for sid, _ in report.records] == ["issue2-g0"]
         assert [v.script_id for v in report.verdicts] == ["issue2-g0"]
-        assert [p.name for p in (config.out_dir / "records").iterdir()] == ["issue2-g0.json"]
+        assert [line["script_id"] for line in record_lines(config.out_dir)] == ["issue2-g0"]
         text = (config.out_dir / "report.txt").read_text()
         assert "lost:          1 of 2 planned generations" in text
 
@@ -305,11 +340,16 @@ class TestScheduling:
             assert len(report.bug_reports) == 3
             out = config.out_dir
             scripts = {p.name: p.read_bytes() for p in sorted((out / "scripts").iterdir())}
+            assert len(scripts) == 3
+            records = record_lines(out)
+            for line in records:
+                del line["timestamp"]
             return (
                 (out / "verdicts.jsonl").read_bytes(),
                 (out / "report.txt").read_bytes(),
                 (out / "bugs.jsonl").read_bytes().split(b"\n", 1)[1],
                 scripts,
+                records,
             )
 
         interval = sys.getswitchinterval()
@@ -419,7 +459,9 @@ class TestFailureModes:
         assert client.calls == 11  # nothing is sent after the failure
         assert [sid for sid, _ in report.records] == [f"issue1-g{k}" for k in range(9)]
         assert len(report.verdicts) == 9
-        assert len(list((config.out_dir / "records").glob("*.json"))) == 9
+        assert [line["script_id"] for line in record_lines(config.out_dir)] == [
+            sid for sid, _ in report.records
+        ]
         text = (config.out_dir / "report.txt").read_text()
         assert "lost:          3 of 12 planned generations" in text
 
@@ -458,6 +500,7 @@ class TestFailureModes:
         # Workers may drop one of the nine once the failure is seen.
         assert ids == [f"issue1-g{k}" for k in range(9) if f"issue1-g{k}" in ids]
         assert len(report.verdicts) == len(ids)
+        assert [line["script_id"] for line in record_lines(config.out_dir)] == ids
         text = (config.out_dir / "report.txt").read_text()
         assert f"lost:          {400 - len(ids)} of 400 planned generations" in text
 
@@ -490,6 +533,8 @@ class TestFailureModes:
             record.extraction.category == "context-overflow"
             for sid, record in report.records if sid in overflows
         )
+        # Those behind a generation that was never handled are written at the end.
+        assert [line["script_id"] for line in record_lines(config.out_dir)] == ids
         text = (config.out_dir / "report.txt").read_text()
         assert f"lost:          {40 - len(ids)} of 40 planned generations" in text
 
@@ -506,6 +551,28 @@ class TestFailureModes:
         )
         report = run(config, client=ScriptedClient([GenerationError("empty")]))
         assert not report.complete
+
+    @pytest.mark.parametrize("ids, manifest", [(("issue 1", "issue_1"), False), (("a b", "a_b"), True)])
+    def test_seed_ids_alike_once_sanitized_are_rejected_before_any_request(
+        self, tmp_path, seeds_dir, ids, manifest
+    ):
+        for seed_id in ids:
+            (seeds_dir / f"{seed_id}.t").write_text("assert_eq(1, 1);\n")
+        corpus = CorpusSource(root=seeds_dir)
+        if manifest:
+            corpus = CorpusSource(manifest=tmp_path / "manifest.json")
+            seeds = [{"id": seed_id, "path": f"seeds/{seed_id}.t"} for seed_id in ids]
+            corpus.manifest.write_text(json.dumps({"seeds": seeds}))
+        config = PipelineConfig(
+            corpus=corpus,
+            backends=("reference", "reference-copy"),
+            out_dir=tmp_path / "out",
+        )
+        client = ScriptedClient(["summary"])
+        with pytest.raises(CorpusError) as info:
+            run(config, client=client)
+        assert str(info.value) == f"seed ids '{ids[0]}' and '{ids[1]}' both sanitize to '{ids[1]}'"
+        assert client.reserved == client.calls == 0
 
     def test_replay_miss_is_a_usage_error_at_the_cli(self, tmp_path, seeds_dir):
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
@@ -598,7 +665,13 @@ class TestSendWindow:
             (seeds_dir / f"issue{i}.t").write_text(f"assert_eq({i}, {i});\n")
         client = InOrderClient(["summary"] * 3 + [wrap_response("assert_eq(1, 1);\n")] * 360)
         prepared: list[int] = []
-        monkeypatch.setattr(runner, "write_record", lambda *args: prepared.append(client.reserved))
+        extract = runner.extract_script
+
+        def spy(raw):
+            prepared.append(client.reserved)
+            return extract(raw)
+
+        monkeypatch.setattr(runner, "extract_script", spy)
         config = PipelineConfig(
             corpus=CorpusSource(root=seeds_dir),
             backends=("reference", "reference-copy"),
@@ -823,6 +896,22 @@ class TestCli:
         config.write_text(json.dumps({**payload, **extra}))
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+
+    def test_seed_ids_alike_once_sanitized_exit_1(self, tmp_path, seeds_dir, capsys):
+        for name in ("issue 1", "issue_1"):
+            (seeds_dir / f"{name}.t").write_text("assert_eq(1, 1);\n")
+        RecordingScenario().save(tmp_path / "empty_scenario.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"root": str(seeds_dir)},
+            "backends": ["reference", "reference-copy"],
+            "out_dir": str(tmp_path / "out"),
+            "mock_scenario": str(tmp_path / "empty_scenario.json"),
+        }))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed ids 'issue 1' and 'issue_1' both sanitize to 'issue_1'\n"
+        assert captured.out == ""
 
     def test_mine_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
