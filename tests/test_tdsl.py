@@ -1,6 +1,7 @@
 """Tests for the test DSL: parser, validator, printer, extraction."""
 
 import dataclasses
+import json
 import re
 import time
 from decimal import Decimal
@@ -39,6 +40,7 @@ from jsonduel.tdsl.extract import PARSE_FAILURE, ExtractionFailure, extract_scri
 from jsonduel.tdsl.parser import parse_script
 from jsonduel.tdsl.printer import print_script
 
+import parse_mutants
 from scriptgen import WideScriptGen
 
 GRAMMAR = Path(__file__).resolve().parents[1] / "docs" / "grammar.ebnf"
@@ -428,6 +430,18 @@ class TestParser:
 
         small, large = best_of_3(4000), best_of_3(16000)
         assert large < 10 * small, f"4k statements: {small:.3f} s, 16k: {large:.3f} s"
+
+    def test_mutations_match_the_golden_file(self):
+        """2,000 one-character mutations of generated scripts keep their
+        error's class, reason, line and column, or their AST."""
+        lines = parse_mutants.GOLDEN.read_text(encoding="utf-8").splitlines()
+        expected = [json.loads(line) for line in lines]
+        actual = [parse_mutants.record(*mutant) for mutant in parse_mutants.mutants()]
+        assert len(actual) == len(expected) == 2000
+        texts = [(e["text_sha256"], a["text_sha256"]) for e, a in zip(expected, actual)]
+        assert all(e == a for e, a in texts), "the mutated texts changed: regenerate the golden file"
+        differ = [(e, a) for e, a in zip(expected, actual) if e != a]
+        assert not differ, f"{len(differ)} outcomes differ, first: {differ[0]}"
 
     def test_identifiers_are_ascii(self):
         with pytest.raises(DslSyntaxError, match="unexpected character 'é'") as info:
