@@ -63,7 +63,7 @@ class _Runner:
         self.backend = backend
         self.limits = limits
         self.on_op = on_op if on_op is not None else (lambda op: None)
-        self.beans = script.bean_map()
+        self.beans = {bean.name: bean for bean in script.beans}
         self.env: dict[str, object] = {}
         self.budget = limits.budget
 
@@ -84,16 +84,18 @@ class _Runner:
         """Take `value`'s size from the budget. The walk stops as soon as
         the budget is spent, so sizing a value far larger than the budget
         costs about the budget, not the value's size."""
-        pending = [value]
-        while pending:
+        pending = [value] if isinstance(value, (list, dict)) else None
+        if pending is None:  # a scalar needs no work list
+            self.budget -= len(value) if isinstance(value, str) else 1
+        while pending and self.budget >= 0:
             value = pending.pop()
             self.budget -= len(value) if isinstance(value, str) else 1
-            if self.budget < 0:
-                raise _Timeout(f"work budget of {self.limits.budget} exhausted")
             if isinstance(value, list):
                 pending.extend(value)
             elif isinstance(value, dict):
                 pending.extend(value.values())
+        if self.budget < 0:
+            raise _Timeout(f"work budget of {self.limits.budget} exhausted")
 
     def _assertion(self, stmt, index: int) -> Optional[TestOutcome]:
         if isinstance(stmt, ast.AssertEq):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from json.decoder import scanstring as _scan_double_quoted
 
 from .values import INT64_MAX, INT64_MIN
 
@@ -63,6 +64,11 @@ def skip_ws(text: str, pos: int) -> int:
 def _scan_string(text: str, pos: int) -> tuple[str, int]:
     """Scan a quoted string starting at `pos`; returns (value, end)."""
     quote = text[pos]
+    if quote == '"':  # the standard library's scanner reads it alike
+        try:
+            return _scan_double_quoted(text, pos + 1, True)
+        except ValueError:
+            pass  # scanned again below, for this reader's error and offset
     out: list[str] = []
     i = pos + 1
     while True:

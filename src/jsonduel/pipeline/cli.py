@@ -151,10 +151,8 @@ def main(argv=None) -> int:
     except ClassificationAborted as exc:
         print(f"error: case {exc.case_index}: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    except (ConfigError, CorpusError, BackendConfigError, DslError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, LookupError) as exc:
+    except (ConfigError, CorpusError, BackendConfigError, DslError,
+            OSError, ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -116,6 +116,8 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     ]
 
     (config.out_dir / "scripts").mkdir(parents=True, exist_ok=True)
+    for stale in (config.out_dir / "scripts").glob("*.t"):  # an earlier run's flagged scripts
+        stale.unlink()
     # Replies are handled as they arrive, so each lands at its task's index.
     record_at: list[tuple[str, GenerationRecord] | None] = [None] * len(tasks)
     written = 0  # records.jsonl holds record_at[:written]

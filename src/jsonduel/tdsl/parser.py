@@ -2,14 +2,14 @@
 
 Grammar summary (the full EBNF ships in docs/grammar.ebnf): statements
 are terminated by ";"; feature lists are bracketed identifier lists.
-One regex pass turns the text into (kind, text, offset) tuples that the
-parser walks by index. Every literal (string, number, true, false, null,
-array or object) is read by the engines' own JSON reader
-(`jsontext.parse_value`), so literals follow RFC 8259 with one nesting
-cap (`jsontext.MAX_DEPTH`); parsing resumes at the token where it ends.
-An ERROR token raises only once it is current, so the first error in the
-text, lexical or syntactic, is the one reported. Parsing is
-deterministic: identical bytes always yield the identical AST.
+One regex split turns the text into alternating whitespace and tokens;
+a token's kind follows from its first character, and its offset is
+summed only when an error or a JSON array or object needs it. Literals
+are JSON as the engines' own reader (`jsontext`) reads it: RFC 8259 with
+one nesting cap (`jsontext.MAX_DEPTH`). A character no token takes
+raises only once it is current, so the first error in the text, lexical
+or syntactic, is the one reported. Parsing is deterministic: identical
+bytes always yield the identical AST.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import get_args
 from .. import jsontext
 from . import ast
 from .errors import (
+    DslError,
     DslSyntaxError,
     DslValidationError,
     UnboundVariableError,
@@ -27,94 +28,109 @@ from .errors import (
     UnknownFeatureError,
 )
 
-# One match per token, whitespace skipped: a punctuation mark, an identifier,
-# a JSON string or number (a lone `"` or `-` where none scans, which the JSON
-# reader then rejects), or any other character. Only a punctuation token has
-# a punctuation mark's text, so the text alone tells a mark.
+# One token per match: a punctuation mark, an identifier, a JSON string or
+# number (a lone `"` or `-` where none scans, which the JSON reader then
+# rejects), or any other character, which takes the rest of the text with
+# it, since parsing stops there. Only a punctuation token has a punctuation
+# mark's text, so the text alone tells a mark.
 _TOKEN_RE = re.compile(
-    r"(?P<PUNCT>[{}()\[\],;:=<>])|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-    r'|(?P<JSON>"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*"|'
+    r'([{}()\[\],;:=<>]|[A-Za-z_][A-Za-z0-9_]*|"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*"|'
     + jsontext.NUMBER_RE.pattern
-    + r'|["-])|(?P<ERROR>[^ \t\r\n])'
+    + r'|["-]|[^ \t\r\n][\s\S]*)'
 )
-
-_LITERAL_STARTS = frozenset({"[", "{", "true", "false", "null"})
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_JSON_START = frozenset('"-0123456789')  # a JSON string's or number's token
+_LITERAL_START = _JSON_START | {"[", "{"}
+_TOKEN_START = _IDENT_START | _LITERAL_START | frozenset("}()],;:=<>")
+_WORDS = {"true": True, "false": False, "null": None}
+_READ_FROM_TEXT = frozenset('[{"-')  # an array, an object, a lone `"` or `-`: read from the text
 
 _AS_TYPES = {t.value: t for t in ast.AsType}
 _READER_FEATURES = {f.value: f for f in ast.ReaderFeature}
 _WRITER_FEATURES = {f.value: f for f in ast.WriterFeature}
-_EXPR_TYPES = get_args(ast.Expr)
-_STATEMENT_TYPES = get_args(ast.Statement)
-_CALLS = {word: node for node, word in ast.KEYWORDS.items() if node in _EXPR_TYPES}
-_ASSERTS = {word: node for node, word in ast.KEYWORDS.items() if node in _STATEMENT_TYPES}
+_CALLS = {word: node for node, word in ast.KEYWORDS.items() if node in get_args(ast.Expr)}
+_ASSERTS = {word: node for node, word in ast.KEYWORDS.items() if node in get_args(ast.Statement)}
 
 _MAX_EXPR_DEPTH = 256
 _MAX_TYPE_DEPTH = 256
 
 
-def _tokenize(text: str, pos: int = 0) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) of every token from `pos` on, then EOF."""
-    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text, pos)]
-    tokens.append(("EOF", "", len(text)))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.text, self.tokens = text, _tokenize(text)
-        self.i, self.tok = -1, None
-        self.advance()
+        self.text = text
+        self.pieces = _TOKEN_RE.split(text)  # whitespace, token, ..., token, whitespace
+        self.tokens = self.pieces[1::2] + [""]  # "" stands for the end
+        self.i, self.tok = 0, self.tokens[0]
+        self.mark = (0, 0)  # a piece's index and offset
+        self.bound: set[str] = set()  # the variables bound so far
+        # In text order: a bean (and field) a statement names, or an error.
+        self.checks: list[tuple[str, str | None] | DslError] = []
 
     # -- token helpers --
 
-    def advance(self) -> tuple[str, str, int]:
-        """Consume the current token and return it; an ERROR token raises
-        when it becomes current."""
+    def advance(self) -> str:
+        """Consume the current token and return it."""
         tok = self.tok
         self.i += 1
         self.tok = self.tokens[self.i]
-        if self.tok[0] == "ERROR":
-            self.fail(f"unexpected character {self.tok[1]!r}")
         return tok
 
+    def offset(self, index: int) -> int:
+        """Token `index`'s offset: the length of the whitespace and tokens
+        before it, summed on from the last offset asked for."""
+        piece, pos = self.mark if 2 * index + 1 >= self.mark[0] else (0, 0)
+        pos += len("".join(self.pieces[piece : 2 * index + 1]))
+        self.mark = (2 * index + 1, pos)
+        return pos
+
+    def unreadable(self) -> bool:
+        """Whether the current token is a character no token takes."""
+        return self.tok != "" and self.tok[0] not in _TOKEN_START
+
     def fail(self, message: str, pos: int | None = None):
-        """Raise a DslSyntaxError at offset `pos`, the current token's by default."""
-        pos = self.tok[2] if pos is None else pos
+        """Raise a DslSyntaxError at offset `pos`, the current token's by
+        default; a current token that is no token at all raises instead."""
+        if self.unreadable():
+            message, pos = f"unexpected character {self.tok[0]!r}", None
+        pos = self.offset(self.i) if pos is None else pos
         line, col = self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
         raise DslSyntaxError(message, line, col) from None
 
     def expect_punct(self, ch: str) -> None:
-        if self.tok[1] != ch:
+        if self.tok != ch:
             self.fail(f"expected '{ch}'")
-        self.advance()
+        self.i += 1
+        self.tok = self.tokens[self.i]
 
     def expect_ident(self, what: str = "identifier") -> str:
-        if self.tok[0] != "IDENT":
+        if self.tok[:1] not in _IDENT_START:
             self.fail(f"expected {what}")
-        return self.advance()[1]
+        return self.advance()
 
     def json_value(self, allowed: type | tuple = object, what: str = ""):
-        """Read the JSON value at the current token with the engines' JSON
-        reader; given `what`, it must be a string or number that is
-        `allowed`. The token that starts where the value ends becomes
-        current, or, if a token runs across that end, the first token of
-        the text tokenized again from there."""
-        if what and self.tok[0] != "JSON":
+        """Read the JSON value at the current token; given `what`, it must
+        be a string or number that is `allowed`. A word or a string with no
+        escape is its token's text; the engines' JSON reader reads any other
+        string or number from its token and an array or object from the text,
+        after which the token that starts where it ends is current."""
+        tok = self.tok
+        if what and tok[:1] not in _JSON_START:
             self.fail(f"expected {what}")
         try:
-            value, end = jsontext.parse_value(self.text, self.tok[2])
+            if tok in _WORDS:
+                value = _WORDS[tok]
+            elif tok[0] == '"' and "\\" not in tok and tok != '"':
+                value = tok[1:-1]
+            elif tok in _READ_FROM_TEXT:  # its tokens are those its text splits into
+                start = self.offset(self.i)
+                value, end = jsontext.parse_value(self.text, start)
+                self.i += len(_TOKEN_RE.split(self.text[start:end])) // 2 - 1
+            else:
+                value = jsontext.parse_value(tok)[0]
         except jsontext.JsonTextError as exc:
-            self.fail(exc.reason, exc.pos)
+            self.fail(exc.reason, exc.pos + (0 if tok in _READ_FROM_TEXT else self.offset(self.i)))
         if not isinstance(value, allowed):
             self.fail(f"expected {what}")
-        tokens, i = self.tokens, self.i + 1
-        while tokens[i][2] < end:
-            i += 1
-        _, last, pos = tokens[i - 1]
-        if pos + len(last) > end:
-            i -= 1
-            tokens[i:] = _tokenize(self.text, end)
-        self.i = i - 1
         self.advance()
         return value
 
@@ -123,8 +139,8 @@ class _Parser:
     def script(self) -> ast.Script:
         beans: list[ast.BeanDef] = []
         statements: list[ast.Statement] = []
-        while self.tok[0] != "EOF":
-            if self.tok[1] == "bean":
+        while self.tok != "":
+            if self.tok == "bean":
                 beans.append(self.bean_def())
             else:
                 statements.append(self.statement())
@@ -135,7 +151,7 @@ class _Parser:
         name = self.expect_ident("bean name")
         self.expect_punct("{")
         fields: list[ast.BeanField] = []
-        while self.tok[1] != "}":
+        while self.tok != "}":
             fname = self.expect_ident("field name")
             self.expect_punct(":")
             fields.append(ast.BeanField(fname, self.field_type()))
@@ -157,21 +173,21 @@ class _Parser:
         return ast.BeanRef(name)
 
     def statement(self) -> ast.Statement:
-        kind, word, _ = self.tok
-        if kind != "IDENT":
-            self.fail("expected a statement")
+        word = self.tok
         if word == "let":
             self.advance()
             name = self.expect_ident("variable name")
             if name in ast.RESERVED_WORDS:
-                self.fail(f"'{name}' is a reserved word", self.tokens[self.i - 1][2])
+                self.fail(f"'{name}' is a reserved word", self.offset(self.i - 1))
             self.expect_punct("=")
             expr = self.expr()
             self.expect_punct(";")
+            self.bound.add(name)
             return ast.Let(name, expr)
         node = _ASSERTS.get(word)
         if node is None:
-            self.fail(f"unknown statement '{word}'")
+            self.fail(f"unknown statement '{word}'" if word[:1] in _IDENT_START
+                      else "expected a statement")
         stmt = self.call(node, 0)
         self.expect_punct(";")
         return stmt
@@ -179,16 +195,18 @@ class _Parser:
     def expr(self, depth: int = 0) -> ast.Expr:
         if depth > _MAX_EXPR_DEPTH:
             self.fail("expression nesting too deep")
-        kind, word, _ = self.tok
-        if kind == "JSON" or word in _LITERAL_STARTS:
+        word = self.tok
+        node = _CALLS.get(word)
+        if node is not None:
+            return self.call(node, depth + 1)
+        if word[:1] in _LITERAL_START or word in _WORDS:
             return ast.Lit(self.json_value())
-        if kind == "IDENT":
-            node = _CALLS.get(word)
-            if node is not None:
-                return self.call(node, depth + 1)
-            self.advance()
-            return ast.Var(word)
-        self.fail("expected an expression")
+        if word[:1] not in _IDENT_START:
+            self.fail("expected an expression")
+        self.advance()
+        if word not in self.bound:
+            self.checks.append(UnboundVariableError(word))
+        return ast.Var(word)
 
     def call(self, node: type, depth: int):
         """A call or an assert statement from its keyword to its closing
@@ -204,6 +222,7 @@ class _Parser:
         if node is ast.ParseTyped:
             self.expect_punct(",")
             args.append(self.expect_ident("bean name"))
+            self.checks.append((args[-1], None))
         if node in (ast.ParseValue, ast.ParseTyped):
             args.append(self.optional_features(_READER_FEATURES, "reader"))
         elif node is ast.Serialize:
@@ -214,17 +233,21 @@ class _Parser:
             self.expect_punct(",")
             as_type = self.expect_ident("result type")
             if as_type not in _AS_TYPES:
-                self.fail(f"unknown result type '{as_type}'", self.tokens[self.i - 1][2])
+                self.fail(f"unknown result type '{as_type}'", self.offset(self.i - 1))
             args.append(_AS_TYPES[as_type])
         elif node is ast.PathEval:
             self.expect_punct(",")
             args.append(self.json_value(str, "a path string"))
         elif node is ast.MakeBean:
             args.append(self.expect_ident("bean name"))
+            self.checks.append((args[-1], None))
             assignments: list[tuple[str, ast.Expr]] = []
-            while self.tok[1] == ",":
+            while self.tok == ",":
                 self.advance()
                 fname = self.expect_ident("field name")
+                self.checks.append((args[-1], fname))
+                if any(fname == name for name, _ in assignments):
+                    self.checks.append(DslValidationError(f"duplicate assignment to '{fname}'"))
                 self.expect_punct("=")
                 assignments.append((fname, self.expr(depth)))
             args.append(tuple(assignments))
@@ -232,20 +255,22 @@ class _Parser:
         return node(*args)
 
     def optional_features(self, table: dict, flavor: str) -> tuple:
-        if self.tok[1] != ",":
+        if self.tok != ",":
             return ()
         self.advance()
         self.expect_punct("[")
         features: list = []
-        if self.tok[1] != "]":
+        if self.tok != "]":
             while True:
                 name = self.expect_ident("feature name")
-                if name not in table:
-                    raise UnknownFeatureError(name, flavor)
-                if table[name] in features:
+                if name not in table or table[name] in features:
+                    if self.unreadable():
+                        self.fail("")
+                    if name not in table:
+                        raise UnknownFeatureError(name, flavor)
                     raise DslValidationError(f"duplicate feature '{name}'")
                 features.append(table[name])
-                if self.tok[1] != ",":
+                if self.tok != ",":
                     break
                 self.advance()
         self.expect_punct("]")
@@ -255,8 +280,9 @@ class _Parser:
 def parse_script(text: str) -> ast.Script:
     """Parse DSL source into a Script AST, the one place a script is
     validated: a syntax error comes first, then bean errors, then
-    statement errors, each a DslError subclass."""
-    script = _Parser(text).script()
+    statement errors in text order, each a DslError subclass."""
+    parser = _Parser(text)
+    script = parser.script()
     beans: dict[str, ast.BeanDef] = {}
     for bean in script.beans:
         if bean.name in ast.RESERVED_WORDS or bean.name in ast.PRIMITIVE_TYPES:
@@ -276,16 +302,15 @@ def parse_script(text: str) -> ast.Script:
                 raise UnknownBeanError(ref)
     _check_bean_nesting(beans)
 
-    bound: set[str] = set()
-    has_assertion = False
-    for stmt in script.statements:
-        for name in ast.EXPR_FIELDS[type(stmt)]:
-            _check_expr(getattr(stmt, name), bound, beans)
-        if isinstance(stmt, ast.Let):
-            bound.add(stmt.name)
-        else:
-            has_assertion = True
-    if not has_assertion:
+    for check in parser.checks:
+        if isinstance(check, DslError):
+            raise check
+        name, field = check
+        if name not in beans:
+            raise UnknownBeanError(name)
+        if field is not None and all(f.name != field for f in beans[name].fields):
+            raise DslValidationError(f"bean '{name}' has no field '{field}'")
+    if all(isinstance(stmt, ast.Let) for stmt in script.statements):
         raise DslValidationError("script contains no assertions")
     return script
 
@@ -341,26 +366,3 @@ def _check_bean_nesting(beans: dict[str, ast.BeanDef]) -> None:
             elif ref not in depths:
                 visiting.add(ref)
                 stack.append((ref, iter(_bean_refs(beans[ref]))))
-
-
-def _check_expr(expr: ast.Expr, bound: set[str], beans: dict) -> None:
-    if isinstance(expr, ast.Var):
-        if expr.name not in bound:
-            raise UnboundVariableError(expr.name)
-    elif isinstance(expr, ast.MakeBean):
-        if expr.bean not in beans:
-            raise UnknownBeanError(expr.bean)
-        fields = {f.name for f in beans[expr.bean].fields}
-        seen: set[str] = set()
-        for name, value in expr.assignments:
-            if name not in fields:
-                raise DslValidationError(f"bean '{expr.bean}' has no field '{name}'")
-            if name in seen:
-                raise DslValidationError(f"duplicate assignment to '{name}'")
-            seen.add(name)
-            _check_expr(value, bound, beans)
-    else:
-        for name in ast.EXPR_FIELDS[type(expr)]:
-            _check_expr(getattr(expr, name), bound, beans)
-        if isinstance(expr, ast.ParseTyped) and expr.bean not in beans:
-            raise UnknownBeanError(expr.bean)

@@ -14,7 +14,7 @@ from . import ast
 def print_script(script: ast.Script) -> str:
     """Render a script to canonical DSL text (one statement per line)."""
     lines = [_print_bean(bean) for bean in script.beans]
-    lines.extend(_print_statement(stmt) for stmt in script.statements)
+    lines.extend(f"{_print_node(stmt)};" for stmt in script.statements)
     return "\n".join(lines) + "\n"
 
 
@@ -30,25 +30,19 @@ def _print_type(ftype: ast.FieldType) -> str:
     return ftype.name
 
 
-def _print_statement(stmt: ast.Statement) -> str:
-    if isinstance(stmt, ast.Let):
-        return f"let {stmt.name} = {_print_node(stmt.expr)};"
-    return f"{_print_node(stmt)};"
-
-
 def _print_node(node) -> str:
-    """An expression, or an assert statement without its ';'. A call or an
-    assert prints its keyword, then its EXPR_FIELDS and its other
-    arguments in the order the parser reads them."""
+    """An expression, or a statement without its ';'. A call or an assert
+    prints its keyword, then its EXPR_FIELDS and its other arguments in
+    the order the parser reads them."""
     node_type = type(node)
+    if node_type is ast.Let:
+        return f"let {node.name} = {_print_node(node.expr)}"
     if node_type is ast.Lit:
         # Literal text is plain JSON with explicit nulls.
         return dump_value(node.value, write_nulls=True)
     if node_type is ast.Var:
         return node.name
-    args = []
-    for name in ast.EXPR_FIELDS[node_type]:
-        args.append(_print_node(getattr(node, name)))
+    args = [_print_node(getattr(node, name)) for name in ast.EXPR_FIELDS[node_type]]
     if node_type is ast.ParseTyped:
         args.append(node.bean)
     elif node_type is ast.Get:

@@ -138,7 +138,8 @@ def test_model_requests_go_through_one_function():
 
 def test_json_text_has_one_reader():
     """Outside `jsontext.py`, no module names a jsontext scanner, so the
-    DSL reads every literal through `jsontext.parse_value`."""
+    DSL reads every literal that is not its token's text (true, false,
+    null, a string with no escape) through `jsontext.parse_value`."""
     found = []
     for name, (tree, _) in _modules().items():
         if name == "jsonduel.jsontext":

@@ -126,6 +126,16 @@ class TestRun:
                 assert main(["exec", "--script", str(script), "--backend", engine]) == 0
                 assert capsys.readouterr().out == describe(outcome) + "\n"
 
+    def test_a_second_run_into_one_out_dir_keeps_only_its_own_flagged_scripts(
+        self, tmp_path, fixture_corpus
+    ):
+        first = run(planted_config(tmp_path, fixture_corpus))
+        scripts = tmp_path / "out" / "scripts"
+        assert len(list(scripts.iterdir())) == len(first.bug_reports) == 3
+        second = run(planted_config(tmp_path, fixture_corpus, backends=("reference", "reference-copy")))
+        assert second.bug_reports == []
+        assert list(scripts.iterdir()) == []
+
     def test_suppression_removes_bug_but_keeps_verdict(self, tmp_path, fixture_corpus):
         first = run(planted_config(tmp_path, fixture_corpus))
         target = first.bug_reports[0].signature

@@ -412,24 +412,40 @@ class TestParser:
         assert (type(exc), reason, getattr(exc, "line", None), getattr(exc, "col", None)) == expected
 
     def test_parse_time_is_linear_in_script_length(self):
-        """Every literal kind, 4k and then 16k statements: linear is 4x."""
+        """Every literal kind, 4k and then 16k statements: linear is 4x. So
+        is a text of 1k and then 4k statements that ends in an error: after
+        a bracket literal, at a character no token takes, with text after
+        it, or at the end."""
         block = (
             'let a = parse("[1]", [TrimString]);\n'
             'assert_eq({"k": [1, -2.5e3, "s\\"", true, false, null]}, get(a, 0, integer));\n'
             "assert_not_null(true);\nassert_null(null);\nassert_eq(false, -7);\n"
         )
+        tails = {
+            "": None,
+            'let b = {"k": [1]} [2];\n': "expected ';'",
+            "let b = 1; $ " + block: "unexpected character '$'",
+            "let b =": "expected an expression",
+        }
 
-        def best_of_3(statements: int) -> float:
-            text = block * (statements // 5)
+        def best_of_3(statements: int, tail: str) -> float:
+            text = block * (statements // 5) + tail
             times = []
             for _ in range(3):
                 start = time.perf_counter()
-                parse_script(text)
+                if tails[tail] is None:
+                    parse_script(text)
+                else:
+                    with pytest.raises(DslSyntaxError, match=re.escape(tails[tail])) as info:
+                        parse_script(text)
+                    assert info.value.line == statements + 1
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        small, large = best_of_3(4000), best_of_3(16000)
-        assert large < 10 * small, f"4k statements: {small:.3f} s, 16k: {large:.3f} s"
+        for tail in tails:
+            n = 4000 if tails[tail] is None else 1000
+            small, large = best_of_3(n, tail), best_of_3(4 * n, tail)
+            assert large < 10 * small, f"{tail!r}: {n} statements: {small:.3f} s, {4 * n}: {large:.3f} s"
 
     def test_mutations_match_the_golden_file(self):
         """2,000 one-character mutations of generated scripts keep their
