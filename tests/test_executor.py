@@ -1,6 +1,7 @@
 """Tests for the script executor: outcome folding, limits, purity."""
 
 import itertools
+import json
 import time
 
 import pytest
@@ -21,35 +22,16 @@ from jsonduel.backends.outcomes import (
 from jsonduel.tdsl.extract import ExtractionFailure, extract_script
 from jsonduel.tdsl.parser import parse_script
 
+import outcome_golden
+from outcome_golden import bean_chain, serialize_chain
 from scriptgen import WideScriptGen
 
 REF = resolve_backend("reference")
-ENGINES = [resolve_backend(name) for name in ("reference", "reference-copy", "planted:L1+L2+L3")]
+ENGINES = [resolve_backend(name) for name in outcome_golden.ENGINES]
 
 
 def run(src: str, limits: ExecutionLimits = ExecutionLimits()):
     return execute(parse_script(src), REF, limits)
-
-
-def bean_chain(steps: int, throws: bool = False) -> str:
-    """Bean B<i> has two B<i-1> fields, so y<i> holds 2^i copies of y0."""
-    beans = ["bean B0 { v: integer; }"]
-    beans += [f"bean B{i} {{ a: B{i - 1}; b: B{i - 1}; }}" for i in range(1, steps + 1)]
-    lets = ["let y0 = make_bean(B0, v = 1);"]
-    lets += [f"let y{i} = make_bean(B{i}, a = y{i - 1}, b = y{i - 1});" for i in range(1, steps)]
-    last = f"make_bean(B{steps}, a = y{steps - 1}, b = y{steps - 1})"
-    return "\n".join(beans + lets + [_last_step(last, throws)])
-
-
-def serialize_chain(steps: int, throws: bool = False) -> str:
-    """s<i> = serialize(s<i-1>) from a lone quote: s<k> has 3 * 2^k - 2
-    characters."""
-    lets = ['let s0 = "\\"";'] + [f"let s{i} = serialize(s{i - 1});" for i in range(1, steps)]
-    return "\n".join(lets + [_last_step(f"serialize(s{steps - 1})", throws)])
-
-
-def _last_step(expr: str, throws: bool) -> str:
-    return f"assert_throws({expr});" if throws else f"assert_not_null({expr});"
 
 
 class TestOutcomes:
@@ -172,6 +154,19 @@ class TestLimits:
         if not isinstance(result, ExtractionFailure):
             result = execute(result, REF)
         assert isinstance(result, (ExtractionFailure, Pass, Fail, Error))
+
+
+class TestGoldenOutcomes:
+    def test_outcomes_match_the_golden_file(self):
+        """About 2,000 generated and doubling-chain scripts keep their
+        outcomes on every engine, and chains their Error(Timeout)."""
+        lines = outcome_golden.GOLDEN.read_text(encoding="utf-8").splitlines()
+        expected = [json.loads(line) for line in lines]
+        actual = [outcome_golden.record(*item, ENGINES) for item in outcome_golden.scripts()]
+        assert len(actual) == len(expected) == 2000
+        differ = [(e, a) for e, a in zip(expected, actual) if e != a]
+        assert not differ, (f"{len(differ)} outcomes differ (regenerate the file only if "
+                            f"scriptgen changed on purpose), first: {differ[0]}")
 
 
 class TestNothingEscapes:
