@@ -54,7 +54,7 @@ class PlantedBackend(ReferenceBackend):
         booleans unquoted, unless WriteBooleanAsNumber made them numbers.
         """
         flags = set(features)
-        if BugId.L2 in self.bugs and _AS_STRING in flags and _BOOL_AS_NUMBER not in flags:
+        if flags and BugId.L2 in self.bugs and _AS_STRING in flags and _BOOL_AS_NUMBER not in flags:
             flags.remove(_AS_STRING)
             value = _numbers_as_text(value)
         return super().serialize(value, flags)

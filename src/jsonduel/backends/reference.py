@@ -47,6 +47,18 @@ from .outcomes import BackendError, ErrorKind
 
 _PATH_STEP_RE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_]*)|\[([0-9]+)\]")
 
+# The ParseOptions field, or dump_value keyword, that each feature turns on.
+_SWITCHES = {
+    ast.ReaderFeature.TRIM_STRING: "trim_strings",
+    ast.ReaderFeature.USE_NATIVE_OBJECT: "narrow_integral_floats",
+    ast.ReaderFeature.USE_BIG_DECIMAL_FOR_FLOATS: "keep_exact_floats",
+    ast.ReaderFeature.ALLOW_SINGLE_QUOTES: "single_quotes",
+    ast.WriterFeature.WRITE_NON_STRING_VALUE_AS_STRING: "nonstring_as_string",
+    ast.WriterFeature.WRITE_BOOLEAN_AS_NUMBER: "bool_as_number",
+    ast.WriterFeature.WRITE_NULLS: "write_nulls",
+    ast.WriterFeature.PRETTY_FORMAT: "pretty",
+}
+
 
 class ReferenceBackend:
     """Deterministic, stateless, feature-complete JSON engine."""
@@ -57,13 +69,9 @@ class ReferenceBackend:
     # -- parsing --
 
     def _options(self, features: Iterable[ast.ReaderFeature]) -> jsontext.ParseOptions:
-        flags = set(features)
-        return jsontext.ParseOptions(
-            single_quotes=ast.ReaderFeature.ALLOW_SINGLE_QUOTES in flags,
-            trim_strings=ast.ReaderFeature.TRIM_STRING in flags,
-            narrow_integral_floats=ast.ReaderFeature.USE_NATIVE_OBJECT in flags,
-            keep_exact_floats=ast.ReaderFeature.USE_BIG_DECIMAL_FOR_FLOATS in flags,
-        )
+        if not features:  # the common case
+            return jsontext.DEFAULT_OPTIONS
+        return jsontext.ParseOptions(**{_SWITCHES[feature]: True for feature in features})
 
     def validate(self, text: str) -> bool:
         try:
@@ -96,14 +104,7 @@ class ReferenceBackend:
     # -- serialization --
 
     def serialize(self, value, features: Iterable[ast.WriterFeature] = ()) -> str:
-        flags = set(features)
-        return dump_value(
-            value,
-            write_nulls=ast.WriterFeature.WRITE_NULLS in flags,
-            bool_as_number=ast.WriterFeature.WRITE_BOOLEAN_AS_NUMBER in flags,
-            nonstring_as_string=ast.WriterFeature.WRITE_NON_STRING_VALUE_AS_STRING in flags,
-            pretty=ast.WriterFeature.PRETTY_FORMAT in flags,
-        )
+        return dump_value(value, **{_SWITCHES[feature]: True for feature in features})
 
     # -- access --
 

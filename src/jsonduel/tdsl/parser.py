@@ -63,6 +63,7 @@ class _Parser:
         self.i, self.tok = 0, self.tokens[0]
         self.mark = (0, 0)  # a piece's index and offset
         self.bound: set[str] = set()  # the variables bound so far
+        self.asserted = False  # whether an assert statement was parsed
         # In text order: a bean (and field) a statement names, or an error.
         self.checks: list[tuple[str, str | None] | DslError] = []
 
@@ -190,6 +191,7 @@ class _Parser:
                       else "expected a statement")
         stmt = self.call(node, 0)
         self.expect_punct(";")
+        self.asserted = True
         return stmt
 
     def expr(self, depth: int = 0) -> ast.Expr:
@@ -284,23 +286,23 @@ def parse_script(text: str) -> ast.Script:
     parser = _Parser(text)
     script = parser.script()
     beans: dict[str, ast.BeanDef] = {}
+    refs: dict[str, list[str]] = {}  # the beans each bean holds
     for bean in script.beans:
         if bean.name in ast.RESERVED_WORDS or bean.name in ast.PRIMITIVE_TYPES:
             raise DslValidationError(f"'{bean.name}' cannot be used as a bean name")
         if bean.name in beans:
             raise DslValidationError(f"duplicate bean '{bean.name}'")
-        beans[bean.name] = bean
+        beans[bean.name], refs[bean.name] = bean, _bean_refs(bean)
         seen: set[str] = set()
         for field in bean.fields:
             if field.name in seen:
                 raise DslValidationError(f"duplicate field '{field.name}' in bean '{bean.name}'")
             seen.add(field.name)
-
-    for bean in script.beans:
-        for ref in _bean_refs(bean):
+    if beans:  # most scripts define none
+        for ref in (ref for names in refs.values() for ref in names):
             if ref not in beans:
                 raise UnknownBeanError(ref)
-    _check_bean_nesting(beans)
+        _check_bean_nesting(beans, refs)
 
     for check in parser.checks:
         if isinstance(check, DslError):
@@ -310,7 +312,7 @@ def parse_script(text: str) -> ast.Script:
             raise UnknownBeanError(name)
         if field is not None and all(f.name != field for f in beans[name].fields):
             raise DslValidationError(f"bean '{name}' has no field '{field}'")
-    if all(isinstance(stmt, ast.Let) for stmt in script.statements):
+    if not parser.asserted:
         raise DslValidationError("script contains no assertions")
     return script
 
@@ -341,7 +343,7 @@ def _bean_depth(bean: ast.BeanDef, depths: dict[str, int]) -> int:
     return deepest
 
 
-def _check_bean_nesting(beans: dict[str, ast.BeanDef]) -> None:
+def _check_bean_nesting(beans: dict[str, ast.BeanDef], refs: dict[str, list[str]]) -> None:
     """Reject a bean cycle, or a bean nested more than _MAX_TYPE_DEPTH
     levels deep, which the engines could not bind without exhausting
     the interpreter's recursion limit. Depth-first search with an
@@ -351,10 +353,10 @@ def _check_bean_nesting(beans: dict[str, ast.BeanDef]) -> None:
         if root in depths:
             continue
         visiting = {root}
-        stack = [(root, iter(_bean_refs(beans[root])))]
+        stack = [(root, iter(refs[root]))]
         while stack:
-            name, refs = stack[-1]
-            ref = next(refs, None)
+            name, unwalked = stack[-1]
+            ref = next(unwalked, None)
             if ref is None:
                 stack.pop()
                 visiting.discard(name)
@@ -365,4 +367,4 @@ def _check_bean_nesting(beans: dict[str, ast.BeanDef]) -> None:
                 raise DslValidationError(f"recursive bean cycle through '{ref}'")
             elif ref not in depths:
                 visiting.add(ref)
-                stack.append((ref, iter(_bean_refs(beans[ref]))))
+                stack.append((ref, iter(refs[ref])))

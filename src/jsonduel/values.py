@@ -17,25 +17,17 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# Kind names by exact type, so a bool is no int.
+_KINDS = {type(None): "null", bool: "bool", int: "int", Decimal: "dec", str: "str",
+          list: "arr", dict: "obj"}
 
 
 def kind(value) -> str:
     """Return the value's kind name: null/bool/int/dec/str/arr/obj."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, Decimal):
-        return "dec"
-    if isinstance(value, str):
-        return "str"
-    if isinstance(value, list):
-        return "arr"
-    if isinstance(value, dict):
-        return "obj"
-    raise TypeError(f"not a JSON value: {type(value).__name__}")
+    try:
+        return _KINDS[type(value)]
+    except KeyError:
+        raise TypeError(f"not a JSON value: {type(value).__name__}") from None
 
 
 def values_equal(a, b) -> bool:

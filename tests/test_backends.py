@@ -274,6 +274,38 @@ class TestPathEval:
         assert info.value.kind is ErrorKind.PARSE_ERROR
 
 
+def _result(call, *args):
+    """What a call returns, or the error it raises."""
+    try:
+        return call(*args)
+    except BackendError as exc:
+        return (exc.kind, exc.message)
+
+
+class TestNoFeatures:
+    """An empty feature tuple or list reads and writes as no features at all."""
+
+    ENGINES = ["reference", "planted:L1", "planted:L2", "planted:L3", "planted:L1+L2+L3"]
+    TEXTS = ['" x "', "1.0", "1E2", "{'a': 1}", '{"a": [null, true, 1.50]}', "nope"]
+    VALUES = [None, True, 7, Decimal("1.50"), " x ", [1, None, False], {"a": None, "b": [True]}]
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_parse(self, name):
+        engine = resolve_backend(name)
+        for text in self.TEXTS:
+            expected = _result(engine.parse, text)
+            assert _result(engine.parse, text, ()) == expected
+            assert _result(engine.parse, text, []) == expected
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_serialize(self, name):
+        engine = resolve_backend(name)
+        for value in self.VALUES:
+            expected = engine.serialize(value)
+            assert engine.serialize(value, ()) == expected
+            assert engine.serialize(value, []) == expected
+
+
 class TestRegistry:
     def test_known_names(self):
         assert resolve_backend("reference").name == "reference"

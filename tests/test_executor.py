@@ -3,12 +3,13 @@
 import itertools
 import json
 import time
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsonduel.backends import resolve_backend
+from jsonduel.backends import executor, resolve_backend
 from jsonduel.backends.executor import DEFAULT_LIMITS, ExecutionLimits, execute
 from jsonduel.backends.outcomes import (
     Error,
@@ -19,6 +20,7 @@ from jsonduel.backends.outcomes import (
     outcome_from_dict,
     outcome_to_dict,
 )
+from jsonduel.tdsl import ast
 from jsonduel.tdsl.extract import ExtractionFailure, extract_script
 from jsonduel.tdsl.parser import parse_script
 
@@ -154,6 +156,12 @@ class TestLimits:
         if not isinstance(result, ExtractionFailure):
             result = execute(result, REF)
         assert isinstance(result, (ExtractionFailure, Pass, Fail, Error))
+
+
+class TestDispatch:
+    def test_every_node_has_a_handler_and_nothing_else(self):
+        assert set(executor._VALUES) == set(get_args(ast.Expr))
+        assert set(executor._ASSERTIONS) == set(get_args(ast.Statement)) - {ast.Let}
 
 
 class TestGoldenOutcomes:

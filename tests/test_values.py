@@ -26,7 +26,13 @@ class TestKinds:
     def test_bool_is_not_int(self):
         # bool subclasses int in Python; the model keeps them distinct
         assert kind(True) == "bool"
+        assert kind(False) == "bool"
         assert not values_equal(True, 1)
+
+    @pytest.mark.parametrize("value", [1.5, (1,), b"x"], ids=["float", "tuple", "bytes"])
+    def test_non_json_value_raises(self, value):
+        with pytest.raises(TypeError, match=f"not a JSON value: {type(value).__name__}"):
+            kind(value)
 
 
 class TestEquality:
