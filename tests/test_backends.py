@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jsonduel.backends import BackendConfigError, resolve_backend
+from jsonduel.backends.coerce import bind_field, coerce_value
 from jsonduel.backends.outcomes import BackendError, ErrorKind
 from jsonduel.backends.reference import ReferenceBackend
 from jsonduel.jsontext import MAX_DEPTH
@@ -15,12 +16,13 @@ from jsonduel.tdsl.ast import (
     AsType,
     BeanDef,
     BeanField,
+    BeanRef,
     ListOf,
     Prim,
     ReaderFeature,
     WriterFeature,
 )
-from jsonduel.values import INT64_MAX, INT64_MIN, values_equal
+from jsonduel.values import INT64_MAX, INT64_MIN, kind, values_equal
 
 from scriptgen import WideScriptGen, generate_scripts
 
@@ -242,6 +244,126 @@ class TestGetters:
                     REF.get({"k": sample}, "k", as_type)
                 except BackendError:
                     pass
+
+
+NULL, CAST = ErrorKind.NULL_ACCESS, ErrorKind.TYPE_CAST_ERROR
+DIGITS_5000 = "1" * 5000  # int() refuses more than 4300 digits
+
+
+def _cast(kind: str, target: str):
+    return CAST, f"cannot read {kind} as {target}"
+
+
+# One row per sample; its cells follow AsType's order: value, string,
+# integer, decimal, boolean, object, array. A cell is the coerced value
+# or the (ErrorKind, message) the coercion raises.
+COERCION_MATRIX = [
+    (None, [None, (NULL, "null read as string"), (NULL, "null read as integer"),
+            (NULL, "null read as decimal"), (NULL, "null read as boolean"),
+            (NULL, "null read as object"), (NULL, "null read as array")]),
+    (True, [True, "true", _cast("bool", "integer"), _cast("bool", "decimal"), True,
+            _cast("bool", "object"), _cast("bool", "array")]),
+    (3, [3, "3", 3, Decimal("3"), _cast("int", "boolean"), _cast("int", "object"),
+         _cast("int", "array")]),
+    (Decimal("1.5"), [Decimal("1.5"), "1.5", _cast("dec", "integer"), Decimal("1.5"),
+                      _cast("dec", "boolean"), _cast("dec", "object"), _cast("dec", "array")]),
+    (Decimal("2"), [Decimal("2"), "2", 2, Decimal("2"), _cast("dec", "boolean"),
+                    _cast("dec", "object"), _cast("dec", "array")]),
+    (Decimal("9223372036854775808"), [
+        Decimal("9223372036854775808"), "9223372036854775808", _cast("dec", "integer"),
+        Decimal("9223372036854775808"), _cast("dec", "boolean"), _cast("dec", "object"),
+        _cast("dec", "array")]),
+    ("x", ["x", "x", _cast("str", "integer"), _cast("str", "decimal"),
+           _cast("str", "boolean"), _cast("str", "object"), _cast("str", "array")]),
+    ([1], [[1], "[1]", _cast("arr", "integer"), _cast("arr", "decimal"),
+           _cast("arr", "boolean"), _cast("arr", "object"), [1]]),
+    ({"a": 1}, [{"a": 1}, '{"a":1}', _cast("obj", "integer"), _cast("obj", "decimal"),
+                _cast("obj", "boolean"), {"a": 1}, _cast("obj", "array")]),
+    ("-9223372036854775808", [
+        "-9223372036854775808", "-9223372036854775808", INT64_MIN,
+        Decimal("-9223372036854775808"), _cast("str", "boolean"), _cast("str", "object"),
+        _cast("str", "array")]),
+    ("9223372036854775808", [
+        "9223372036854775808", "9223372036854775808", _cast("str", "integer"),
+        Decimal("9223372036854775808"), _cast("str", "boolean"), _cast("str", "object"),
+        _cast("str", "array")]),
+    (DIGITS_5000, [DIGITS_5000, DIGITS_5000, _cast("str", "integer"), Decimal(DIGITS_5000),
+                   _cast("str", "boolean"), _cast("str", "object"), _cast("str", "array")]),
+    ("1e999999999999", [
+        "1e999999999999", "1e999999999999", _cast("str", "integer"),
+        Decimal("1E+999999999999"), _cast("str", "boolean"), _cast("str", "object"),
+        _cast("str", "array")]),
+    ("1e1000000000000000000", [  # beyond Decimal's exponent range
+        "1e1000000000000000000", "1e1000000000000000000", _cast("str", "integer"),
+        _cast("str", "decimal"), _cast("str", "boolean"), _cast("str", "object"),
+        _cast("str", "array")]),
+    ("1.0", ["1.0", "1.0", _cast("str", "integer"), Decimal("1.0"), _cast("str", "boolean"),
+             _cast("str", "object"), _cast("str", "array")]),
+    (" 1", [" 1", " 1", _cast("str", "integer"), _cast("str", "decimal"),
+            _cast("str", "boolean"), _cast("str", "object"), _cast("str", "array")]),
+    ("true", ["true", "true", _cast("str", "integer"), _cast("str", "decimal"), True,
+              _cast("str", "object"), _cast("str", "array")]),
+]
+
+BOX = BeanDef("Box", (BeanField("n", Prim("integer")),))
+
+
+def _coerced(call):
+    """What `call()` gives, in a matrix cell's form."""
+    try:
+        return call()
+    except BackendError as exc:
+        return exc.kind, str(exc)
+
+
+def _same(actual, expected) -> bool:
+    """Equal and of one type, so 2 and Decimal("2") differ."""
+    if type(actual) is not type(expected):
+        return False
+    if isinstance(expected, (list, tuple)):
+        return len(actual) == len(expected) and all(map(_same, actual, expected))
+    if isinstance(expected, dict):
+        return list(actual) == list(expected) and all(map(_same, actual.values(), expected.values()))
+    return actual == expected
+
+
+class TestCoercionMatrix:
+    def test_rows_cover_every_kind(self):
+        assert {kind(sample) for sample, _ in COERCION_MATRIX} == {
+            "null", "bool", "int", "dec", "str", "arr", "obj"
+        }
+
+    @pytest.mark.parametrize(
+        "sample,cells", COERCION_MATRIX, ids=[repr(sample)[:24] for sample, _ in COERCION_MATRIX]
+    )
+    def test_every_as_type(self, sample, cells):
+        actual = [_coerced(lambda: coerce_value(sample, as_type)) for as_type in AsType]
+        assert len(cells) == len(AsType)
+        for as_type, got, want in zip(AsType, actual, cells):
+            assert _same(got, want), (as_type, got, want)
+
+    @pytest.mark.parametrize(
+        "value,ftype,expected",
+        [
+            (None, ListOf(Prim("integer")), None),
+            ({"a": 1}, ListOf(Prim("integer")), _cast("obj", "list")),
+            ("12", ListOf(Prim("integer")), _cast("str", "list")),
+            (["1", 2], ListOf(Prim("integer")), [1, 2]),
+            (["1", "x"], ListOf(Prim("integer")), _cast("str", "integer")),
+            ([[1], 2], ListOf(ListOf(Prim("string"))), _cast("int", "list")),
+            ([1], BeanRef("Box"), _cast("arr", "bean Box")),
+            ("{}", BeanRef("Box"), _cast("str", "bean Box")),
+            ({"n": "7", "x": 1}, BeanRef("Box"), {"n": 7}),
+            ({"n": True}, BeanRef("Box"), _cast("bool", "integer")),
+            ([{}, {"n": 1}], ListOf(BeanRef("Box")), [{"n": None}, {"n": 1}]),
+            (3, Prim("string"), "3"),
+            ("3", Prim("integer"), 3),
+            (3, Prim("decimal"), Decimal("3")),
+            ("false", Prim("boolean"), False),
+        ],
+    )
+    def test_bind_field(self, value, ftype, expected):
+        assert _same(_coerced(lambda: bind_field(value, ftype, {"Box": BOX})), expected)
 
 
 class TestPathEval:

@@ -1,5 +1,6 @@
 """Tests for the pipeline: run loop, counts, artifacts, reports, CLI."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -25,12 +26,19 @@ from jsonduel.pipeline.config import (
     with_overrides,
 )
 from jsonduel.pipeline.cli import main
-from jsonduel.pipeline.report import render_jsonl, render_text
+from jsonduel.pipeline.report import (
+    ModeCounts,
+    OutcomeCounts,
+    render_jsonl,
+    render_text,
+    write_reports,
+)
 from jsonduel.pipeline.runner import _build_client, run
 from jsonduel.tdsl.ast import Script
 from jsonduel.tdsl.extract import ExtractionFailure
 from jsonduel.tdsl.parser import parse_script
 
+import artifact_golden
 from clientfix import RecordingScenario, ScriptedClient, connection_pool_size
 from conftest import SEEDS_DIR
 from scenariofix import (
@@ -430,6 +438,48 @@ class TestReproducibility:
         assert [b.signature for b in first.bug_reports] == [
             b.signature for b in second.bug_reports
         ]
+
+    def test_json_artifacts_do_not_depend_on_dict_order(self, tmp_path, fixture_corpus):
+        """`counts` takes its modes in reply order when in_flight > 1, so
+        the artifacts must not follow any dict's insertion order."""
+        report = run(planted_config(tmp_path, fixture_corpus))
+
+        def flipped(d: dict) -> dict:
+            return dict(reversed(d.items()))
+
+        plain = ModeCounts(2, 1, {
+            "reference": OutcomeCounts(passed=1), "planted:L1+L2+L3": OutcomeCounts(failed=1),
+        })
+        forward = dataclasses.replace(report, counts={**report.counts, "plain": plain})
+        reverse = dataclasses.replace(
+            forward,
+            counts={
+                mode: dataclasses.replace(mc, per_backend=flipped(mc.per_backend))
+                for mode, mc in flipped(forward.counts).items()
+            },
+            verdicts=[dataclasses.replace(v, outcomes=flipped(v.outcomes)) for v in report.verdicts],
+            bug_reports=[
+                dataclasses.replace(b, outcomes=flipped(b.outcomes)) for b in report.bug_reports
+            ],
+            op_counts={name: flipped(hits) for name, hits in flipped(report.op_counts).items()},
+        )
+        for name, built in (("forward", forward), ("reverse", reverse)):
+            (tmp_path / name).mkdir()
+            write_reports(built, tmp_path / name)
+        for artifact in ("verdicts.jsonl", "bugs.jsonl", "report.txt"):
+            assert (tmp_path / "forward" / artifact).read_bytes() == (
+                tmp_path / "reverse" / artifact
+            ).read_bytes(), artifact
+
+    def test_artifacts_match_the_golden_file(self, tmp_path):
+        """The planted-bug replay at in_flight 1, 4 and 8, with mutation on
+        and off, writes the same bytes as when the file was made."""
+        lines = artifact_golden.GOLDEN.read_text(encoding="utf-8").splitlines()
+        expected = [json.loads(line) for line in lines]
+        actual = artifact_golden.records(tmp_path)
+        assert len(actual) == len(expected) == 48
+        differ = [(e, a) for e, a in zip(expected, actual) if e != a]
+        assert not differ, f"{len(differ)} artifacts differ, first: {differ[0]}"
 
 
 class TestFailureModes:
