@@ -47,7 +47,6 @@ def coerce_value(value, as_type: ast.AsType):
         if k == "dec":
             if value == value.to_integral_value() and INT64_MIN <= value <= INT64_MAX:
                 return int(value)
-            raise _cast_error(value, "integer")
         if k == "str":
             if _INT_RE.match(value):
                 try:
@@ -56,7 +55,6 @@ def coerce_value(value, as_type: ast.AsType):
                     raise _cast_error(value, "integer") from None
                 if INT64_MIN <= n <= INT64_MAX:
                     return n
-            raise _cast_error(value, "integer")
         raise _cast_error(value, "integer")
     if as_type is ast.AsType.DECIMAL:
         if k == "dec":
@@ -69,7 +67,6 @@ def coerce_value(value, as_type: ast.AsType):
                     return Decimal(value)
                 except ArithmeticError:  # an exponent beyond what Decimal can hold
                     raise _cast_error(value, "decimal") from None
-            raise _cast_error(value, "decimal")
         raise _cast_error(value, "decimal")
     if as_type is ast.AsType.BOOLEAN:
         if k == "bool":
@@ -81,19 +78,12 @@ def coerce_value(value, as_type: ast.AsType):
         if k == "obj":
             return value
         raise _cast_error(value, "object")
-    if as_type is ast.AsType.ARRAY:
-        if k == "arr":
-            return value
-        raise _cast_error(value, "array")
-    raise AssertionError(as_type)
+    if k == "arr":  # ARRAY, the last AsType
+        return value
+    raise _cast_error(value, "array")
 
 
-_PRIM_AS_TYPE = {
-    "string": ast.AsType.STRING,
-    "integer": ast.AsType.INTEGER,
-    "decimal": ast.AsType.DECIMAL,
-    "boolean": ast.AsType.BOOLEAN,
-}
+_PRIM_AS_TYPE = {name: ast.AsType(name) for name in ast.PRIMITIVE_TYPES}
 
 
 def bind_field(value, ftype: ast.FieldType, beans: Mapping[str, ast.BeanDef]):
@@ -106,11 +96,9 @@ def bind_field(value, ftype: ast.FieldType, beans: Mapping[str, ast.BeanDef]):
         if kind(value) != "obj":
             raise _cast_error(value, f"bean {ftype.name}")
         return bind_bean(value, beans[ftype.name], beans)
-    if isinstance(ftype, ast.ListOf):
-        if kind(value) != "arr":
-            raise _cast_error(value, "list")
-        return [bind_field(item, ftype.element, beans) for item in value]
-    raise AssertionError(ftype)
+    if kind(value) != "arr":  # ListOf, the last FieldType
+        raise _cast_error(value, "list")
+    return [bind_field(item, ftype.element, beans) for item in value]
 
 
 def bind_bean(obj: dict, bean: ast.BeanDef, beans: Mapping[str, ast.BeanDef]) -> dict:

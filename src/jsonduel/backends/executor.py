@@ -19,8 +19,6 @@ from ..values import canonical, kind, strip_trailing_zeros, values_equal
 from .coerce import bind_bean
 from .outcomes import PASS, BackendError, Error, ErrorKind, Fail, TestOutcome
 
-OpHook = Callable[[str], None]
-
 
 @dataclass(frozen=True)
 class ExecutionLimits:
@@ -45,7 +43,7 @@ def execute(
     script: ast.Script,
     backend,
     limits: ExecutionLimits = DEFAULT_LIMITS,
-    on_op: Optional[OpHook] = None,
+    on_op: Optional[Callable[[str], None]] = None,
 ) -> TestOutcome:
     """Run `script` on `backend` and return its final outcome."""
     try:

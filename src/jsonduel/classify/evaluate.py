@@ -84,15 +84,15 @@ def load_cases(path: Path | str) -> list[FailedCase]:
         if not isinstance(data, dict) or not isinstance(data.get("script_path"), str):
             raise ValueError(f"{path}:{lineno}: not an object with a string script_path")
         script_path = path.parent / data["script_path"]
-        text = script_path.read_text(encoding="utf-8")
         try:
+            text = script_path.read_text(encoding="utf-8")
             script = parse_script(text)
             if not isinstance(data.get("outcome"), dict):
                 raise ValueError("outcome is not an object")
             outcome = outcome_from_dict(data["outcome"])
             category = Category(data.get("category", "unknown"))
             cases.append(FailedCase(script, text, outcome, data.get("backend", "reference"), category))
-        except DslError as exc:
+        except (DslError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}:{lineno}: {script_path}: {exc}") from None
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: outcome has no {exc}") from None

@@ -2,9 +2,9 @@
 
 Seeds come either from mining a directory for `.t` files whose names
 carry an issue keyword, or from an explicit JSON manifest. Seeds that
-fail to parse are reported and excluded, never silently skipped; a
-corpus with no usable seeds is an error because the pipeline cannot
-run without them.
+fail to decode as UTF-8 or to parse are reported and excluded, never
+silently skipped; a corpus with no usable seeds is an error because the
+pipeline cannot run without them.
 """
 
 from __future__ import annotations
@@ -72,10 +72,11 @@ def _build(entries: list[tuple[str, Path]]) -> tuple[Corpus, list[SeedLoadError]
     for seed_id, path in entries:
         # text mode's universal newlines, without its per-file decoder set-up
         with open(path, "rb", buffering=0) as f:
-            text = f.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        try:
-            parse_script(text)  # a seed that does not parse is rejected
-        except DslError as exc:
+            data = f.read()
+        try:  # a seed that does not decode or parse is rejected
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            parse_script(text)
+        except (DslError, UnicodeDecodeError) as exc:
             errors.append(SeedLoadError(path, str(exc)))
         else:
             seeds.append(SeedTest(seed_id, path, text))
@@ -88,7 +89,7 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadErr
 
     Matching is a case-insensitive substring test on the base filename.
     Returns the corpus (ordered by id) and the list of files that
-    matched but failed to parse.
+    matched but failed to decode or parse.
     """
     if not keyword:
         raise CorpusError("mining keyword must be non-empty")
@@ -124,12 +125,12 @@ def load_corpus(manifest: Path | str) -> tuple[Corpus, list[SeedLoadError]]:
 
     Paths are resolved relative to the manifest's directory. A listed
     file that does not exist is an error; a file that exists but fails
-    to parse is reported and excluded.
+    to decode or parse is reported and excluded.
     """
     manifest = Path(manifest)
     try:
         data = json.loads(manifest.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read manifest {manifest}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ManifestFormatError(exc.msg, exc.lineno, exc.colno) from None

@@ -45,15 +45,11 @@ class GenerationRecord:
     messages: tuple[ChatMessage, ...]
     raw_response: str
     extraction: Union[Script, ExtractionFailure]
-    timestamp: str = field(default_factory=lambda: _now())
+    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     @property
     def extracted_script(self) -> Script | None:
         return self.extraction if isinstance(self.extraction, Script) else None
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def pick_rule(rng: random.Random, mode: MutationMode) -> MutationRule | None:

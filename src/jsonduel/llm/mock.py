@@ -39,7 +39,7 @@ class ReplayScenario:
     def load(cls, path: Path | str) -> "ReplayScenario":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"scenario {path} is not JSON: {exc}") from None
         version = payload.get("version") if isinstance(payload, dict) else None
         if type(version) is not int or version != SCENARIO_VERSION:  # not True or 1.0
@@ -72,23 +72,20 @@ class ReplayClient:
         queue = self.scenario.responses.get(key)
         if not queue:
             tail = messages[-1].content if messages else ""
-            return _deferred(ReplayMissError(
+            miss = ReplayMissError(
                 f"no recorded response for conversation {key[:12]}… "
                 f"(last message starts {tail[:80]!r})"
-            ))
+            )
+
+            def raise_miss() -> str:
+                raise miss
+
+            return raise_miss
         with self._lock:
             index = self._consumed.get(key, 0)
             self._consumed[key] = index + 1
-        return _deferred(queue[min(index, len(queue) - 1)])
+        recorded = queue[min(index, len(queue) - 1)]
+        return lambda: recorded
 
     def complete(self, messages: Sequence[ChatMessage], params) -> str:
         return self.reserve(messages)()
-
-
-def _deferred(entry: str | Exception) -> Callable[[], str]:
-    def reply() -> str:
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
-
-    return reply

@@ -118,7 +118,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(

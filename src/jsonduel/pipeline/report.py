@@ -3,7 +3,7 @@
 `RunReport` holds a finished run's data. `record_line` renders one
 generation's provenance as a `records.jsonl` line; `write_reports`
 writes `verdicts.jsonl`, `bugs.jsonl` (`render_jsonl`) and `report.txt`
-(`render_text`). Every JSONL line is one `_line`.
+(`render_text`). Every JSONL line is one `_line`, with its keys sorted.
 """
 
 from __future__ import annotations
@@ -94,10 +94,7 @@ def write_reports(report: RunReport, out_dir: Path) -> None:
                 "script_id": verdict.script_id,
                 "status": verdict.status.value,
                 "signature": verdict.signature,
-                "outcomes": {
-                    name: outcome_to_dict(outcome)
-                    for name, outcome in sorted(verdict.outcomes.items())
-                },
+                "outcomes": {name: outcome_to_dict(o) for name, o in verdict.outcomes.items()},
             })
             for verdict in report.verdicts
         )
@@ -106,19 +103,18 @@ def write_reports(report: RunReport, out_dir: Path) -> None:
 
 
 def _counts_dict(counts: dict[str, ModeCounts]) -> dict:
-    out: dict = {}
-    for mode in sorted(counts):
-        mc = counts[mode]
-        out[mode] = {
+    return {
+        mode: {
             "generated": mc.generated,
             "extraction_failures": mc.extraction_failures,
             "executed": mc.executed(),
             "per_backend": {
                 name: {"pass": oc.passed, "fail": oc.failed, "error": oc.errored}
-                for name, oc in sorted(mc.per_backend.items())
+                for name, oc in mc.per_backend.items()
             },
         }
-    return out
+        for mode, mc in counts.items()
+    }
 
 
 def render_jsonl(report: RunReport) -> bytes:
@@ -143,10 +139,7 @@ def render_jsonl(report: RunReport) -> bytes:
             "representative_id": bug.representative_id,
             "script_ids": list(bug.script_ids),
             "script": print_script(bug.representative_script),
-            "outcomes": {
-                name: outcome_to_dict(outcome)
-                for name, outcome in sorted(bug.outcomes.items())
-            },
+            "outcomes": {name: outcome_to_dict(o) for name, o in bug.outcomes.items()},
         }))
     return "".join(lines).encode("utf-8")
 

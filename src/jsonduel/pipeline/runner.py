@@ -53,9 +53,6 @@ from .report import ModeCounts, OutcomeCounts, RunReport, record_line, write_rep
 
 log = logging.getLogger(__name__)
 
-PLAIN = "plain"
-MUTATE = "mutate"
-
 # Generations sent but not yet handled, at most, per request slot. Once
 # that many are, replies are handled until one per slot is left, and then
 # the next batch is sent: a model that answers at once then wakes a
@@ -143,7 +140,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
         while written < len(tasks) and record_at[written] is not None:
             records_file.write(record_line(*record_at[written]))
             written += 1
-        mode = MUTATE if record.rule is not None else PLAIN
+        mode = "mutate" if record.rule is not None else "plain"
         mode_counts = counts.setdefault(mode, ModeCounts())
         mode_counts.generated += 1
         script = record.extracted_script
@@ -203,11 +200,8 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
 
     records = [record for record in record_at if record is not None]
     verdicts = [verdict for verdict in verdict_at if verdict is not None]
-    inconsistent = [v for v in verdicts if v.status is VerdictStatus.INCONSISTENT]
-    suppressed = sorted(
-        {v.signature for v in inconsistent if v.signature in config.suppress}
-    )
-    bug_reports = dedup([v for v in inconsistent if v.signature not in config.suppress])
+    suppressed = sorted({v.signature for v in verdicts if v.signature in config.suppress})
+    bug_reports = dedup([v for v in verdicts if v.signature not in config.suppress])
 
     report = RunReport(
         config_echo=config.echo(),

@@ -18,19 +18,16 @@ class DslSyntaxError(DslError):
 class UnboundVariableError(DslError):
     def __init__(self, name: str):
         super().__init__(f"variable '{name}' referenced before assignment")
-        self.name = name
 
 
 class UnknownBeanError(DslError):
     def __init__(self, name: str):
         super().__init__(f"unknown bean '{name}'")
-        self.name = name
 
 
 class UnknownFeatureError(DslError):
     def __init__(self, name: str, expected: str):
         super().__init__(f"unknown {expected} feature '{name}'")
-        self.name = name
 
 
 class DslValidationError(DslError):

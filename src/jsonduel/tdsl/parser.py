@@ -51,9 +51,6 @@ _WRITER_FEATURES = {f.value: f for f in ast.WriterFeature}
 _CALLS = {word: node for node, word in ast.KEYWORDS.items() if node in get_args(ast.Expr)}
 _ASSERTS = {word: node for node, word in ast.KEYWORDS.items() if node in get_args(ast.Statement)}
 
-_MAX_EXPR_DEPTH = 256
-_MAX_TYPE_DEPTH = 256
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -161,7 +158,7 @@ class _Parser:
         return ast.BeanDef(name, tuple(fields))
 
     def field_type(self, depth: int = 0) -> ast.FieldType:
-        if depth > _MAX_TYPE_DEPTH:
+        if depth > jsontext.MAX_DEPTH:
             self.fail("field type nesting too deep")
         name = self.expect_ident("field type")
         if name in ast.PRIMITIVE_TYPES:
@@ -195,7 +192,7 @@ class _Parser:
         return stmt
 
     def expr(self, depth: int = 0) -> ast.Expr:
-        if depth > _MAX_EXPR_DEPTH:
+        if depth > jsontext.MAX_DEPTH:
             self.fail("expression nesting too deep")
         word = self.tok
         node = _CALLS.get(word)
@@ -344,7 +341,7 @@ def _bean_depth(bean: ast.BeanDef, depths: dict[str, int]) -> int:
 
 
 def _check_bean_nesting(beans: dict[str, ast.BeanDef], refs: dict[str, list[str]]) -> None:
-    """Reject a bean cycle, or a bean nested more than _MAX_TYPE_DEPTH
+    """Reject a bean cycle, or a bean nested more than jsontext.MAX_DEPTH
     levels deep, which the engines could not bind without exhausting
     the interpreter's recursion limit. Depth-first search with an
     explicit stack, so a long chain of beans cannot exhaust it here."""
@@ -361,8 +358,8 @@ def _check_bean_nesting(beans: dict[str, ast.BeanDef], refs: dict[str, list[str]
                 stack.pop()
                 visiting.discard(name)
                 depths[name] = _bean_depth(beans[name], depths)
-                if depths[name] > _MAX_TYPE_DEPTH:
-                    raise DslValidationError(f"bean '{name}' nests more than {_MAX_TYPE_DEPTH} levels")
+                if depths[name] > jsontext.MAX_DEPTH:
+                    raise DslValidationError(f"bean '{name}' nests more than {jsontext.MAX_DEPTH} levels")
             elif ref in visiting:
                 raise DslValidationError(f"recursive bean cycle through '{ref}'")
             elif ref not in depths:

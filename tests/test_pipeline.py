@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import shutil
 import sys
 import threading
 from pathlib import Path
@@ -972,6 +973,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: seed ids 'issue 1' and 'issue_1' both sanitize to 'issue_1'\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("target", ["seed", "config", "manifest", "scenario", "case script"])
+    def test_input_that_is_not_utf8_is_named(self, tmp_path, fixture_corpus, capsys, target):
+        config = self._config_file(tmp_path, fixture_corpus)
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff{}")
+        decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        if target == "seed":  # reported and left out; the other seeds still make a manifest
+            seeds = shutil.copytree(SEEDS_DIR, tmp_path / "seeds")
+            bad = seeds / "issue9999.t"
+            bad.write_bytes(b"\xff")
+            argv = ["mine", "--root", str(seeds), "--out", str(tmp_path / "manifest.json")]
+            code, expected = 0, f"load error: {bad}: {decode}"
+        elif target == "config":
+            argv = ["run", "--config", str(bad)]
+            code, expected = 1, f"error: cannot read config {bad}: {decode}"
+        elif target == "manifest":
+            payload = json.loads(config.read_text())
+            payload["corpus"] = {"manifest": str(bad)}
+            config.write_text(json.dumps(payload))
+            argv = ["run", "--config", str(config)]
+            code, expected = 1, f"error: cannot read manifest {bad}: {decode}"
+        elif target == "scenario":
+            argv = ["run", "--config", str(config), "--mock", str(bad)]
+            code, expected = 1, f"error: scenario {bad} is not JSON: {decode}"
+        else:
+            cases = tmp_path / "cases.jsonl"
+            outcome = {"result": "error", "kind": "ParseError", "message": "m"}
+            cases.write_text(json.dumps({"script_path": bad.name, "outcome": outcome}) + "\n")
+            argv = ["classify", "--cases", str(cases)]
+            code, expected = 1, f"error: {cases}:1: {bad}: {decode}"
+        assert main(argv) == code
+        assert capsys.readouterr().err == expected + "\n"
 
     def test_mine_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
