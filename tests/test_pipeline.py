@@ -980,7 +980,7 @@ class TestCli:
         bad = tmp_path / "bad"
         bad.write_bytes(b"\xff{}")
         decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
-        if target == "seed":  # reported and left out; the other seeds still make a manifest
+        if target == "seed":  # reported and left out of the corpus; mine still succeeds
             seeds = shutil.copytree(SEEDS_DIR, tmp_path / "seeds")
             bad = seeds / "issue9999.t"
             bad.write_bytes(b"\xff")
