@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..backends.outcomes import Pass, TestOutcome, outcome_from_dict
+from ..corpus import read_text
 from ..llm.client import LlmClient, send_ahead
 from ..llm.generation import GenParams
 from ..tdsl.ast import Script
@@ -74,7 +75,7 @@ def load_cases(path: Path | str) -> list[FailedCase]:
     """Load a labeled-case JSONL file."""
     path = Path(path)
     cases: list[FailedCase] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, "cases file").splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -85,14 +86,14 @@ def load_cases(path: Path | str) -> list[FailedCase]:
             raise ValueError(f"{path}:{lineno}: not an object with a string script_path")
         script_path = path.parent / data["script_path"]
         try:
-            text = script_path.read_text(encoding="utf-8")
+            text = read_text(script_path, "case script")
             script = parse_script(text)
             if not isinstance(data.get("outcome"), dict):
                 raise ValueError("outcome is not an object")
             outcome = outcome_from_dict(data["outcome"])
             category = Category(data.get("category", "unknown"))
             cases.append(FailedCase(script, text, outcome, data.get("backend", "reference"), category))
-        except (DslError, UnicodeDecodeError) as exc:
+        except DslError as exc:
             raise ValueError(f"{path}:{lineno}: {script_path}: {exc}") from None
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: outcome has no {exc}") from None

@@ -2,9 +2,9 @@
 
 Seeds come either from mining a directory for `.t` files whose names
 carry an issue keyword, or from an explicit JSON manifest. Seeds that
-fail to decode as UTF-8 or to parse are reported and excluded, never
-silently skipped; a corpus with no usable seeds is an error because the
-pipeline cannot run without them.
+cannot be read or parsed are reported and excluded; a corpus with no
+usable seed is an error that names each failed file. `read_text` reads
+every input file the program takes, so each read error names its file.
 """
 
 from __future__ import annotations
@@ -66,20 +66,30 @@ def _hash_seeds(seeds: list[SeedTest]) -> str:
     return digest.hexdigest()
 
 
-def _build(entries: list[tuple[str, Path]]) -> tuple[Corpus, list[SeedLoadError]]:
+def read_text(path: Path | str, what: str) -> str:
+    """Input file `path` as UTF-8 with text mode's newlines, read unbuffered. A failure
+    raises `ValueError("cannot read <what> <path>: <cause>")` from the cause."""
+    try:
+        with open(path, "rb", buffering=0) as f:
+            return f.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _build(entries: list[tuple[str, Path]], where: str) -> tuple[Corpus, list[SeedLoadError]]:
     seeds: list[SeedTest] = []
     errors: list[SeedLoadError] = []
     for seed_id, path in entries:
-        # text mode's universal newlines, without its per-file decoder set-up
-        with open(path, "rb", buffering=0) as f:
-            data = f.read()
-        try:  # a seed that does not decode or parse is rejected
-            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        try:  # a seed that cannot be read or parsed is reported and left out
+            text = read_text(path, "seed")
             parse_script(text)
-        except (DslError, UnicodeDecodeError) as exc:
-            errors.append(SeedLoadError(path, str(exc)))
+        except (DslError, ValueError) as exc:  # the report names the path, so only the cause
+            errors.append(SeedLoadError(path, str(exc.__cause__ or exc)))
         else:
             seeds.append(SeedTest(seed_id, path, text))
+    if not seeds:
+        raise EmptyCorpusError(f"no seed {where} could be loaded: "
+                               + "; ".join(f"{e.path}: {e.error}" for e in errors))
     seeds.sort(key=lambda s: s.id)
     return Corpus(tuple(seeds), _hash_seeds(seeds)), errors
 
@@ -89,7 +99,7 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadErr
 
     Matching is a case-insensitive substring test on the base filename.
     Returns the corpus (ordered by id) and the list of files that
-    matched but failed to decode or parse.
+    matched but could not be read or parsed.
     """
     if not keyword:
         raise CorpusError("mining keyword must be non-empty")
@@ -108,30 +118,22 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadErr
                 # as in `Path.with_suffix`, a name that is all extension keeps it
                 entries.append((prefix + (name[: -len(SEED_EXTENSION)] or name), Path(path)))
     entries.sort()
+    where = f"matching '*{keyword}*{SEED_EXTENSION}' under {root}"
     if not entries:
-        raise EmptyCorpusError(
-            f"no seed files matching '*{keyword}*{SEED_EXTENSION}' under {root}"
-        )
-    corpus, errors = _build(entries)
-    if not corpus.seeds:
-        raise EmptyCorpusError(
-            f"all {len(errors)} matching seed files under {root} failed to parse"
-        )
-    return corpus, errors
+        raise EmptyCorpusError(f"no seed files {where}")
+    return _build(entries, where)
 
 
 def load_corpus(manifest: Path | str) -> tuple[Corpus, list[SeedLoadError]]:
     """Load seeds from a JSON manifest: {"seeds": [{"id", "path"}, ...]}.
 
     Paths are resolved relative to the manifest's directory. A listed
-    file that does not exist is an error; a file that exists but fails
-    to decode or parse is reported and excluded.
+    file that does not exist is an error; a file that exists but cannot
+    be read or parsed is reported and excluded.
     """
     manifest = Path(manifest)
     try:
-        data = json.loads(manifest.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"cannot read manifest {manifest}: {exc}") from None
+        data = json.loads(read_text(manifest, "manifest"))
     except json.JSONDecodeError as exc:
         raise ManifestFormatError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(data, dict) or not isinstance(data.get("seeds"), list):
@@ -152,10 +154,7 @@ def load_corpus(manifest: Path | str) -> tuple[Corpus, list[SeedLoadError]]:
         entries.append((seed_id, path))
     if not entries:
         raise EmptyCorpusError(f"manifest {manifest} lists no seeds")
-    corpus, errors = _build(entries)
-    if not corpus.seeds:
-        raise EmptyCorpusError(f"all seeds in manifest {manifest} failed to parse")
-    return corpus, errors
+    return _build(entries, f"in manifest {manifest}")
 
 
 def write_manifest(corpus: Corpus, path: Path | str) -> None:

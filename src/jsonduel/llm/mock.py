@@ -20,6 +20,7 @@ import threading
 from pathlib import Path
 from typing import Callable, Sequence
 
+from ..corpus import read_text
 from .messages import ChatMessage, conversation_hash
 
 SCENARIO_VERSION = 1
@@ -38,8 +39,8 @@ class ReplayScenario:
     @classmethod
     def load(cls, path: Path | str) -> "ReplayScenario":
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            payload = json.loads(read_text(path, "scenario"))
+        except json.JSONDecodeError as exc:
             raise ValueError(f"scenario {path} is not JSON: {exc}") from None
         version = payload.get("version") if isinstance(payload, dict) else None
         if type(version) is not int or version != SCENARIO_VERSION:  # not True or 1.0

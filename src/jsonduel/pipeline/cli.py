@@ -25,7 +25,7 @@ from ..classify.evaluate import (
 )
 from ..classify.prompts import ClassifyMode
 from ..classify.voting import ClassificationAborted
-from ..corpus import CorpusError, mine_seeds, write_manifest
+from ..corpus import CorpusError, mine_seeds, read_text, write_manifest
 from ..llm.client import HttpChatClient
 from ..llm.generation import GenParams
 from ..llm.mock import ReplayClient
@@ -127,7 +127,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_exec(args) -> int:
     backend = resolve_backend(args.backend)
-    script = parse_script(args.script.read_text(encoding="utf-8"))
+    script = parse_script(read_text(args.script, "script"))
     outcome = execute(script, backend)
     print(describe(outcome))
     return EXIT_CLEAN

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..backends import BackendConfigError, resolve_backend
+from ..corpus import read_text
 from ..llm.generation import GenParams, MutationMode
 
 
@@ -117,9 +118,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     """Read a JSON config file; relative paths resolve against its directory."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        data = json.loads(read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed config {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}"

@@ -11,6 +11,7 @@ from jsonduel.corpus import (
     ManifestFormatError,
     load_corpus,
     mine_seeds,
+    read_text,
     write_manifest,
 )
 
@@ -40,9 +41,22 @@ class TestMineSeeds:
         assert errors[0].path.name == "issue2.t"
 
     def test_all_broken_is_an_error(self, seeds_dir):
+        """Mined or listed, the error names every file that failed, with its cause."""
         (seeds_dir / "issue1.t").write_text(BROKEN)
-        with pytest.raises(EmptyCorpusError):
-            mine_seeds(seeds_dir, "issue")
+        (seeds_dir / "issue2.t").write_bytes(b"\xff")
+        manifest = seeds_dir / "manifest.json"
+        manifest.write_text(json.dumps({"seeds": [{"id": "a", "path": "issue1.t"}, {"id": "b", "path": "issue2.t"}]}))
+        failed = (
+            f"{seeds_dir / 'issue1.t'}: expected an expression (line 1, column 9); "
+            f"{seeds_dir / 'issue2.t'}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        )
+        for where, load in [
+            (f"matching '*issue*.t' under {seeds_dir}", lambda: mine_seeds(seeds_dir, "issue")),
+            (f"in manifest {manifest}", lambda: load_corpus(manifest)),
+        ]:
+            with pytest.raises(EmptyCorpusError) as info:
+                load()
+            assert str(info.value) == f"no seed {where} could be loaded: {failed}"
 
     def test_subdirectories_are_searched_and_ids_stay_unique(self, seeds_dir):
         (seeds_dir / "v1").mkdir()
@@ -187,3 +201,24 @@ class TestManifest:
         assert errors == []
         assert [s.id for s in loaded.seeds] == [s.id for s in mined.seeds]
         assert loaded.manifest_hash == mined.manifest_hash
+
+
+class TestReadText:
+    @pytest.mark.parametrize(
+        "data",
+        [b"a\r\nb\r\n", b"a\rb", b"a\r", b"a\r\n\rb\n\r\r\nc", b"\xef\xbb\xbfa\r\n", b""],
+        ids=["crlf", "lone-cr", "trailing-cr", "mixed", "bom", "empty"],
+    )
+    def test_keeps_what_text_mode_gives(self, tmp_path, data):
+        """Every input file is read this way, so config, scenario, cases and
+        scripts keep the text they had when read in text mode."""
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        assert read_text(path, "input") == path.read_text(encoding="utf-8")
+
+    def test_failure_names_the_file_and_keeps_the_cause(self, tmp_path):
+        path = tmp_path / "missing"
+        with pytest.raises(ValueError) as info:
+            read_text(path, "config")
+        assert str(info.value) == f"cannot read config {path}: [Errno 2] No such file or directory: '{path}'"
+        assert isinstance(info.value.__cause__, FileNotFoundError)

@@ -1,7 +1,8 @@
 """Package layout: the import graph has no cycle, package `__init__.py`
 files hold no re-exports beyond the few callers rely on, the printer
 does not import the parser, only a live model client loads the HTTP
-stack, and no production code is there only for the tests.
+stack, every input file is read by `corpus.read_text`, and no
+production code is there only for the tests.
 
 Every module under `src/jsonduel` is parsed with `ast`; imports inside
 functions count too, since they close a cycle just the same.
@@ -150,6 +151,38 @@ def test_json_text_has_one_reader():
                 names += [alias.name for alias in node.names]
             if any(n and n.lstrip("_").startswith("scan_") for n in names):
                 found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def _open_mode(call: ast.Call) -> ast.expr | None:
+    """The mode argument of an `open(path, mode)` or `path.open(mode)` call."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    index = 0 if isinstance(call.func, ast.Attribute) else 1
+    return call.args[index] if len(call.args) > index else None
+
+
+def test_input_files_have_one_reader():
+    """Outside `corpus.read_text`, no module calls `.read_text(` or
+    `.read_bytes(`, or `open(` in a read mode, so every input file is
+    read, and every read failure reported, in one place. Writes are free."""
+    found = []
+    for name, (tree, _) in _modules().items():
+        for statement in tree.body:
+            if name == "jsonduel.corpus" and getattr(statement, "name", None) == "read_text":
+                continue
+            for node in ast.walk(statement):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if func == "open":
+                    mode = _open_mode(node)
+                    writes = isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")
+                    if not writes:
+                        found.append(f"{name}:{node.lineno}")
+                elif func in ("read_text", "read_bytes") and isinstance(node.func, ast.Attribute):
+                    found.append(f"{name}:{node.lineno}")
     assert found == []
 
 

@@ -974,36 +974,65 @@ class TestCli:
         assert captured.err == "error: seed ids 'issue 1' and 'issue_1' both sanitize to 'issue_1'\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("target", ["seed", "config", "manifest", "scenario", "case script"])
-    def test_input_that_is_not_utf8_is_named(self, tmp_path, fixture_corpus, capsys, target):
+    @pytest.mark.parametrize(
+        "target, how",
+        [
+            pytest.param(target, how, id=target if how == "not UTF-8" else f"{target}-{how}")
+            for target in ("config", "manifest", "scenario", "cases file", "case script", "script")
+            for how in ("not UTF-8", "missing", "directory")
+        ]
+        + [pytest.param("seed", "not UTF-8", id="seed"), pytest.param("seed", "unopenable", id="seed-unopenable")],
+    )
+    def test_input_that_is_not_utf8_is_named(
+        self, tmp_path, fixture_corpus, capsys, monkeypatch, target, how
+    ):
+        """Every input file that is not UTF-8, missing or a directory is
+        one usage error naming what it is, its path and the cause. A seed
+        that cannot be read is reported and left out; mine still succeeds."""
         config = self._config_file(tmp_path, fixture_corpus)
         bad = tmp_path / "bad"
-        bad.write_bytes(b"\xff{}")
-        decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
-        if target == "seed":  # reported and left out of the corpus; mine still succeeds
-            seeds = shutil.copytree(SEEDS_DIR, tmp_path / "seeds")
-            bad = seeds / "issue9999.t"
-            bad.write_bytes(b"\xff")
-            argv = ["mine", "--root", str(seeds), "--out", str(tmp_path / "manifest.json")]
-            code, expected = 0, f"load error: {bad}: {decode}"
+        if target == "seed":
+            bad = shutil.copytree(SEEDS_DIR, tmp_path / "seeds") / "issue9999.t"
+        cause = {
+            "not UTF-8": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            "missing": f"[Errno 2] No such file or directory: '{bad}'",
+            "directory": f"[Errno 21] Is a directory: '{bad}'",
+            "unopenable": f"[Errno 13] Permission denied: '{bad}'",
+        }[how]
+        if how == "directory":
+            bad.mkdir()
+        elif how != "missing":
+            bad.write_bytes(b"\xff{}")
+        if how == "unopenable":  # root may open any file, so the refusal is simulated
+            def refusing_open(path, *args, **kwargs):
+                if Path(path) == bad:
+                    raise PermissionError(13, "Permission denied", str(path))
+                return open(path, *args, **kwargs)
+
+            monkeypatch.setattr("jsonduel.corpus.open", refusing_open, raising=False)
+        code, expected = 1, f"error: cannot read {target} {bad}: {cause}"
+        if target == "seed":
+            argv = ["mine", "--root", str(bad.parent), "--out", str(tmp_path / "manifest.json")]
+            code, expected = 0, f"load error: {bad}: {cause}"
         elif target == "config":
             argv = ["run", "--config", str(bad)]
-            code, expected = 1, f"error: cannot read config {bad}: {decode}"
         elif target == "manifest":
             payload = json.loads(config.read_text())
             payload["corpus"] = {"manifest": str(bad)}
             config.write_text(json.dumps(payload))
             argv = ["run", "--config", str(config)]
-            code, expected = 1, f"error: cannot read manifest {bad}: {decode}"
         elif target == "scenario":
             argv = ["run", "--config", str(config), "--mock", str(bad)]
-            code, expected = 1, f"error: scenario {bad} is not JSON: {decode}"
-        else:
+        elif target == "cases file":
+            argv = ["classify", "--cases", str(bad)]
+        elif target == "case script":
             cases = tmp_path / "cases.jsonl"
             outcome = {"result": "error", "kind": "ParseError", "message": "m"}
             cases.write_text(json.dumps({"script_path": bad.name, "outcome": outcome}) + "\n")
             argv = ["classify", "--cases", str(cases)]
-            code, expected = 1, f"error: {cases}:1: {bad}: {decode}"
+            expected = f"error: {cases}:1: cannot read case script {bad}: {cause}"
+        else:
+            argv = ["exec", "--script", str(bad), "--backend", "reference"]
         assert main(argv) == code
         assert capsys.readouterr().err == expected + "\n"
 
