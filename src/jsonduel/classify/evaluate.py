@@ -10,28 +10,21 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Iterator
 
 from ..backends.outcomes import Pass, TestOutcome, outcome_from_dict
 from ..corpus import read_text
-from ..llm.client import LlmClient, send_ahead
+from ..llm.client import LlmClient, prepare_request
 from ..llm.generation import GenParams
 from ..tdsl.ast import Script
 from ..tdsl.errors import DslError
 from ..tdsl.parser import parse_script
-from .prompts import ClassifyMode
-from .voting import (
-    VOTE_COUNT,
-    ClassificationAborted,
-    ClassificationResult,
-    Verdict,
-    classify,
-    send_votes,
-)
+from .prompts import ClassifyMode, build_classify_prompt
+from .voting import VOTE_COUNT, ClassificationAborted, ClassificationResult, Verdict, classify
 
 # Cases whose votes `classify_cases` keeps open at once, and the most
 # model requests that are open at once as a result.
@@ -91,8 +84,11 @@ def load_cases(path: Path | str) -> list[FailedCase]:
             if not isinstance(data.get("outcome"), dict):
                 raise ValueError("outcome is not an object")
             outcome = outcome_from_dict(data["outcome"])
+            backend = data.get("backend", "reference")
+            if not isinstance(backend, str):
+                raise ValueError("backend is not a string")
             category = Category(data.get("category", "unknown"))
-            cases.append(FailedCase(script, text, outcome, data.get("backend", "reference"), category))
+            cases.append(FailedCase(script, text, outcome, backend, category))
         except DslError as exc:
             raise ValueError(f"{path}:{lineno}: {script_path}: {exc}") from None
         except KeyError as exc:
@@ -162,22 +158,32 @@ def classify_cases(
 
     Up to `CASES_IN_FLIGHT` cases have their votes open at once, so at
     most `OPEN_REQUESTS` requests are, on one pool of that many workers
-    that serves every case. The votes of case k + `CASES_IN_FLIGHT` are
-    sent once case k's result is taken (`send_ahead`). Every request is
-    prepared on the calling thread in case order, then slot order (see
-    `send_votes`).
+    that serves every case. Case k + `CASES_IN_FLIGHT` is sent once case
+    k's result is taken, so a caller that stops asking sends nothing
+    more. Every request is prepared on the calling thread
+    (`prepare_request`) in case order, then slot order, so an offline
+    client's replies land in the same slots on every run.
     The first case in list order with a failed slot decides an abort
     (see `classify`); `ClassificationAborted.case_index` names that case,
     and no request is sent after it.
     """
     with ThreadPoolExecutor(max_workers=OPEN_REQUESTS) as pool:
-        send = partial(send_votes, mode=mode, client=client, params=params, pool=pool)
-        for index, (_, votes) in enumerate(send_ahead(cases, send, CASES_IN_FLIGHT)):
+
+        def send(case: FailedCase):
+            prompt = tuple(build_classify_prompt(case, mode))
+            return [
+                pool.submit(prepare_request(client, prompt, params)) for _ in range(VOTE_COUNT)
+            ]
+
+        sent = deque(map(send, cases[:CASES_IN_FLIGHT]))
+        for index in range(len(cases)):
             try:
-                yield classify(votes)
+                yield classify(sent.popleft())
             except ClassificationAborted as exc:
                 exc.case_index = index
                 raise
+            if index + CASES_IN_FLIGHT < len(cases):
+                sent.append(send(cases[index + CASES_IN_FLIGHT]))
 
 
 def render_accuracy_text(report: AccuracyReport) -> str:

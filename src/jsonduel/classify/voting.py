@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import enum
 import re
-from concurrent.futures import Executor, Future
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..llm.client import GenerationError, LlmClient, TransportError, prepare_request
-from ..llm.generation import GenParams
-from .prompts import ClassifyMode, build_classify_prompt
+from ..llm.client import GenerationError, TransportError
 
 VOTE_COUNT = 6
 
@@ -74,28 +72,9 @@ class ClassificationAborted(Exception):
         self.case_index: int | None = None
 
 
-def send_votes(
-    case,
-    mode: ClassifyMode,
-    client: LlmClient,
-    params: GenParams,
-    pool: Executor,
-) -> list[Future]:
-    """Send a case's `VOTE_COUNT` requests on `pool`, one per slot.
-
-    Each slot's request is prepared in slot order on the calling thread
-    (`prepare_request`) before it is submitted, so an offline client's
-    replies land in the same slots on every run. The futures come back
-    in slot order; `classify` collects them.
-    """
-    prompt = tuple(build_classify_prompt(case, mode))
-    return [
-        pool.submit(prepare_request(client, prompt, params)) for _ in range(VOTE_COUNT)
-    ]
-
-
 def classify(sent: Sequence[Future]) -> ClassificationResult:
-    """Wait for one case's votes from `send_votes` and majority-vote them.
+    """Wait for one case's vote requests, given in slot order, and
+    majority-vote their replies.
 
     Votes are kept in slot order. If any slot fails, the first failed
     slot in slot order decides: a `TransportError` or `GenerationError`

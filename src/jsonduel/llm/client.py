@@ -12,10 +12,8 @@ from __future__ import annotations
 import logging
 import os
 import time
-from collections import deque
 from functools import partial
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from .messages import ChatMessage, to_wire
 
@@ -55,19 +53,6 @@ def prepare_request(
     """
     reserve = getattr(client, "reserve", None)
     return reserve(messages) if reserve else partial(client.complete, messages, params)
-
-
-def send_ahead(items: Iterable, send: Callable, ahead: int) -> Iterator:
-    """`send(item)` for each item in order, yielding (item, what `send`
-    returned) in the same order. Item k + `ahead` is sent once item k is
-    yielded. Items are taken from `items` only as they are sent, so a
-    caller that stops asking sends nothing more."""
-    items = iter(items)
-    sent = deque((item, send(item)) for item in islice(items, ahead))
-    while sent:
-        yield sent.popleft()
-        for item in islice(items, 1):
-            sent.append((item, send(item)))
 
 
 class HttpChatClient:

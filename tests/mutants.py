@@ -1,0 +1,118 @@
+"""Hand-written one-line mutants of the engine code, and whether tier-1
+kills each.
+
+Each entry of `MUTANTS` has a name, a file under `src/jsonduel/`, the
+text it replaces, the text it puts in its place, and why the change
+matters. The old text occurs exactly once in `src/`; a tier-1 test
+checks this, so the list cannot go stale unnoticed. An entry marked
+`equivalent` cannot change any outcome, and its reason says why; it is
+expected to survive.
+
+To score the list (tier-1 once per mutant, so it takes minutes and is not
+part of tier-1 itself):
+
+    python tests/mutants.py [pytest arguments, e.g. a subset of tests]
+
+Each mutant is applied alone to a temporary copy of `src/`, tier-1 runs
+against that copy, and one line per mutant says `killed` or `survived`.
+The exit status is 1 if a mutant that is not equivalent survives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/jsonduel
+    old: str
+    new: str
+    reason: str
+    equivalent: bool = False
+
+
+MUTANTS = [
+    Mutant(
+        "key-count",
+        "values.py",
+        "if a.keys() != b.keys():",
+        "if len(a) != len(b):",
+        "objects compare key counts, not key sets: `assert_eq({\"x\": 1}, {\"y\": 1});` "
+        "raises KeyError out of `execute`",
+    ),
+    Mutant(
+        "negative-index",
+        "backends/reference.py",
+        "value[accessor] if 0 <= accessor < len(value) else None",
+        "value[accessor] if -len(value) <= accessor < len(value) else None",
+        "`get` reads a negative index from the end, where features.md makes it out of range",
+    ),
+    Mutant(
+        "boolean-any-case",
+        "backends/coerce.py",
+        'if k == "str" and value in ("true", "false"):',
+        'if k == "str" and value.lower() in ("true", "false"):',
+        "the boolean getter accepts \"TRUE\", where features.md takes \"true\"/\"false\" only",
+    ),
+    Mutant(
+        "path-index-18-digits",
+        "backends/reference.py",
+        'int(index.lstrip("0")[:19] or 0)',
+        'int(index.lstrip("0")[:18] or 0)',
+        "a path index keeps 18 significant digits, not 19: only an index of 19 or more "
+        "digits changes, and it reads as at least 10**17 either way, beyond any array, "
+        "so the step is null in both",
+        equivalent=True,
+    ),
+]
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the mutant's old text occurs across `src/`."""
+    return sum(
+        path.read_text(encoding="utf-8").count(mutant.old) for path in SRC.rglob("*.py")
+    )
+
+
+def killed(mutant: Mutant, pytest_args: list[str]) -> bool:
+    """Whether tier-1 (or the given subset) fails with `mutant` applied to
+    a temporary copy of `src/`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "jsonduel" / mutant.file
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(mutant.old, mutant.new, 1), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", "-o", f"pythonpath={src}", *pytest_args],
+            cwd=ROOT, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        return proc.returncode != 0
+
+
+def main(pytest_args: list[str]) -> int:
+    missed = 0
+    for mutant in MUTANTS:
+        if occurrences(mutant) != 1:
+            raise SystemExit(f"{mutant.file}: old text does not occur exactly once: {mutant.old!r}")
+        status = "killed" if killed(mutant, pytest_args) else "survived"
+        missed += status == "survived" and not mutant.equivalent
+        label = f"{status} (equivalent)" if mutant.equivalent else status
+        print(f"{label:<22} {mutant.name} ({mutant.file}): {mutant.reason}", flush=True)
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -200,6 +200,7 @@ class TestGetters:
             ({"a": [1]}, "a", AsType.ARRAY, [1]),
             ({"a": {"b": 1}}, "a", AsType.OBJECT, {"b": 1}),
             ({"a": [1, "x"]}, "a", AsType.STRING, '[1,"x"]'),
+            ([1, 2], -1, AsType.VALUE, None),  # a negative index is out of range
         ],
     )
     def test_coercion_table(self, value, accessor, as_type, expected):
@@ -215,6 +216,11 @@ class TestGetters:
 
     def test_out_of_range_index_behaves_like_missing(self):
         assert REF.get([1], 5, AsType.VALUE) is None
+
+    def test_negative_index_typed_is_null_access(self):
+        with pytest.raises(BackendError) as info:
+            REF.get([1, 2], -1, AsType.INTEGER)
+        assert info.value.kind is ErrorKind.NULL_ACCESS
 
     def test_null_target_is_null_access(self):
         with pytest.raises(BackendError) as info:
@@ -303,6 +309,8 @@ COERCION_MATRIX = [
             _cast("str", "boolean"), _cast("str", "object"), _cast("str", "array")]),
     ("true", ["true", "true", _cast("str", "integer"), _cast("str", "decimal"), True,
               _cast("str", "object"), _cast("str", "array")]),
+    ("TRUE", ["TRUE", "TRUE", _cast("str", "integer"), _cast("str", "decimal"),
+              _cast("str", "boolean"), _cast("str", "object"), _cast("str", "array")]),
 ]
 
 BOX = BeanDef("Box", (BeanField("n", Prim("integer")),))

@@ -4,7 +4,6 @@ import dataclasses
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -34,9 +33,7 @@ from jsonduel.classify.voting import (
     ClassificationAborted,
     ClassificationResult,
     Verdict,
-    classify,
     parse_verdict,
-    send_votes,
     tally_votes,
 )
 from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
@@ -59,9 +56,8 @@ def make_case(src: str = "assert_eq(1, 2);", backend: str = "reference") -> Fail
 
 
 def classify_fs(case: FailedCase, client) -> ClassificationResult:
-    """One case's votes sent and classified in FS mode on a pool of its own."""
-    with ThreadPoolExecutor(VOTE_COUNT) as pool:
-        return classify(send_votes(case, ClassifyMode.FS, client, PARAMS, pool))
+    """One case's votes sent and classified in FS mode."""
+    return next(classify_cases([case], ClassifyMode.FS, client, PARAMS))
 
 
 FIXTURE_SRC = 'let o = parse("[10, 20]");\nassert_eq(99, get(o, 1, integer));\n'
@@ -419,6 +415,27 @@ class TestPipelinedCases:
         )
         for report in reports:
             assert [r.result.votes for r in report.case_results] == expected
+
+    def test_case_k_plus_the_window_is_sent_once_case_k_is_taken(self):
+        client = ScriptedClient([GOOD] * 100)
+        results = classify_cases(_labelled(3 * CASES_IN_FLIGHT), ClassifyMode.FS, client, PARAMS)
+        next(results)
+        assert client.reserved == CASES_IN_FLIGHT * VOTE_COUNT
+        next(results)
+        assert client.reserved == (CASES_IN_FLIGHT + 1) * VOTE_COUNT
+        results.close()
+
+    def test_a_caller_that_stops_asking_sends_nothing_more(self):
+        client = ScriptedClient([GOOD] * 100)
+        results = classify_cases(_labelled(3 * CASES_IN_FLIGHT), ClassifyMode.FS, client, PARAMS)
+        next(results)
+        results.close()
+        assert client.calls == client.reserved == CASES_IN_FLIGHT * VOTE_COUNT
+
+    def test_no_cases_send_nothing(self):
+        client = ScriptedClient([])
+        assert list(classify_cases([], ClassifyMode.FS, client, PARAMS)) == []
+        assert client.reserved == 0
 
     def test_no_request_is_sent_after_an_abort(self):
         cases = _labelled(3 * CASES_IN_FLIGHT)

@@ -98,6 +98,16 @@ class TestLoadCases:
                 "a failed case cannot carry a Pass outcome",
                 id="pass-outcome",
             ),
+            pytest.param(
+                '"outcome": {"result": "error", "kind": "ParseError"}, "backend": 5',
+                "backend is not a string",
+                id="backend-not-a-string",
+            ),
+            pytest.param(
+                '"outcome": {"result": "error", "kind": "ParseError"}, "backend": null',
+                "backend is not a string",
+                id="backend-null",
+            ),
         ],
     )
     def test_bad_case_fields_report_position(self, tmp_path, fields, message):

@@ -56,6 +56,9 @@ class TestOutcomes:
         outcome = run('let a = parse("nope"); assert_eq(1, 2);')
         assert isinstance(outcome, Error)
 
+    def test_objects_with_other_keys_fail(self):
+        assert run('assert_eq({"x": 1}, {"y": 1});') == Fail(0, '{"x":1}', '{"y":1}')
+
     def test_assert_null(self):
         assert run('assert_null(get({"a": 1}, "b", value));') == Pass()
         assert run("assert_null(1);") == Fail(0, "null", "1")

@@ -6,7 +6,7 @@ import random
 import pytest
 import requests
 
-from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError, send_ahead
+from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import ChatMessage, Role, conversation_hash
 from jsonduel.llm.mock import ReplayClient, ReplayMissError, ReplayScenario
@@ -240,25 +240,6 @@ class TestMocks:
         client = ScriptedClient([TransportError("down")])
         with pytest.raises(TransportError):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
-
-
-class TestSendAhead:
-    def test_item_k_plus_ready_is_sent_after_item_k_is_taken(self):
-        sent = []
-
-        def send(item):
-            sent.append(item)
-            return item * 10
-
-        window = send_ahead(iter(range(6)), send, 2)
-        assert next(window) == (0, 0) and sent == [0, 1]
-        assert next(window) == (1, 10) and sent == [0, 1, 2]
-        window.close()  # a caller that stops asking sends nothing more
-        assert sent == [0, 1, 2]
-
-    def test_fewer_items_than_the_window(self):
-        assert list(send_ahead([1, 2], lambda item: -item, 5)) == [(1, -1), (2, -2)]
-        assert list(send_ahead([], lambda item: item, 3)) == []
 
 
 class TestGenParams:
