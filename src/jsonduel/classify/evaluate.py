@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..backends.outcomes import Pass, TestOutcome, outcome_from_dict
-from ..corpus import read_text
+from ..corpus import decode_json, read_text
 from ..llm.client import LlmClient, prepare_request
 from ..llm.generation import GenParams
 from ..tdsl.ast import Script
@@ -72,9 +72,9 @@ def load_cases(path: Path | str) -> list[FailedCase]:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+            data = decode_json(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("script_path"), str):
             raise ValueError(f"{path}:{lineno}: not an object with a string script_path")
         script_path = path.parent / data["script_path"]

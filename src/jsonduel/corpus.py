@@ -4,7 +4,8 @@ Seeds come either from mining a directory for `.t` files whose names
 carry an issue keyword, or from an explicit JSON manifest. Seeds that
 cannot be read or parsed are reported and excluded; a corpus with no
 usable seed is an error that names each failed file. `read_text` reads
-every input file the program takes, so each read error names its file.
+every input file the program takes, and `read_json` decodes every JSON
+document among them, so each read or decode error names its file.
 """
 
 from __future__ import annotations
@@ -27,15 +28,6 @@ class CorpusError(Exception):
 
 class EmptyCorpusError(CorpusError):
     pass
-
-
-class ManifestFormatError(CorpusError):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
-        self.line = line
-        self.col = col
 
 
 @dataclass(frozen=True)
@@ -74,6 +66,34 @@ def read_text(path: Path | str, what: str) -> str:
             return f.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:  # as the engines' reader, reject what `dict` would drop
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def decode_json(text: str):
+    """The JSON value `text` holds; a repeated object key is a `ValueError`,
+    as are the decode errors of `json.loads`."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def read_json(path: Path | str, what: str) -> dict:
+    """The JSON object in input file `path`, read by `read_text` and decoded by
+    `decode_json`. A failure raises `ValueError("cannot read <what> <path>: <cause>")`."""
+    text = read_text(path, what)
+    try:
+        data = decode_json(text)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+    return data
 
 
 def _build(entries: list[tuple[str, Path]], where: str) -> tuple[Corpus, list[SeedLoadError]]:
@@ -132,18 +152,15 @@ def load_corpus(manifest: Path | str) -> tuple[Corpus, list[SeedLoadError]]:
     be read or parsed is reported and excluded.
     """
     manifest = Path(manifest)
-    try:
-        data = json.loads(read_text(manifest, "manifest"))
-    except json.JSONDecodeError as exc:
-        raise ManifestFormatError(exc.msg, exc.lineno, exc.colno) from None
-    if not isinstance(data, dict) or not isinstance(data.get("seeds"), list):
-        raise ManifestFormatError('manifest must be an object with a "seeds" list')
+    data = read_json(manifest, "manifest")
+    if not isinstance(data.get("seeds"), list):
+        raise CorpusError(f'manifest {manifest} must be an object with a "seeds" list')
 
     entries: list[tuple[str, Path]] = []
     seen: set[str] = set()
     for item in data["seeds"]:
         if not isinstance(item, dict) or not all(isinstance(item.get(k), str) for k in ("id", "path")):
-            raise ManifestFormatError(f'seed entries need string "id" and "path": {item!r}')
+            raise CorpusError(f'seed entries need string "id" and "path": {item!r}')
         seed_id = item["id"]
         if seed_id in seen:
             raise CorpusError(f"duplicate seed id '{seed_id}' in manifest")

@@ -15,12 +15,11 @@ replies do not depend on the order in which the threads run.
 
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..corpus import read_text
+from ..corpus import read_json
 from .messages import ChatMessage, conversation_hash
 
 SCENARIO_VERSION = 1
@@ -38,11 +37,8 @@ class ReplayScenario:
 
     @classmethod
     def load(cls, path: Path | str) -> "ReplayScenario":
-        try:
-            payload = json.loads(read_text(path, "scenario"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"scenario {path} is not JSON: {exc}") from None
-        version = payload.get("version") if isinstance(payload, dict) else None
+        payload = read_json(path, "scenario")
+        version = payload.get("version")
         if type(version) is not int or version != SCENARIO_VERSION:  # not True or 1.0
             raise ValueError(f"scenario {path} must be an object with version {SCENARIO_VERSION}")
         responses = payload.get("responses")
@@ -51,6 +47,8 @@ class ReplayScenario:
             for queue in responses.values()
         ):
             raise ValueError(f"scenario {path} needs a 'responses' object of lists of strings")
+        if any("" in queue for queue in responses.values()):
+            raise ValueError(f"scenario {path} records an empty reply, which a live model never returns")
         return cls(responses)
 
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..backends import BackendConfigError, resolve_backend
-from ..corpus import read_text
+from ..corpus import read_json
 from ..llm.generation import GenParams, MutationMode
 
 
@@ -57,6 +56,8 @@ class PipelineConfig:
                 raise ConfigError(str(exc)) from None
         if self.in_flight < 1:
             raise ConfigError("in_flight must be >= 1")
+        if self.context_limit_chars < 0:
+            raise ConfigError("context_limit_chars must be >= 0")
 
     def echo(self) -> dict:
         """JSON-safe snapshot of the effective configuration."""
@@ -117,14 +118,7 @@ def _get(raw: dict, key: str, want: type, default=None, prefix: str = ""):
 def load_config(path: Path | str) -> PipelineConfig:
     """Read a JSON config file; relative paths resolve against its directory."""
     path = Path(path)
-    try:
-        data = json.loads(read_text(path, "config"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"malformed config {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
+    data = read_json(path, "config")
     base = path.parent
 
     def rel(p) -> Path:

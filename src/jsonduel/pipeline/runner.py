@@ -71,12 +71,6 @@ def _sanitize(seed_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", seed_id)
 
 
-def _load(config: PipelineConfig):
-    if config.corpus.manifest is not None:
-        return load_corpus(config.corpus.manifest)
-    return mine_seeds(config.corpus.root, config.corpus.keyword)
-
-
 def _build_client(config: PipelineConfig) -> LlmClient:
     if config.mock_scenario is not None:
         return ReplayClient.from_file(config.mock_scenario)
@@ -91,11 +85,17 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     written, and the report is flagged incomplete.
     """
     config.validate()
+    root = config.corpus.root
+    if root is not None and config.out_dir.resolve().is_relative_to(root.resolve()):
+        raise CorpusError(f"out_dir {config.out_dir} is under corpus root {root}: a run would mine its output")
     client = client if client is not None else _build_client(config)
     backends = [resolve_backend(name) for name in config.backends]
     started_at = datetime.now(timezone.utc).isoformat()
 
-    corpus, load_errors = _load(config)
+    if root is None:
+        corpus, load_errors = load_corpus(config.corpus.manifest)
+    else:
+        corpus, load_errors = mine_seeds(root, config.corpus.keyword)
     log.info("corpus: %d seeds (%d load errors)", len(corpus.seeds), len(load_errors))
 
     seed_of: dict[str, str] = {}  # sanitized id -> seed id
@@ -113,8 +113,9 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     ]
 
     (config.out_dir / "scripts").mkdir(parents=True, exist_ok=True)
-    for stale in (config.out_dir / "scripts").glob("*.t"):  # an earlier run's flagged scripts
-        stale.unlink()
+    reports = [config.out_dir / name for name in ("verdicts.jsonl", "bugs.jsonl", "report.txt")]
+    for stale in [*(config.out_dir / "scripts").glob("*.t"), *reports]:  # an earlier run's output
+        stale.unlink(missing_ok=True)
     # Replies are handled as they arrive, so each lands at its task's index.
     record_at: list[tuple[str, GenerationRecord] | None] = [None] * len(tasks)
     written = 0  # records.jsonl holds record_at[:written]

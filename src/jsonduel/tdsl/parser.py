@@ -14,6 +14,7 @@ bytes always yield the identical AST.
 
 from __future__ import annotations
 
+import graphlib
 import re
 from typing import get_args
 
@@ -283,23 +284,19 @@ def parse_script(text: str) -> ast.Script:
     parser = _Parser(text)
     script = parser.script()
     beans: dict[str, ast.BeanDef] = {}
-    refs: dict[str, list[str]] = {}  # the beans each bean holds
     for bean in script.beans:
         if bean.name in ast.RESERVED_WORDS or bean.name in ast.PRIMITIVE_TYPES:
             raise DslValidationError(f"'{bean.name}' cannot be used as a bean name")
         if bean.name in beans:
             raise DslValidationError(f"duplicate bean '{bean.name}'")
-        beans[bean.name], refs[bean.name] = bean, _bean_refs(bean)
+        beans[bean.name] = bean
         seen: set[str] = set()
         for field in bean.fields:
             if field.name in seen:
                 raise DslValidationError(f"duplicate field '{field.name}' in bean '{bean.name}'")
             seen.add(field.name)
     if beans:  # most scripts define none
-        for ref in (ref for names in refs.values() for ref in names):
-            if ref not in beans:
-                raise UnknownBeanError(ref)
-        _check_bean_nesting(beans, refs)
+        _check_bean_graph(beans)
 
     for check in parser.checks:
         if isinstance(check, DslError):
@@ -322,12 +319,6 @@ def _unwrap(ftype: ast.FieldType) -> tuple[int, ast.FieldType]:
     return levels, ftype
 
 
-def _bean_refs(bean: ast.BeanDef) -> list[str]:
-    """Names of the beans that `bean`'s fields hold, directly or in lists."""
-    inner = [_unwrap(field.type)[1] for field in bean.fields]
-    return [ftype.name for ftype in inner if isinstance(ftype, ast.BeanRef)]
-
-
 def _bean_depth(bean: ast.BeanDef, depths: dict[str, int]) -> int:
     """List levels plus bean hops along the deepest path out of `bean`,
     given the depths of the beans it holds."""
@@ -340,28 +331,24 @@ def _bean_depth(bean: ast.BeanDef, depths: dict[str, int]) -> int:
     return deepest
 
 
-def _check_bean_nesting(beans: dict[str, ast.BeanDef], refs: dict[str, list[str]]) -> None:
-    """Reject a bean cycle, or a bean nested more than jsontext.MAX_DEPTH
-    levels deep, which the engines could not bind without exhausting
-    the interpreter's recursion limit. Depth-first search with an
-    explicit stack, so a long chain of beans cannot exhaust it here."""
-    depths: dict[str, int] = {}  # beans whose walk has finished
-    for root in beans:
-        if root in depths:
-            continue
-        visiting = {root}
-        stack = [(root, iter(refs[root]))]
-        while stack:
-            name, unwalked = stack[-1]
-            ref = next(unwalked, None)
-            if ref is None:
-                stack.pop()
-                visiting.discard(name)
-                depths[name] = _bean_depth(beans[name], depths)
-                if depths[name] > jsontext.MAX_DEPTH:
-                    raise DslValidationError(f"bean '{name}' nests more than {jsontext.MAX_DEPTH} levels")
-            elif ref in visiting:
-                raise DslValidationError(f"recursive bean cycle through '{ref}'")
-            elif ref not in depths:
-                visiting.add(ref)
-                stack.append((ref, iter(refs[ref])))
+def _check_bean_graph(beans: dict[str, ast.BeanDef]) -> None:
+    """Reject a bean that holds an unknown bean, a bean cycle, or a bean
+    nested more than jsontext.MAX_DEPTH levels deep, which the engines
+    could not bind without exhausting the interpreter's recursion limit."""
+    refs: dict[str, list[str]] = {}  # the beans each bean's fields hold, directly or in lists
+    for name, bean in beans.items():
+        inner = [_unwrap(field.type)[1] for field in bean.fields]
+        refs[name] = [ftype.name for ftype in inner if isinstance(ftype, ast.BeanRef)]
+        for ref in refs[name]:
+            if ref not in beans:
+                raise UnknownBeanError(ref)
+    if not any(refs.values()):  # `field_type` caps list levels alone at MAX_DEPTH
+        return
+    depths: dict[str, int] = {}
+    try:
+        for name in graphlib.TopologicalSorter(refs).static_order():  # held beans first
+            depths[name] = _bean_depth(beans[name], depths)
+            if depths[name] > jsontext.MAX_DEPTH:
+                raise DslValidationError(f"bean '{name}' nests more than {jsontext.MAX_DEPTH} levels")
+    except graphlib.CycleError as exc:
+        raise DslValidationError(f"recursive bean cycle through '{exc.args[1][0]}'") from None

@@ -8,7 +8,6 @@ import pytest
 from jsonduel.corpus import (
     CorpusError,
     EmptyCorpusError,
-    ManifestFormatError,
     load_corpus,
     mine_seeds,
     read_text,
@@ -167,9 +166,19 @@ class TestManifest:
     def test_malformed_manifest_reports_position(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"seeds": [}')
-        with pytest.raises(ManifestFormatError) as info:
+        with pytest.raises(ValueError) as info:
             load_corpus(path)
-        assert info.value.line == 1
+        assert str(info.value) == f"cannot read manifest {path}: Expecting value: line 1 column 12 (char 11)"
+
+    @pytest.mark.parametrize(
+        "text", ['{"seed": []}', '{"seeds": {}}'], ids=["no-seeds-key", "seeds-not-a-list"]
+    )
+    def test_manifest_without_a_seeds_list_is_named(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value) == f'manifest {path} must be an object with a "seeds" list'
 
     def test_duplicate_ids_rejected(self, tmp_path):
         (tmp_path / "a.t").write_text(VALID)
@@ -187,7 +196,7 @@ class TestManifest:
     def test_entry_needs_string_id_and_path(self, tmp_path, entry):
         (tmp_path / "a.t").write_text(VALID)
         manifest = self._manifest(tmp_path, [entry])
-        with pytest.raises(ManifestFormatError) as info:
+        with pytest.raises(CorpusError) as info:
             load_corpus(manifest)
         assert str(info.value) == f'seed entries need string "id" and "path": {entry!r}'
 

@@ -1,8 +1,9 @@
 """Package layout: the import graph has no cycle, package `__init__.py`
 files hold no re-exports beyond the few callers rely on, the printer
 does not import the parser, only a live model client loads the HTTP
-stack, every input file is read by `corpus.read_text`, and no
-production code is there only for the tests.
+stack, every input file is read by `corpus.read_text` and every JSON
+input decoded in `corpus`, and no production code is there only for
+the tests.
 
 Every module under `src/jsonduel` is parsed with `ast`; imports inside
 functions count too, since they close a cycle just the same.
@@ -183,6 +184,27 @@ def test_input_files_have_one_reader():
                         found.append(f"{name}:{node.lineno}")
                 elif func in ("read_text", "read_bytes") and isinstance(node.func, ast.Attribute):
                     found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_json_inputs_have_one_decoder():
+    """Outside `corpus`, no module calls `json.load` or `json.loads` or
+    imports either, so every JSON input is decoded by `corpus.decode_json`,
+    which rejects a repeated key, and each decode failure is reported the
+    same way."""
+    found = []
+    for name, (tree, _) in _modules().items():
+        if name == "jsonduel.corpus":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "json":
+                names = [node.attr]
+            else:
+                continue
+            if {"load", "loads"} & set(names):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 

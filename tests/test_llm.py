@@ -201,32 +201,37 @@ class TestMocks:
         assert first == second == "same answer"
 
     @pytest.mark.parametrize(
-        "payload, reason",
+        "payload, message",
         [
-            ("{nope", "is not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-            ([], "must be an object with version 1"),
-            ({"responses": {}}, "must be an object with version 1"),
-            ({"version": 2, "responses": {}}, "must be an object with version 1"),
-            ({"version": True, "responses": {}}, "must be an object with version 1"),
-            ({"version": 1.0, "responses": {}}, "must be an object with version 1"),
-            ({"version": "1", "responses": {}}, "must be an object with version 1"),
-            ({"version": 1}, "needs a 'responses' object of lists of strings"),
-            ({"version": 1, "responses": []}, "needs a 'responses' object of lists of strings"),
-            ({"version": 1, "responses": {"ab": "hello"}}, "needs a 'responses' object of lists of strings"),
-            ({"version": 1, "responses": {"ab": ["hi", 5]}}, "needs a 'responses' object of lists of strings"),
+            ("{nope", "cannot read scenario {path}: "
+             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ([], "cannot read scenario {path}: not a JSON object"),
+            ({"responses": {}}, "scenario {path} must be an object with version 1"),
+            ({"version": 2, "responses": {}}, "scenario {path} must be an object with version 1"),
+            ({"version": True, "responses": {}}, "scenario {path} must be an object with version 1"),
+            ({"version": 1.0, "responses": {}}, "scenario {path} must be an object with version 1"),
+            ({"version": "1", "responses": {}}, "scenario {path} must be an object with version 1"),
+            ({"version": 1}, "scenario {path} needs a 'responses' object of lists of strings"),
+            ({"version": 1, "responses": []}, "scenario {path} needs a 'responses' object of lists of strings"),
+            ({"version": 1, "responses": {"ab": "hello"}},
+             "scenario {path} needs a 'responses' object of lists of strings"),
+            ({"version": 1, "responses": {"ab": ["hi", 5]}},
+             "scenario {path} needs a 'responses' object of lists of strings"),
+            ({"version": 1, "responses": {"ab": ["hi", ""]}},
+             "scenario {path} records an empty reply, which a live model never returns"),
         ],
         ids=[
             "not-json", "list", "no-version", "version-2",
             "version-true", "version-float", "version-string",
-            "no-responses", "responses-list", "reply-string", "reply-number",
+            "no-responses", "responses-list", "reply-string", "reply-number", "reply-empty",
         ],
     )
-    def test_malformed_scenario_names_the_file(self, tmp_path, payload, reason):
+    def test_malformed_scenario_names_the_file(self, tmp_path, payload, message):
         path = tmp_path / "s.json"
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         with pytest.raises(ValueError) as info:
             ReplayScenario.load(path)
-        assert str(info.value) == f"scenario {path} {reason}"
+        assert str(info.value) == message.format(path=path)
 
     def test_scripted_order_and_exhaustion(self):
         client = ScriptedClient(["a", "b"])

@@ -16,7 +16,7 @@ from jsonduel.diffcore import VerdictStatus
 from jsonduel.llm.client import TransportError
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import Role
-from jsonduel.llm.mock import ReplayClient
+from jsonduel.llm.mock import ReplayClient, ReplayMissError, ReplayScenario
 from jsonduel.llm.prompts import SUMMARIZE_PROMPT, build_context
 from jsonduel.pipeline import runner
 from jsonduel.pipeline.config import (
@@ -144,6 +144,28 @@ class TestRun:
         second = run(planted_config(tmp_path, fixture_corpus, backends=("reference", "reference-copy")))
         assert second.bug_reports == []
         assert list(scripts.iterdir()) == []
+
+    def test_a_second_run_that_raises_leaves_no_earlier_report(self, tmp_path, fixture_corpus):
+        run(planted_config(tmp_path, fixture_corpus))
+        reports = [tmp_path / "out" / name for name in ("verdicts.jsonl", "bugs.jsonl", "report.txt")]
+        assert all(path.is_file() for path in reports)
+        with pytest.raises(ReplayMissError):
+            run(planted_config(tmp_path, fixture_corpus), client=ReplayClient(ReplayScenario()))
+        assert [path for path in reports if path.exists()] == []
+
+    @pytest.mark.parametrize("under", [".", "out", "a/b"], ids=["root", "child", "grandchild"])
+    def test_out_dir_under_the_mined_root_is_refused(self, seeds_dir, under):
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        out = seeds_dir / under
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir), backends=("reference", "reference-copy"), out_dir=out
+        )
+        client = ScriptedClient([])
+        with pytest.raises(CorpusError) as info:
+            run(config, client=client)
+        assert str(info.value) == f"out_dir {out} is under corpus root {seeds_dir}: a run would mine its output"
+        assert client.reserved == 0
+        assert sorted(p.name for p in seeds_dir.iterdir()) == ["issue1.t"]
 
     def test_suppression_removes_bug_but_keeps_verdict(self, tmp_path, fixture_corpus):
         first = run(planted_config(tmp_path, fixture_corpus))
@@ -854,8 +876,12 @@ class TestConfig:
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{nope")
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ValueError) as info:
             load_config(path)
+        assert str(info.value) == (
+            f"cannot read config {path}: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        )
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -880,6 +906,7 @@ class TestConfig:
             ("n_per_sed", 9, "unknown config key 'n_per_sed'"),
             ("rounds", 2, "unknown config key 'rounds'"),
             ("corpus", {"root": ".", "kewyord": "x"}, "unknown config key 'corpus.kewyord'"),
+            ("context_limit_chars", -5, "context_limit_chars must be >= 0"),
         ],
         ids=[
             "in_flight-string", "in_flight-true", "in_flight-null", "n_per_seed-string",
@@ -887,7 +914,7 @@ class TestConfig:
             "temperature-false", "model-number", "mutation-list", "out_dir-number",
             "suppress-number", "suppress-number-list", "backends-string", "corpus-root-number",
             "corpus-manifest-number", "corpus-keyword-number", "unknown-key", "unknown-rounds",
-            "unknown-corpus-key",
+            "unknown-corpus-key", "context_limit_chars-negative",
         ],
     )
     def test_wrong_json_type_rejected(self, tmp_path, key, value, message):
@@ -1035,6 +1062,65 @@ class TestCli:
             argv = ["exec", "--script", str(bad), "--backend", "reference"]
         assert main(argv) == code
         assert capsys.readouterr().err == expected + "\n"
+
+    @pytest.mark.parametrize(
+        "target, how",
+        [
+            pytest.param(target, how, id=f"{target}-{how.replace(' ', '-')}")
+            for target in ("config", "manifest", "scenario")
+            for how in ("not JSON", "not an object", "repeated key")
+        ]
+        + [pytest.param("cases file", "repeated key", id="cases-line-repeated-key")],
+    )
+    def test_input_that_does_not_decode_is_named(self, tmp_path, fixture_corpus, capsys, target, how):
+        """A JSON input that is not JSON, not an object or repeats a key is
+        one usage error naming what it is, its path and the cause; a cases
+        line that repeats a key is named by its file and line."""
+        config = self._config_file(tmp_path, fixture_corpus)
+        repeated, key = {
+            "config": ('{"in_flight": 1, "in_flight": 64}', "in_flight"),
+            "manifest": ('{"seeds": [{"id": "a", "path": "a.t"}], "seeds": []}', "seeds"),
+            "scenario": ('{"version": 1, "responses": {"ab": ["hi"], "ab": ["ho"]}}', "ab"),
+            "cases file": ('{"script_path": "a.t", "script_path": "b.t"}', "script_path"),
+        }[target]
+        text, cause = {
+            "not JSON": ("{nope", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            "not an object": ("[]", "not a JSON object"),
+            "repeated key": (repeated, f"repeated key '{key}'"),
+        }[how]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        expected = f"error: cannot read {target} {bad}: {cause}"
+        if target == "config":
+            argv = ["run", "--config", str(bad)]
+        elif target == "manifest":
+            payload = json.loads(config.read_text())
+            config.write_text(json.dumps({**payload, "corpus": {"manifest": str(bad)}}))
+            argv = ["run", "--config", str(config)]
+        elif target == "scenario":
+            argv = ["run", "--config", str(config), "--mock", str(bad)]
+        else:
+            argv = ["classify", "--cases", str(bad)]
+            expected = f"error: {bad}:1: malformed JSON: {cause}"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == expected + "\n"
+
+    def test_out_dir_under_the_mined_root_exit_1_until_out_moves_it(self, tmp_path, fixture_corpus, capsys):
+        corpus = shutil.copytree(SEEDS_DIR, tmp_path / "corpus")
+        scenario = write_planted_scenario(fixture_corpus, tmp_path / "scenario.json")
+        config = corpus / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"root": "."},
+            "backends": ["reference", "planted:L1+L2+L3"],
+            "rng_seed": 42,
+            "mock_scenario": str(scenario),
+        }))
+        assert main(["run", "--config", str(config)]) == 1
+        out = corpus / "out"
+        expected = f"error: out_dir {out} is under corpus root {corpus}: a run would mine its output\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
 
     def test_mine_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
