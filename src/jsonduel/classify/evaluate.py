@@ -28,7 +28,7 @@ from .voting import VOTE_COUNT, ClassificationAborted, ClassificationResult, Ver
 
 # Cases whose votes `classify_cases` keeps open at once, and the most
 # model requests that are open at once as a result.
-CASES_IN_FLIGHT = 4
+CASES_IN_FLIGHT = 8
 OPEN_REQUESTS = VOTE_COUNT * CASES_IN_FLIGHT
 
 

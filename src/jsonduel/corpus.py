@@ -78,9 +78,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def decode_json(text: str):
-    """The JSON value `text` holds; a repeated object key is a `ValueError`,
-    as are the decode errors of `json.loads`."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    """The JSON value `text` holds. A repeated object key, nesting too deep for
+    the decoder and the decode errors of `json.loads` are each a `ValueError`."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("nesting too deep") from None
 
 
 def read_json(path: Path | str, what: str) -> dict:

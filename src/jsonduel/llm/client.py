@@ -1,10 +1,10 @@
 """Chat-completion transport.
 
 The wire protocol is the ubiquitous JSON-over-HTTP chat format with
-model/messages/temperature/top_p fields. Transport failures and 5xx
-responses are retried with exponential backoff; anything else fails
-fast. The API token comes from the environment, never from config
-files.
+model/messages/temperature/top_p fields. Transport failures, 5xx
+responses and 429 (too many requests) are retried with exponential
+backoff; anything else fails fast. The API token comes from the
+environment, never from config files.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class HttpChatClient:
             except RequestException as exc:
                 last_error = exc
                 continue
-            if response.status_code >= 500:
-                last_error = TransportError(f"server error {response.status_code}")
+            if response.status_code >= 500 or response.status_code == 429:
+                last_error = TransportError(f"status {response.status_code}")
                 continue
             if response.status_code >= 400:
                 raise TransportError(

@@ -1,5 +1,5 @@
-"""Hand-written one-line mutants of the engine code, and whether tier-1
-kills each.
+"""Hand-written one-line mutants of the program, and whether tier-1 kills
+each.
 
 Each entry of `MUTANTS` has a name, a file under `src/jsonduel/`, the
 text it replaces, the text it puts in its place, and why the change
@@ -63,6 +63,30 @@ MUTANTS = [
         'if k == "str" and value in ("true", "false"):',
         'if k == "str" and value.lower() in ("true", "false"):',
         "the boolean getter accepts \"TRUE\", where features.md takes \"true\"/\"false\" only",
+    ),
+    Mutant(
+        "pool-smaller-than-window",
+        "classify/evaluate.py",
+        "ThreadPoolExecutor(max_workers=OPEN_REQUESTS)",
+        "ThreadPoolExecutor(max_workers=OPEN_REQUESTS // 2)",
+        "triage's pool holds half its send window, so only half the open requests "
+        "are in flight at once",
+    ),
+    Mutant(
+        "429-fails-fast",
+        "llm/client.py",
+        " or response.status_code == 429:",
+        ":",
+        "a 429 (too many requests) is not retried, so one busy moment of a live "
+        "service aborts a whole triage or run",
+    ),
+    Mutant(
+        "deep-json-escapes",
+        "corpus.py",
+        "except RecursionError:",
+        "except ():",
+        "a JSON input nested too deep for the decoder ends in a RecursionError "
+        "traceback, not a usage error naming its file",
     ),
     Mutant(
         "path-index-18-digits",

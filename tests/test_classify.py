@@ -260,10 +260,11 @@ class TestConcurrentVotes:
     def test_evaluation_starts_one_pool_for_every_case(self):
         client = _BarrierClient()
         case = dataclasses.replace(make_case(), category=Category.E_GOOD)
-        report = evaluate_accuracy([case] * 5, ClassifyMode.FS, client, PARAMS)
+        count = CASES_IN_FLIGHT + 2
+        report = evaluate_accuracy([case] * count, ClassifyMode.FS, client, PARAMS)
         assert report.average() == 100.0
-        # A pool per case would start 5 * VOTE_COUNT threads.
-        assert len(client.threads) <= OPEN_REQUESTS < 5 * VOTE_COUNT
+        # A pool per case would start count * VOTE_COUNT threads.
+        assert len(client.threads) <= OPEN_REQUESTS < count * VOTE_COUNT
         assert threading.current_thread() not in client.threads
 
     def test_replay_votes_stay_in_recording_order(self):
@@ -379,6 +380,12 @@ class TestPipelinedCases:
         client = _BarrierClient(parties=2 * VOTE_COUNT)
         results = list(classify_cases(_labelled(2), ClassifyMode.FS, client, PARAMS))
         assert [r.votes for r in results] == [(Verdict.GOOD,) * VOTE_COUNT] * 2
+        assert not client.barrier.broken
+
+    def test_a_full_window_is_in_flight_at_once(self):
+        client = _BarrierClient(parties=OPEN_REQUESTS)
+        results = list(classify_cases(_labelled(CASES_IN_FLIGHT), ClassifyMode.FS, client, PARAMS))
+        assert [r.votes for r in results] == [(Verdict.GOOD,) * VOTE_COUNT] * CASES_IN_FLIGHT
         assert not client.barrier.broken
 
     def test_at_most_cases_in_flight_are_open(self):

@@ -149,6 +149,14 @@ class TestHttpClient:
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
         assert len(session.requests) == 1
 
+    def test_429_is_retried_after_one_backoff(self):
+        session = FakeSession([FakeResponse(429), completion("ok")])
+        sleeps = []
+        client = HttpChatClient(endpoint="http://x", session=session, sleep=sleeps.append)
+        assert client.complete(build_summary_request(SEED_TEXT), PARAMS) == "ok"
+        assert sleeps == [0.5]
+        assert len(session.requests) == 2
+
     def test_empty_content_is_generation_error(self):
         session = FakeSession([completion("")])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)

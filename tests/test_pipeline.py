@@ -1068,14 +1068,18 @@ class TestCli:
         [
             pytest.param(target, how, id=f"{target}-{how.replace(' ', '-')}")
             for target in ("config", "manifest", "scenario")
-            for how in ("not JSON", "not an object", "repeated key")
+            for how in ("not JSON", "not an object", "repeated key", "too deep")
         ]
-        + [pytest.param("cases file", "repeated key", id="cases-line-repeated-key")],
+        + [
+            pytest.param("cases file", how, id=f"cases-line-{how.replace(' ', '-')}")
+            for how in ("repeated key", "too deep")
+        ],
     )
     def test_input_that_does_not_decode_is_named(self, tmp_path, fixture_corpus, capsys, target, how):
-        """A JSON input that is not JSON, not an object or repeats a key is
-        one usage error naming what it is, its path and the cause; a cases
-        line that repeats a key is named by its file and line."""
+        """A JSON input that is not JSON, not an object, repeats a key or
+        nests too deep for the decoder is one usage error naming what it is,
+        its path and the cause; such a cases line is named by its file and
+        line."""
         config = self._config_file(tmp_path, fixture_corpus)
         repeated, key = {
             "config": ('{"in_flight": 1, "in_flight": 64}', "in_flight"),
@@ -1087,6 +1091,7 @@ class TestCli:
             "not JSON": ("{nope", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
             "not an object": ("[]", "not a JSON object"),
             "repeated key": (repeated, f"repeated key '{key}'"),
+            "too deep": ("[" * 100_000, "nesting too deep"),
         }[how]
         bad = tmp_path / "bad.json"
         bad.write_text(text)
