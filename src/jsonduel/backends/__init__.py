@@ -41,10 +41,6 @@ class Backend(Protocol):
     def path_eval(self, target, path: str): ...
 
 
-class BackendConfigError(ValueError):
-    """An engine name that cannot be resolved to an implementation."""
-
-
 def resolve_backend(name: str) -> Backend:
     """Build the engine a configuration name refers to."""
     if name == "reference":
@@ -57,7 +53,7 @@ def resolve_backend(name: str) -> Backend:
             try:
                 bugs.append(BugId(code))
             except ValueError:
-                raise BackendConfigError(f"unknown planted bug code '{code}' in '{name}'") from None
+                raise ValueError(f"unknown planted bug code '{code}' in '{name}'") from None
         return PlantedBackend(name, bugs)
-    raise BackendConfigError(f"unknown backend '{name}'")
+    raise ValueError(f"unknown backend '{name}'")
 

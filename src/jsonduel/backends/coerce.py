@@ -106,6 +106,7 @@ def bind_bean(obj: dict, bean: ast.BeanDef, beans: Mapping[str, ast.BeanDef]) ->
 
     Missing fields become null; undeclared incoming keys are dropped.
     """
-    return {
-        field.name: bind_field(obj.get(field.name), field.type, beans) for field in bean.fields
-    }
+    bound = {}
+    for field in bean.fields:  # not a comprehension, which would take a frame per level
+        bound[field.name] = bind_field(obj.get(field.name), field.type, beans)
+    return bound

@@ -79,10 +79,10 @@ def _numbers_as_text(value):
     k = kind(value)
     if k in ("int", "dec"):
         return canonical(value)
-    if k == "arr":
-        return [_numbers_as_text(item) for item in value]
+    if k == "arr":  # `map`, not a comprehension, which would take a frame per level
+        return list(map(_numbers_as_text, value))
     if k == "obj":
-        return {key: _numbers_as_text(item) for key, item in value.items()}
+        return dict(zip(value, map(_numbers_as_text, value.values())))
     return value
 
 

@@ -16,18 +16,9 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .tdsl.errors import DslError
 from .tdsl.parser import parse_script
 
 SEED_EXTENSION = ".t"
-
-
-class CorpusError(Exception):
-    pass
-
-
-class EmptyCorpusError(CorpusError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -106,13 +97,13 @@ def _build(entries: list[tuple[str, Path]], where: str) -> tuple[Corpus, list[Se
         try:  # a seed that cannot be read or parsed is reported and left out
             text = read_text(path, "seed")
             parse_script(text)
-        except (DslError, ValueError) as exc:  # the report names the path, so only the cause
+        except ValueError as exc:  # the report names the path, so only the cause
             errors.append(SeedLoadError(path, str(exc.__cause__ or exc)))
         else:
             seeds.append(SeedTest(seed_id, path, text))
     if not seeds:
-        raise EmptyCorpusError(f"no seed {where} could be loaded: "
-                               + "; ".join(f"{e.path}: {e.error}" for e in errors))
+        raise ValueError(f"no seed {where} could be loaded: "
+                         + "; ".join(f"{e.path}: {e.error}" for e in errors))
     seeds.sort(key=lambda s: s.id)
     return Corpus(tuple(seeds), _hash_seeds(seeds)), errors
 
@@ -125,10 +116,10 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadErr
     matched but could not be read or parsed.
     """
     if not keyword:
-        raise CorpusError("mining keyword must be non-empty")
+        raise ValueError("mining keyword must be non-empty")
     root = Path(root)
     if not root.is_dir():
-        raise CorpusError(f"corpus root is not a readable directory: {root}")
+        raise ValueError(f"corpus root is not a readable directory: {root}")
     needle = keyword.lower()
     top, entries = str(root), []
     # Like `rglob`: unreadable directories are skipped, links to
@@ -143,7 +134,7 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadErr
     entries.sort()
     where = f"matching '*{keyword}*{SEED_EXTENSION}' under {root}"
     if not entries:
-        raise EmptyCorpusError(f"no seed files {where}")
+        raise ValueError(f"no seed files {where}")
     return _build(entries, where)
 
 
@@ -157,23 +148,23 @@ def load_corpus(manifest: Path | str) -> tuple[Corpus, list[SeedLoadError]]:
     manifest = Path(manifest)
     data = read_json(manifest, "manifest")
     if not isinstance(data.get("seeds"), list):
-        raise CorpusError(f'manifest {manifest} must be an object with a "seeds" list')
+        raise ValueError(f'manifest {manifest} must be an object with a "seeds" list')
 
     entries: list[tuple[str, Path]] = []
     seen: set[str] = set()
     for item in data["seeds"]:
         if not isinstance(item, dict) or not all(isinstance(item.get(k), str) for k in ("id", "path")):
-            raise CorpusError(f'seed entries need string "id" and "path": {item!r}')
+            raise ValueError(f'seed entries need string "id" and "path": {item!r}')
         seed_id = item["id"]
         if seed_id in seen:
-            raise CorpusError(f"duplicate seed id '{seed_id}' in manifest")
+            raise ValueError(f"duplicate seed id '{seed_id}' in manifest")
         seen.add(seed_id)
         path = manifest.parent / item["path"]
         if not path.is_file():
-            raise CorpusError(f"seed file not found: {path}")
+            raise ValueError(f"seed file not found: {path}")
         entries.append((seed_id, path))
     if not entries:
-        raise EmptyCorpusError(f"manifest {manifest} lists no seeds")
+        raise ValueError(f"manifest {manifest} lists no seeds")
     return _build(entries, f"in manifest {manifest}")
 
 

@@ -19,10 +19,6 @@ from .tdsl import ast
 from .tdsl.printer import print_script
 
 
-class DiffConfigError(ValueError):
-    pass
-
-
 class VerdictStatus(enum.Enum):
     CONSISTENT = "consistent"
     INCONSISTENT = "inconsistent"
@@ -39,7 +35,7 @@ def outcome_key(outcome: TestOutcome) -> tuple:
 def compare(outcomes: Mapping[str, TestOutcome]) -> VerdictStatus:
     """Consistent iff every engine's outcome projects to the same key."""
     if len(outcomes) < 2:
-        raise DiffConfigError("differential comparison needs at least 2 backends")
+        raise ValueError("differential comparison needs at least 2 backends")
     keys = {outcome_key(outcome) for outcome in outcomes.values()}
     return VerdictStatus.CONSISTENT if len(keys) == 1 else VerdictStatus.INCONSISTENT
 

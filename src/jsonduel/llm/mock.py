@@ -25,10 +25,6 @@ from .messages import ChatMessage, conversation_hash
 SCENARIO_VERSION = 1
 
 
-class ReplayMissError(KeyError):
-    pass
-
-
 class ReplayScenario:
     """Recorded map of conversation-hash to an ordered response queue."""
 
@@ -66,12 +62,12 @@ class ReplayClient:
 
     def reserve(self, messages: Sequence[ChatMessage]) -> Callable[[], str]:
         """Take the next recording for `messages` now; the returned
-        function returns it, or raises `ReplayMissError` if none exists."""
+        function returns it, or raises `ValueError` if none exists."""
         key = conversation_hash(messages)
         queue = self.scenario.responses.get(key)
         if not queue:
             tail = messages[-1].content if messages else ""
-            miss = ReplayMissError(
+            miss = ValueError(
                 f"no recorded response for conversation {key[:12]}… "
                 f"(last message starts {tail[:80]!r})"
             )

@@ -11,7 +11,7 @@ import logging
 import sys
 from pathlib import Path
 
-from ..backends import BackendConfigError, resolve_backend
+from ..backends import resolve_backend
 from ..backends.executor import execute
 from ..backends.outcomes import describe
 from ..classify.evaluate import (
@@ -25,13 +25,12 @@ from ..classify.evaluate import (
 )
 from ..classify.prompts import ClassifyMode
 from ..classify.voting import ClassificationAborted
-from ..corpus import CorpusError, mine_seeds, read_text, write_manifest
+from ..corpus import mine_seeds, read_text, write_manifest
 from ..llm.client import HttpChatClient
 from ..llm.generation import GenParams
 from ..llm.mock import ReplayClient
-from ..tdsl.errors import DslError
 from ..tdsl.parser import parse_script
-from .config import ConfigError, load_config, with_overrides
+from .config import load_config, with_overrides
 from .runner import run
 
 log = logging.getLogger(__name__)
@@ -108,11 +107,13 @@ def _cmd_mine(args) -> int:
 def _cmd_classify(args) -> int:
     cases = load_cases(args.cases)
     mode = ClassifyMode(args.mode)
+    labeled = all(case.category is not Category.UNKNOWN for case in cases)
+    if args.json and not labeled:
+        raise ValueError("--json prints the accuracy table, which needs every case labeled")
     client = (
         ReplayClient.from_file(args.mock) if args.mock
         else HttpChatClient(open_requests=OPEN_REQUESTS)
     )
-    labeled = all(case.category is not Category.UNKNOWN for case in cases)
     if labeled:
         report = evaluate_accuracy(cases, mode, client)
         print(render_accuracy_text(report), end="")
@@ -151,8 +152,7 @@ def main(argv=None) -> int:
     except ClassificationAborted as exc:
         print(f"error: case {exc.case_index}: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    except (ConfigError, CorpusError, BackendConfigError, DslError,
-            OSError, ValueError, LookupError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

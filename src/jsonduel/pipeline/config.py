@@ -6,13 +6,9 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..backends import BackendConfigError, resolve_backend
+from ..backends import resolve_backend
 from ..corpus import read_json
 from ..llm.generation import GenParams, MutationMode
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -25,9 +21,9 @@ class CorpusSource:
 
     def validate(self) -> None:
         if (self.root is None) == (self.manifest is None):
-            raise ConfigError("corpus needs exactly one of 'root' or 'manifest'")
+            raise ValueError("corpus needs exactly one of 'root' or 'manifest'")
         if self.root is not None and not self.keyword:
-            raise ConfigError("corpus keyword must be non-empty")
+            raise ValueError("corpus keyword must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -46,18 +42,15 @@ class PipelineConfig:
     def validate(self) -> None:
         self.corpus.validate()
         if len(self.backends) < 2:
-            raise ConfigError("differential testing needs at least 2 backends")
+            raise ValueError("differential testing needs at least 2 backends")
         if len(set(self.backends)) != len(self.backends):
-            raise ConfigError("backend names must be unique")
+            raise ValueError("backend names must be unique")
         for name in self.backends:
-            try:
-                resolve_backend(name)
-            except BackendConfigError as exc:
-                raise ConfigError(str(exc)) from None
+            resolve_backend(name)
         if self.in_flight < 1:
-            raise ConfigError("in_flight must be >= 1")
+            raise ValueError("in_flight must be >= 1")
         if self.context_limit_chars < 0:
-            raise ConfigError("context_limit_chars must be >= 0")
+            raise ValueError("context_limit_chars must be >= 0")
 
     def echo(self) -> dict:
         """JSON-safe snapshot of the effective configuration."""
@@ -92,7 +85,7 @@ _MUTATION_ALIASES = {
 
 def parse_mutation(value: str) -> MutationMode:
     if value not in _MUTATION_ALIASES:
-        raise ConfigError(f"unknown mutation mode '{value}' (use none|random)")
+        raise ValueError(f"unknown mutation mode '{value}' (use none|random)")
     return _MUTATION_ALIASES[value]
 
 
@@ -111,7 +104,7 @@ def _get(raw: dict, key: str, want: type, default=None, prefix: str = ""):
     else:
         ok = isinstance(value, (int, float) if want is float else want) and not isinstance(value, bool)
     if not ok:
-        raise ConfigError(f"config key '{prefix}{key}' must be {_JSON_TYPES[want]}")
+        raise ValueError(f"config key '{prefix}{key}' must be {_JSON_TYPES[want]}")
     return value
 
 
@@ -127,7 +120,7 @@ def load_config(path: Path | str) -> PipelineConfig:
 
     corpus_raw = data.pop("corpus", None)
     if not isinstance(corpus_raw, dict):
-        raise ConfigError("config needs a 'corpus' object")
+        raise ValueError("config needs a 'corpus' object")
     root = _get(corpus_raw, "root", str, prefix="corpus.")
     manifest = _get(corpus_raw, "manifest", str, prefix="corpus.")
     corpus = CorpusSource(
@@ -136,16 +129,13 @@ def load_config(path: Path | str) -> PipelineConfig:
         manifest=rel(manifest) if manifest else None,
     )
 
-    try:
-        params = GenParams(
-            model=_get(data, "model", str, GenParams.model),
-            temperature=_get(data, "temperature", float, GenParams.temperature),
-            top_p=_get(data, "top_p", float, GenParams.top_p),
-            n_per_seed=_get(data, "n_per_seed", int, GenParams.n_per_seed),
-            seed=_get(data, "rng_seed", int, GenParams.seed),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    params = GenParams(
+        model=_get(data, "model", str, GenParams.model),
+        temperature=_get(data, "temperature", float, GenParams.temperature),
+        top_p=_get(data, "top_p", float, GenParams.top_p),
+        n_per_seed=_get(data, "n_per_seed", int, GenParams.n_per_seed),
+        seed=_get(data, "rng_seed", int, GenParams.seed),
+    )
 
     mock_scenario = _get(data, "mock_scenario", str)
     config = PipelineConfig(
@@ -162,7 +152,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     )
     for raw, prefix in ((data, ""), (corpus_raw, "corpus.")):
         if raw:
-            raise ConfigError(f"unknown config key '{prefix}{next(iter(raw))}'")
+            raise ValueError(f"unknown config key '{prefix}{next(iter(raw))}'")
     config.validate()
     return config
 
@@ -186,5 +176,4 @@ def with_overrides(
         config = dataclasses.replace(config, mutation=parse_mutation(mutation))
     if out is not None:
         config = dataclasses.replace(config, out_dir=Path(out))
-    config.validate()
     return config

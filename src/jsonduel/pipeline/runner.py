@@ -37,7 +37,7 @@ from typing import Iterator
 from ..backends import resolve_backend
 from ..backends.executor import execute
 from ..backends.outcomes import TestOutcome
-from ..corpus import CorpusError, SeedTest, load_corpus, mine_seeds
+from ..corpus import SeedTest, load_corpus, mine_seeds
 from ..diffcore import DiffVerdict, VerdictStatus, dedup, make_verdict
 from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError
 from ..llm.client import prepare_request
@@ -87,7 +87,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     config.validate()
     root = config.corpus.root
     if root is not None and config.out_dir.resolve().is_relative_to(root.resolve()):
-        raise CorpusError(f"out_dir {config.out_dir} is under corpus root {root}: a run would mine its output")
+        raise ValueError(f"out_dir {config.out_dir} is under corpus root {root}: a run would mine its output")
     client = client if client is not None else _build_client(config)
     backends = [resolve_backend(name) for name in config.backends]
     started_at = datetime.now(timezone.utc).isoformat()
@@ -102,7 +102,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
     for seed in corpus.seeds:
         name = _sanitize(seed.id)
         if seed_of.setdefault(name, seed.id) != seed.id:
-            raise CorpusError(f"seed ids '{seed_of[name]}' and '{seed.id}' both sanitize to '{name}'")
+            raise ValueError(f"seed ids '{seed_of[name]}' and '{seed.id}' both sanitize to '{name}'")
     # Rules are pre-drawn in one deterministic sweep so that parallel
     # generation cannot perturb the sequence.
     rng = random.Random(config.params.seed)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 
-class DslError(Exception):
-    """Base class for all script rejection errors."""
+class DslError(ValueError):
+    """Base class for all script rejection errors: bad input, so a `ValueError`."""
 
 
 class DslSyntaxError(DslError):

@@ -52,6 +52,13 @@ _WRITER_FEATURES = {f.value: f for f in ast.WriterFeature}
 _CALLS = {word: node for node, word in ast.KEYWORDS.items() if node in get_args(ast.Expr)}
 _ASSERTS = {word: node for node, word in ast.KEYWORDS.items() if node in get_args(ast.Statement)}
 
+# Nesting caps. An engine takes up to 3 stack frames per expression level,
+# 2 per bean or list level it binds and 1 per level of a JSON value it reads
+# or writes, so the deepest script these admit runs in about 600 frames,
+# well inside the interpreter's recursion limit wherever `execute` is called.
+MAX_EXPR_DEPTH = 64  # calls nested in one expression
+MAX_BEAN_DEPTH = 128  # bean hops plus list levels below a bean
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -159,7 +166,7 @@ class _Parser:
         return ast.BeanDef(name, tuple(fields))
 
     def field_type(self, depth: int = 0) -> ast.FieldType:
-        if depth > jsontext.MAX_DEPTH:
+        if depth > MAX_BEAN_DEPTH:
             self.fail("field type nesting too deep")
         name = self.expect_ident("field type")
         if name in ast.PRIMITIVE_TYPES:
@@ -193,7 +200,7 @@ class _Parser:
         return stmt
 
     def expr(self, depth: int = 0) -> ast.Expr:
-        if depth > jsontext.MAX_DEPTH:
+        if depth > MAX_EXPR_DEPTH:
             self.fail("expression nesting too deep")
         word = self.tok
         node = _CALLS.get(word)
@@ -333,8 +340,7 @@ def _bean_depth(bean: ast.BeanDef, depths: dict[str, int]) -> int:
 
 def _check_bean_graph(beans: dict[str, ast.BeanDef]) -> None:
     """Reject a bean that holds an unknown bean, a bean cycle, or a bean
-    nested more than jsontext.MAX_DEPTH levels deep, which the engines
-    could not bind without exhausting the interpreter's recursion limit."""
+    nested more than MAX_BEAN_DEPTH levels deep."""
     refs: dict[str, list[str]] = {}  # the beans each bean's fields hold, directly or in lists
     for name, bean in beans.items():
         inner = [_unwrap(field.type)[1] for field in bean.fields]
@@ -342,13 +348,13 @@ def _check_bean_graph(beans: dict[str, ast.BeanDef]) -> None:
         for ref in refs[name]:
             if ref not in beans:
                 raise UnknownBeanError(ref)
-    if not any(refs.values()):  # `field_type` caps list levels alone at MAX_DEPTH
+    if not any(refs.values()):  # `field_type` caps list levels alone at MAX_BEAN_DEPTH
         return
     depths: dict[str, int] = {}
     try:
         for name in graphlib.TopologicalSorter(refs).static_order():  # held beans first
             depths[name] = _bean_depth(beans[name], depths)
-            if depths[name] > jsontext.MAX_DEPTH:
-                raise DslValidationError(f"bean '{name}' nests more than {jsontext.MAX_DEPTH} levels")
+            if depths[name] > MAX_BEAN_DEPTH:
+                raise DslValidationError(f"bean '{name}' nests more than {MAX_BEAN_DEPTH} levels")
     except graphlib.CycleError as exc:
         raise DslValidationError(f"recursive bean cycle through '{exc.args[1][0]}'") from None

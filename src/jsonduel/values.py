@@ -36,20 +36,22 @@ def values_equal(a, b) -> bool:
     Type-strict across kinds (Int 1 != Dec 1, mirroring typed-language
     number classes). Decimals compare by exact digits and scale, so
     Dec 1.0 != Dec 1. Objects compare as maps: same keys and values,
-    insertion order not significant.
+    insertion order not significant. Members are compared off a stack,
+    not by recursion, so no nesting depth exhausts the recursion limit.
     """
-    ka, kb = kind(a), kind(b)
-    if ka != kb:
-        return False
-    if ka == "dec":
-        return a.as_tuple() == b.as_tuple()
-    if ka == "arr":
-        return len(a) == len(b) and all(values_equal(x, y) for x, y in zip(a, b))
-    if ka == "obj":
-        if a.keys() != b.keys():
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        ka = kind(a)
+        if ka != kind(b):
             return False
-        return all(values_equal(a[key], b[key]) for key in a)
-    return a == b
+        if ka == "arr" and len(a) == len(b):
+            pending.extend(zip(a, b))
+        elif ka == "obj" and a.keys() == b.keys():
+            pending.extend((a[key], b[key]) for key in a)
+        elif ka in ("arr", "obj") or (a.as_tuple() != b.as_tuple() if ka == "dec" else a != b):
+            return False
+    return True
 
 
 def escape_surrogates(json_text: str) -> str:

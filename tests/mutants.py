@@ -45,8 +45,8 @@ MUTANTS = [
     Mutant(
         "key-count",
         "values.py",
-        "if a.keys() != b.keys():",
-        "if len(a) != len(b):",
+        'elif ka == "obj" and a.keys() == b.keys():',
+        'elif ka == "obj" and len(a) == len(b):',
         "objects compare key counts, not key sets: `assert_eq({\"x\": 1}, {\"y\": 1});` "
         "raises KeyError out of `execute`",
     ),
@@ -87,6 +87,30 @@ MUTANTS = [
         "except ():",
         "a JSON input nested too deep for the decoder ends in a RecursionError "
         "traceback, not a usage error naming its file",
+    ),
+    Mutant(
+        "usage-arm-narrow",
+        "pipeline/cli.py",
+        "except (OSError, ValueError) as exc:",
+        "except OSError as exc:",
+        "bad input (a config, manifest, script or replay miss) ends in a traceback, "
+        "not one `error:` line and exit 1",
+    ),
+    Mutant(
+        "nesting-cap-back",
+        "tdsl/parser.py",
+        "if depth > MAX_EXPR_DEPTH:",
+        "if depth > jsontext.MAX_DEPTH:",
+        "expressions nest up to 256 calls again, and a script the parser accepts "
+        "can run out of stack inside `execute`",
+    ),
+    Mutant(
+        "json-flag-ignored",
+        "pipeline/cli.py",
+        "if args.json and not labeled:",
+        "if False:",
+        "`classify --json` on unlabeled cases prints per-case text and exits 0, "
+        "silently dropping the table it was asked for",
     ),
     Mutant(
         "path-index-18-digits",

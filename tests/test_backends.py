@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jsonduel.backends import BackendConfigError, resolve_backend
+from jsonduel.backends import resolve_backend
 from jsonduel.backends.coerce import bind_field, coerce_value
 from jsonduel.backends.outcomes import BackendError, ErrorKind
 from jsonduel.backends.reference import ReferenceBackend
@@ -444,11 +444,11 @@ class TestRegistry:
         assert resolve_backend("planted:").name == "planted:"
 
     def test_unknown_backend(self):
-        with pytest.raises(BackendConfigError):
+        with pytest.raises(ValueError, match="^unknown backend 'turbojson'$"):
             resolve_backend("turbojson")
 
     def test_unknown_bug_code(self):
-        with pytest.raises(BackendConfigError):
+        with pytest.raises(ValueError, match="^unknown planted bug code 'L9' in 'planted:L9'$"):
             resolve_backend("planted:L9")
 
 

@@ -507,6 +507,23 @@ class TestClassifyCli:
         err = capsys.readouterr().err
         assert err == "error: case 1: classification aborted with 5 votes: empty completion response\n"
 
+    @pytest.mark.parametrize("mock", [False, True], ids=["live", "mock"])
+    def test_json_needs_every_case_labeled(self, tmp_path, monkeypatch, capsys, mock):
+        """Unlabeled cases have no accuracy table to print: that is a usage
+        error before any client is built or any request is sent."""
+        cases_path = build_case_fixture(tmp_path / "cases")
+        first, *rest = cases_path.read_text().splitlines()
+        cases = [*rest, first.replace('"E_bad"', '"unknown"')]  # labeled but the last
+        cases_path.write_text("".join(f"{line}\n" for line in cases))
+        built = []
+        monkeypatch.setattr("jsonduel.pipeline.cli.HttpChatClient", lambda **kwargs: built.append(kwargs))
+        argv = ["classify", "--cases", str(cases_path), "--json"]
+        argv += ["--mock", str(tmp_path / "no-such-scenario.json")] if mock else []
+        assert main(argv) == 1
+        message = "error: --json prints the accuracy table, which needs every case labeled\n"
+        assert capsys.readouterr() == ("", message)
+        assert built == []
+
     def test_live_client_keeps_a_connection_per_open_request(self, tmp_path, monkeypatch):
         cases_path = build_case_fixture(tmp_path / "cases")
         built = []

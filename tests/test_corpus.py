@@ -2,12 +2,11 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from jsonduel.corpus import (
-    CorpusError,
-    EmptyCorpusError,
     load_corpus,
     mine_seeds,
     read_text,
@@ -28,7 +27,8 @@ class TestMineSeeds:
         assert errors == []
 
     def test_empty_directory_is_an_error(self, seeds_dir):
-        with pytest.raises(EmptyCorpusError):
+        message = f"no seed files matching '*issue*.t' under {seeds_dir}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             mine_seeds(seeds_dir, "issue")
 
     def test_broken_seed_reported_and_excluded(self, seeds_dir):
@@ -53,7 +53,7 @@ class TestMineSeeds:
             (f"matching '*issue*.t' under {seeds_dir}", lambda: mine_seeds(seeds_dir, "issue")),
             (f"in manifest {manifest}", lambda: load_corpus(manifest)),
         ]:
-            with pytest.raises(EmptyCorpusError) as info:
+            with pytest.raises(ValueError) as info:
                 load()
             assert str(info.value) == f"no seed {where} could be loaded: {failed}"
 
@@ -104,11 +104,12 @@ class TestMineSeeds:
         assert errors == []
 
     def test_missing_root_is_an_error(self, tmp_path):
-        with pytest.raises(CorpusError):
+        message = f"corpus root is not a readable directory: {tmp_path / 'nope'}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             mine_seeds(tmp_path / "nope", "issue")
 
     def test_empty_keyword_rejected(self, seeds_dir):
-        with pytest.raises(CorpusError):
+        with pytest.raises(ValueError, match="^mining keyword must be non-empty$"):
             mine_seeds(seeds_dir, "")
 
     def test_ordering_is_content_independent_of_creation_order(self, seeds_dir):
@@ -160,7 +161,7 @@ class TestManifest:
 
     def test_missing_file_error_names_the_path(self, tmp_path):
         manifest = self._manifest(tmp_path, [{"id": "a", "path": "ghost.t"}])
-        with pytest.raises(CorpusError, match="ghost.t"):
+        with pytest.raises(ValueError, match="ghost.t"):
             load_corpus(manifest)
 
     def test_malformed_manifest_reports_position(self, tmp_path):
@@ -176,7 +177,7 @@ class TestManifest:
     def test_manifest_without_a_seeds_list_is_named(self, tmp_path, text):
         path = tmp_path / "manifest.json"
         path.write_text(text)
-        with pytest.raises(CorpusError) as info:
+        with pytest.raises(ValueError) as info:
             load_corpus(path)
         assert str(info.value) == f'manifest {path} must be an object with a "seeds" list'
 
@@ -185,7 +186,7 @@ class TestManifest:
         manifest = self._manifest(
             tmp_path, [{"id": "a", "path": "a.t"}, {"id": "a", "path": "a.t"}]
         )
-        with pytest.raises(CorpusError, match="duplicate seed id"):
+        with pytest.raises(ValueError, match="duplicate seed id"):
             load_corpus(manifest)
 
     @pytest.mark.parametrize(
@@ -196,7 +197,7 @@ class TestManifest:
     def test_entry_needs_string_id_and_path(self, tmp_path, entry):
         (tmp_path / "a.t").write_text(VALID)
         manifest = self._manifest(tmp_path, [entry])
-        with pytest.raises(CorpusError) as info:
+        with pytest.raises(ValueError) as info:
             load_corpus(manifest)
         assert str(info.value) == f'seed entries need string "id" and "path": {entry!r}'
 

@@ -6,7 +6,6 @@ from jsonduel.backends import resolve_backend
 from jsonduel.backends.executor import execute
 from jsonduel.backends.outcomes import Error, ErrorKind, Fail, Pass
 from jsonduel.diffcore import (
-    DiffConfigError,
     VerdictStatus,
     compare,
     dedup,
@@ -50,7 +49,7 @@ class TestCompare:
         )
 
     def test_fewer_than_two_backends_is_config_error(self):
-        with pytest.raises(DiffConfigError):
+        with pytest.raises(ValueError, match="^differential comparison needs at least 2 backends$"):
             compare({"a": P})
 
     def test_symmetry_under_name_permutation(self):

@@ -1,7 +1,9 @@
 """Tests for the script executor: outcome folding, limits, purity."""
 
+import inspect
 import itertools
 import json
+import sys
 import time
 from typing import get_args
 
@@ -20,9 +22,11 @@ from jsonduel.backends.outcomes import (
     outcome_from_dict,
     outcome_to_dict,
 )
+from jsonduel.jsontext import MAX_DEPTH
 from jsonduel.tdsl import ast
-from jsonduel.tdsl.extract import ExtractionFailure, extract_script
-from jsonduel.tdsl.parser import parse_script
+from jsonduel.tdsl.errors import DslError
+from jsonduel.tdsl.extract import PARSE_FAILURE, ExtractionFailure, extract_script
+from jsonduel.tdsl.parser import MAX_BEAN_DEPTH, MAX_EXPR_DEPTH, parse_script
 
 import outcome_golden
 from outcome_golden import bean_chain, serialize_chain
@@ -30,10 +34,81 @@ from scriptgen import WideScriptGen
 
 REF = resolve_backend("reference")
 ENGINES = [resolve_backend(name) for name in outcome_golden.ENGINES]
+# The stack frames that parsing and running the deepest script the caps
+# admit may take, on every engine: under the default recursion limit of
+# 1000 that leaves well over 200 for the caller.
+FRAME_BUDGET = 600
 
 
 def run(src: str, limits: ExecutionLimits = ExecutionLimits()):
     return execute(parse_script(src), REF, limits)
+
+
+def under_frames(frames: int, fn):
+    """`fn()`, called `frames` stack frames deeper than the caller."""
+    return fn() if frames == 0 else under_frames(frames - 1, fn)
+
+
+def text_literal(value) -> str:
+    """A DSL string literal holding `value` as JSON text."""
+    return json.dumps(json.dumps(value))
+
+
+def deep_list(depth: int) -> list:
+    """An empty array inside `depth` more, the depth jsontext counts."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def in_calls(calls: int, inner: str) -> str:
+    """`inner` as the argument of `calls` nested `is_valid` calls. The first
+    whose input is not a string fails, so `inner` must have run."""
+    return f"let a = {'is_valid(' * calls}{inner}{')' * calls};\nassert_not_null(a);\n"
+
+
+def deep_expression(calls: int) -> str:
+    """`calls` nested calls; the innermost parses and serializes JSON
+    nested to jsontext's cap, which L2 walks with its own recursion."""
+    inner = f"serialize(parse({text_literal(deep_list(MAX_DEPTH))}), [WriteNonStringValueAsString])"
+    return in_calls(calls - 2, inner)
+
+
+def nested_n(hops: int, inner: dict) -> dict:
+    """`inner` inside `hops` objects, each under key "n"."""
+    value = inner
+    for _ in range(hops):
+        value = {"n": value}
+    return value
+
+
+def chain_beans(hops: int, last: str) -> str:
+    """Beans B0 ... B<hops>, each holding the next in field `n`; B<hops> holds `last`."""
+    beans = [f"bean B{i} {{ n: B{i + 1}; }}\n" for i in range(hops)]
+    return "".join(beans) + f"bean B{hops} {{ {last}; }}\n"
+
+
+def deep_bean(hops: int) -> str:
+    """B0 holds B1 ... holds B<hops>, whose string field is bound from an
+    array that nests the text to jsontext's cap; bound inside the deepest
+    expression."""
+    value = nested_n(hops - 1, {"s": deep_list(MAX_DEPTH - hops)})
+    return chain_beans(hops, "s: string") + in_calls(MAX_EXPR_DEPTH - 2, f"make_bean(B0, n = parse({text_literal(value)}))")
+
+
+def deep_list_field(levels: int) -> str:
+    """A field of `levels` nested lists, typed-parsed inside the deepest expression."""
+    bean = f"bean L {{ f: {'list<' * levels}integer{'>' * levels}; }}\n"
+    text = text_literal({"f": deep_list(levels - 1)})
+    return bean + in_calls(MAX_EXPR_DEPTH - 1, f"parse_typed({text}, L)")
+
+
+def deep_literal(depth: int) -> str:
+    """A JSON literal nested `depth` deep, compared and serialized inside
+    the deepest expression."""
+    literal = json.dumps(deep_list(depth))
+    return f"let b = {literal};\nassert_eq(b, {literal});\n" + in_calls(MAX_EXPR_DEPTH - 1, "serialize(b)")
 
 
 class TestOutcomes:
@@ -145,7 +220,7 @@ class TestLimits:
             outcome = execute(script, REF)
         assert outcome == Fail(1, "1", "2")
 
-    @pytest.mark.parametrize("length", [257, 400])
+    @pytest.mark.parametrize("length", [MAX_BEAN_DEPTH + 1, 257, 400])
     def test_deep_bean_chain_never_raises(self, length):
         """Bean B<i> holds B<i-1>, so y<i> nests i + 1 objects deep. The
         deepest chain the parser accepts runs; a deeper one is refused
@@ -155,10 +230,58 @@ class TestLimits:
         lets = ["let y0 = make_bean(B0, c = 1);"]
         lets += [f"let y{i} = make_bean(B{i}, c = y{i - 1});" for i in range(1, length)]
         result = extract_script("\n".join(beans + lets + [f"assert_not_null(y{length - 1});"]))
-        assert isinstance(result, ExtractionFailure) == (length > 257)
+        assert isinstance(result, ExtractionFailure) == (length > MAX_BEAN_DEPTH + 1)
         if not isinstance(result, ExtractionFailure):
             result = execute(result, REF)
         assert isinstance(result, (ExtractionFailure, Pass, Fail, Error))
+
+
+class TestRecursionBudget:
+    """Each recursive path, at the deepest script the parser accepts, runs
+    on every engine with only FRAME_BUDGET frames left on the stack, so the
+    caps, not the caller's depth, decide what runs. One level more is refused."""
+
+    @pytest.mark.parametrize(
+        "script, cap",
+        [
+            (deep_expression, MAX_EXPR_DEPTH),
+            (deep_bean, MAX_BEAN_DEPTH),
+            (deep_list_field, MAX_BEAN_DEPTH),
+            (deep_literal, MAX_DEPTH),
+        ],
+        ids=["expression", "bean", "list-field", "json-literal"],
+    )
+    def test_deepest_accepted_script_reaches_an_outcome(self, script, cap):
+        def parse_and_run():
+            parsed = parse_script(script(cap))
+            return [execute(parsed, engine) for engine in ENGINES]
+
+        outcomes = under_frames(sys.getrecursionlimit() - len(inspect.stack(0)) - FRAME_BUDGET, parse_and_run)
+        assert [o.kind for o in outcomes] == [ErrorKind.TYPE_CAST_ERROR] * len(ENGINES)
+        assert all(o.message.startswith("is_valid input must be a string") for o in outcomes)
+        with pytest.raises(DslError):
+            parse_script(script(cap + 1))
+
+    @pytest.mark.parametrize(
+        "script, error",
+        [
+            (
+                in_calls(250, f'parse("{"[" * 250}{"]" * 250}")'),
+                "expression nesting too deep (line 1, column 594)",
+            ),
+            (
+                chain_beans(256, "v: integer") + in_calls(
+                    80, f"make_bean(B0, n = parse({text_literal(nested_n(255, {'v': 1}))}))"
+                ).replace("is_valid", "serialize"),
+                "expression nesting too deep (line 258, column 659)",
+            ),
+        ],
+        ids=["is_valid-around-deep-json", "serialize-around-deep-bean"],
+    )
+    def test_scripts_that_exhausted_the_stack_are_refused(self, script, error):
+        """Each of these ran out of stack inside `execute` before the caps."""
+        result = under_frames(200, lambda: extract_script(script))
+        assert result == ExtractionFailure(PARSE_FAILURE, error)
 
 
 class TestDispatch:

@@ -20,8 +20,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jsonduel"
 BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
 
 # Names a package `__init__.py` may bind by import. `backends` defines
-# `Backend`, `BackendConfigError` and `resolve_backend` itself; `tdsl`
-# re-exports `Script` and `parse_script`, which the benchmark imports.
+# `Backend` and `resolve_backend` itself; `tdsl` re-exports `Script` and
+# `parse_script`, which the benchmark imports.
 INIT_IMPORTS = {
     "jsonduel.backends": {
         "Iterable", "Mapping", "Protocol", "Union", "ast",

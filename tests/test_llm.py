@@ -9,7 +9,7 @@ import requests
 from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import ChatMessage, Role, conversation_hash
-from jsonduel.llm.mock import ReplayClient, ReplayMissError, ReplayScenario
+from jsonduel.llm.mock import ReplayClient, ReplayScenario
 from jsonduel.llm.prompts import (
     GENERATE_SUFFIX,
     SUMMARIZE_PROMPT,
@@ -195,7 +195,7 @@ class TestMocks:
 
     def test_replay_miss_is_loud(self):
         client = ReplayClient(ReplayScenario())
-        with pytest.raises(ReplayMissError):
+        with pytest.raises(ValueError, match="^no recorded response for conversation [0-9a-f]{12}… "):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
     def test_replay_is_deterministic_across_instances(self, tmp_path):

@@ -11,16 +11,15 @@ from pathlib import Path
 import pytest
 
 from jsonduel.backends.outcomes import describe
-from jsonduel.corpus import CorpusError
+from jsonduel.corpus import load_corpus, mine_seeds
 from jsonduel.diffcore import VerdictStatus
 from jsonduel.llm.client import TransportError
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
-from jsonduel.llm.messages import Role
-from jsonduel.llm.mock import ReplayClient, ReplayMissError, ReplayScenario
-from jsonduel.llm.prompts import SUMMARIZE_PROMPT, build_context
+from jsonduel.llm.messages import Role, conversation_hash
+from jsonduel.llm.mock import ReplayClient, ReplayScenario
+from jsonduel.llm.prompts import SUMMARIZE_PROMPT, build_context, build_summary_request
 from jsonduel.pipeline import runner
 from jsonduel.pipeline.config import (
-    ConfigError,
     CorpusSource,
     PipelineConfig,
     load_config,
@@ -149,7 +148,7 @@ class TestRun:
         run(planted_config(tmp_path, fixture_corpus))
         reports = [tmp_path / "out" / name for name in ("verdicts.jsonl", "bugs.jsonl", "report.txt")]
         assert all(path.is_file() for path in reports)
-        with pytest.raises(ReplayMissError):
+        with pytest.raises(ValueError, match="^no recorded response for conversation "):
             run(planted_config(tmp_path, fixture_corpus), client=ReplayClient(ReplayScenario()))
         assert [path for path in reports if path.exists()] == []
 
@@ -161,7 +160,7 @@ class TestRun:
             corpus=CorpusSource(root=seeds_dir), backends=("reference", "reference-copy"), out_dir=out
         )
         client = ScriptedClient([])
-        with pytest.raises(CorpusError) as info:
+        with pytest.raises(ValueError) as info:
             run(config, client=client)
         assert str(info.value) == f"out_dir {out} is under corpus root {seeds_dir}: a run would mine its output"
         assert client.reserved == 0
@@ -652,12 +651,12 @@ class TestFailureModes:
             out_dir=tmp_path / "out",
         )
         client = ScriptedClient(["summary"])
-        with pytest.raises(CorpusError) as info:
+        with pytest.raises(ValueError) as info:
             run(config, client=client)
         assert str(info.value) == f"seed ids '{ids[0]}' and '{ids[1]}' both sanitize to '{ids[1]}'"
         assert client.reserved == client.calls == 0
 
-    def test_replay_miss_is_a_usage_error_at_the_cli(self, tmp_path, seeds_dir):
+    def test_replay_miss_is_a_usage_error_at_the_cli(self, tmp_path, seeds_dir, capsys):
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
         RecordingScenario().save(tmp_path / "empty_scenario.json")
         config_path = tmp_path / "config.json"
@@ -668,6 +667,28 @@ class TestFailureModes:
             "mock_scenario": str(tmp_path / "empty_scenario.json"),
         }))
         assert main(["run", "--config", str(config_path)]) == 1
+        request = build_summary_request("assert_eq(1, 1);\n")
+        assert capsys.readouterr().err == (  # the message itself, not an exception's repr
+            f"error: no recorded response for conversation {conversation_hash(request)[:12]}… "
+            f"(last message starts {request[-1].content[:80]!r})\n"
+        )
+
+    def test_a_reply_nested_too_deep_is_an_extraction_failure(self, tmp_path, seeds_dir):
+        """Such a reply ran out of stack in `execute`, and the run ended
+        with a traceback and no report, before expressions were capped."""
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        config = PipelineConfig(
+            corpus=CorpusSource(root=seeds_dir),
+            backends=("reference", "reference-copy"),
+            params=GenParams(seed=1, n_per_seed=1),
+            mutation=MutationMode.NONE,
+            out_dir=tmp_path / "out",
+        )
+        deep = f'let a = {"is_valid(" * 250}parse("{"[" * 250}{"]" * 250}"){")" * 250}; assert_not_null(a);'
+        report = run(config, client=ScriptedClient(["short summary", deep]))
+        (_, record), = report.records
+        assert record.extraction.error == "expression nesting too deep (line 1, column 594)"
+        assert (tmp_path / "out" / "report.txt").is_file()
 
     def test_context_overflow_recorded_not_sent(self, tmp_path, seeds_dir):
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
@@ -844,14 +865,14 @@ class TestConfig:
         path = self._write(
             tmp_path, {"corpus": {"root": "."}, "backends": ["reference"]}
         )
-        with pytest.raises(ConfigError, match="at least 2"):
+        with pytest.raises(ValueError, match="at least 2"):
             load_config(path)
 
     def test_unknown_backend_rejected(self, tmp_path):
         path = self._write(
             tmp_path, {"corpus": {"root": "."}, "backends": ["reference", "nope"]}
         )
-        with pytest.raises(ConfigError, match="unknown backend"):
+        with pytest.raises(ValueError, match="unknown backend"):
             load_config(path)
 
     def test_duplicate_backends_rejected(self, tmp_path):
@@ -859,7 +880,7 @@ class TestConfig:
             tmp_path,
             {"corpus": {"root": "."}, "backends": ["reference", "reference"]},
         )
-        with pytest.raises(ConfigError, match="unique"):
+        with pytest.raises(ValueError, match="unique"):
             load_config(path)
 
     def test_corpus_needs_exactly_one_source(self, tmp_path):
@@ -870,7 +891,7 @@ class TestConfig:
                 "backends": ["reference", "reference-copy"],
             },
         )
-        with pytest.raises(ConfigError, match="exactly one"):
+        with pytest.raises(ValueError, match="exactly one"):
             load_config(path)
 
     def test_malformed_json_reports_position(self, tmp_path):
@@ -920,7 +941,7 @@ class TestConfig:
     def test_wrong_json_type_rejected(self, tmp_path, key, value, message):
         payload = {"corpus": {"root": "."}, "backends": ["reference", "reference-copy"]}
         path = self._write(tmp_path, {**payload, key: value})
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValueError) as info:
             load_config(path)
         assert str(info.value) == message
 
@@ -933,6 +954,70 @@ class TestConfig:
         assert updated.params.seed == 99
         assert updated.mutation is MutationMode.NONE
         assert updated.out_dir == tmp_path / "o"
+
+
+def _config_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"corpus": {"root": "."}, "backends": ["reference"]}))
+    return lambda: load_config(path), "differential testing needs at least 2 backends"
+
+
+def _params_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"corpus": {"root": "."}, "backends": ["reference", "reference-copy"], "temperature": 9}
+    ))
+    return lambda: load_config(path), "temperature out of range: 9"
+
+
+def _manifest_error(tmp_path):
+    (tmp_path / "a.t").write_text("assert_eq(1, 1);\n")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seeds": [{"id": "a", "path": "a.t"}] * 2}))
+    return lambda: load_corpus(path), "duplicate seed id 'a' in manifest"
+
+
+def _mining_error(tmp_path):
+    return lambda: mine_seeds(tmp_path, "issue"), f"no seed files matching '*issue*.t' under {tmp_path}"
+
+
+def _engine_name_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"corpus": {"root": "."}, "backends": ["reference", "planted:L9"]}))
+    return lambda: load_config(path), "unknown planted bug code 'L9' in 'planted:L9'"
+
+
+def _out_dir_error(tmp_path):
+    (tmp_path / "issue1.t").write_text("assert_eq(1, 1);\n")
+    config = PipelineConfig(corpus=CorpusSource(root=tmp_path), backends=("reference", "reference-copy"),
+                            out_dir=tmp_path / "out")
+    message = f"out_dir {tmp_path / 'out'} is under corpus root {tmp_path}: a run would mine its output"
+    return lambda: run(config, client=ScriptedClient([])), message
+
+
+def _seed_id_error(tmp_path):
+    for name in ("issue 1", "issue_1"):
+        (tmp_path / f"{name}.t").write_text("assert_eq(1, 1);\n")
+    config = PipelineConfig(corpus=CorpusSource(root=tmp_path), backends=("reference", "reference-copy"),
+                            out_dir=tmp_path.parent / "out")
+    message = "seed ids 'issue 1' and 'issue_1' both sanitize to 'issue_1'"
+    return lambda: run(config, client=ScriptedClient([])), message
+
+
+@pytest.mark.parametrize(
+    "bad_input",
+    [_config_error, _params_error, _manifest_error, _mining_error, _engine_name_error,
+     _out_dir_error, _seed_id_error],
+    ids=["config", "config-params", "manifest", "mining", "engine-name", "out_dir-under-root",
+         "seed-id-collision"],
+)
+def test_bad_input_is_a_plain_value_error(tmp_path, bad_input):
+    """Every kind of bad input raises a `ValueError` itself, no subclass."""
+    (tmp_path / "in").mkdir()
+    load, message = bad_input(tmp_path / "in")
+    with pytest.raises(ValueError) as info:
+        load()
+    assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
 class TestCli:

@@ -37,7 +37,7 @@ from jsonduel.tdsl.errors import (
     UnknownFeatureError,
 )
 from jsonduel.tdsl.extract import PARSE_FAILURE, ExtractionFailure, extract_script
-from jsonduel.tdsl.parser import parse_script
+from jsonduel.tdsl.parser import MAX_BEAN_DEPTH, MAX_EXPR_DEPTH, parse_script
 from jsonduel.tdsl.printer import print_script
 
 import parse_mutants
@@ -178,28 +178,30 @@ class TestParser:
         assert parse_script(src) == parse_script(src)
 
     def test_expression_nesting_is_capped(self):
-        assert parse_script(nested_sizes(200)).statements[1].expected == Lit(1)
+        assert parse_script(nested_sizes(MAX_EXPR_DEPTH)).statements[1].expected == Lit(1)
         with pytest.raises(DslError, match="expression nesting too deep"):
-            parse_script(nested_sizes(600))
+            parse_script(nested_sizes(MAX_EXPR_DEPTH + 1))
 
     def test_list_field_type_nesting_is_capped(self):
-        ftype = parse_script(nested_list_field(200)).beans[0].fields[0].type
-        for _ in range(200):
+        ftype = parse_script(nested_list_field(MAX_BEAN_DEPTH)).beans[0].fields[0].type
+        for _ in range(MAX_BEAN_DEPTH):
             ftype = ftype.element
         assert ftype == Prim("integer")
         with pytest.raises(DslSyntaxError, match="field type nesting too deep"):
-            parse_script(nested_list_field(2000))
+            parse_script(nested_list_field(MAX_BEAN_DEPTH + 1))
 
     @pytest.mark.parametrize(
         "length, error",
         [
-            pytest.param(200, None, id="200"),
-            pytest.param(257, None, id="257"),
-            pytest.param(1500, "bean 'B1242' nests more than 256 levels", id="1500"),
+            pytest.param(129, None, id="129"),
+            pytest.param(130, "bean 'B0' nests more than 128 levels", id="130"),
+            pytest.param(200, "bean 'B70' nests more than 128 levels", id="200"),
+            pytest.param(257, "bean 'B127' nests more than 128 levels", id="257"),
+            pytest.param(1500, "bean 'B1370' nests more than 128 levels", id="1500"),
         ],
     )
     def test_long_bean_chain_parses(self, length, error):
-        """B0 nests `length` - 1 levels deep; more than 256 is rejected."""
+        """B0 nests `length` - 1 levels deep; more than 128 is rejected."""
         if error:
             with pytest.raises(DslValidationError, match=error):
                 parse_script(bean_chain(length))
@@ -210,9 +212,9 @@ class TestParser:
 
     def test_list_levels_count_toward_bean_nesting(self):
         inner = "bean A { f: integer; }\n"
-        deep = "list<" * 255 + "A" + ">" * 255
+        deep = "list<" * 127 + "A" + ">" * 127
         parse_script(f"{inner}bean B {{ f: {deep}; }}\nassert_eq(1, 1);")
-        with pytest.raises(DslValidationError, match="bean 'C' nests more than 256 levels"):
+        with pytest.raises(DslValidationError, match="bean 'C' nests more than 128 levels"):
             parse_script(f"{inner}bean B {{ f: {deep}; }}\nbean C {{ f: B; }}\nassert_eq(1, 1);")
 
     def test_long_bean_ring_is_a_cycle(self):
@@ -261,7 +263,7 @@ class TestParser:
             ("bean B { x: integer; x: string; }\nassert_eq(1, 1);",
              DslValidationError, "duplicate field 'x' in bean 'B'"),
             ("bean B { x: list<Ghost>; }\nassert_eq(1, 1);", UnknownBeanError, "unknown bean 'Ghost'"),
-            (bean_chain(300), DslValidationError, "bean 'B42' nests more than 256 levels"),
+            (bean_chain(300), DslValidationError, "bean 'B170' nests more than 128 levels"),
             ("bean A { b: B; }\nbean B { a: list<A>; }\nassert_eq(1, 1);",
              DslValidationError, "recursive bean cycle through 'A'"),
             ("assert_eq(a, 1);", UnboundVariableError, "variable 'a' referenced before assignment"),
