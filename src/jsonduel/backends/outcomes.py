@@ -83,7 +83,17 @@ def outcome_from_dict(data: dict) -> TestOutcome:
     if result == "pass":
         return PASS
     if result == "fail":
-        return Fail(int(data["assertion_index"]), data["expected"], data["actual"])
+        index = data["assertion_index"]
+        if type(index) is not int or index < 0:  # a bool is an int, but no index
+            raise ValueError(f"assertion_index is not a non-negative integer: {index!r}")
+        return Fail(index, _text(data, "expected"), _text(data, "actual"))
     if result == "error":
-        return Error(ErrorKind(data["kind"]), data.get("message", ""))
+        return Error(ErrorKind(data["kind"]), _text(data, "message", ""))
     raise ValueError(f"unknown outcome encoding: {data!r}")
+
+
+def _text(data: dict, key: str, default: str | None = None) -> str:
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{key} is not a string")
+    return value

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from ..backends.outcomes import Pass, TestOutcome, outcome_from_dict
+from ..backends.outcomes import Error, Pass, TestOutcome, outcome_from_dict
 from ..corpus import decode_json, read_text
 from ..llm.client import LlmClient, prepare_request
 from ..llm.generation import GenParams
 from ..tdsl.ast import Script
-from ..tdsl.errors import DslError
-from ..tdsl.parser import parse_script
+from ..tdsl.parser import DslError, parse_script
 from .prompts import ClassifyMode, build_classify_prompt
 from .voting import VOTE_COUNT, ClassificationAborted, ClassificationResult, Verdict, classify
 
@@ -62,6 +61,10 @@ class FailedCase:
     def __post_init__(self):
         if isinstance(self.outcome, Pass):
             raise ValueError("a failed case cannot carry a Pass outcome")
+        errored = {"E": True, "F": False}.get(self.category.value[0])  # None: unlabeled
+        if errored is not None and errored != isinstance(self.outcome, Error):
+            kind = "an error" if errored else "a fail"
+            raise ValueError(f"category {self.category.value} needs {kind} outcome")
 
 
 def load_cases(path: Path | str) -> list[FailedCase]:

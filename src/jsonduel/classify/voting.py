@@ -8,7 +8,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..llm.client import GenerationError, TransportError
+from ..llm.client import ModelError
 
 VOTE_COUNT = 6
 
@@ -77,14 +77,14 @@ def classify(sent: Sequence[Future]) -> ClassificationResult:
     majority-vote their replies.
 
     Votes are kept in slot order. If any slot fails, the first failed
-    slot in slot order decides: a `TransportError` or `GenerationError`
-    becomes `ClassificationAborted` carrying the votes of every slot that
+    slot in slot order decides: a `ModelError` becomes
+    `ClassificationAborted` carrying the votes of every slot that
     succeeded, and any other exception propagates unchanged.
     """
     responses = [f.result() for f in sent if f.exception() is None]
     votes = tuple(parse_verdict(response) for response in responses)
     failure = next((f.exception() for f in sent if f.exception() is not None), None)
-    if isinstance(failure, (TransportError, GenerationError)):
+    if isinstance(failure, ModelError):
         raise ClassificationAborted(failure, votes) from failure
     if failure is not None:
         raise failure

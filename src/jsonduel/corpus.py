@@ -68,11 +68,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _not_json(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def decode_json(text: str):
-    """The JSON value `text` holds. A repeated object key, nesting too deep for
-    the decoder and the decode errors of `json.loads` are each a `ValueError`."""
+    """The JSON value `text` holds. A repeated object key, `NaN` or `Infinity`,
+    nesting too deep for the decoder and the decode errors of `json.loads` are
+    each a `ValueError`."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_not_json)
     except RecursionError:
         raise ValueError("nesting too deep") from None
 

@@ -28,12 +28,8 @@ BACKOFF_START_S = 0.5
 REQUEST_TIMEOUT_S = 120.0
 
 
-class TransportError(Exception):
-    """The request could not be completed (after retries, if retryable)."""
-
-
-class GenerationError(Exception):
-    """The service answered, but with an unusable (e.g. empty) response."""
+class ModelError(Exception):
+    """A model request gave no usable reply, after retries if it was retryable."""
 
 
 class LlmClient(Protocol):
@@ -110,24 +106,24 @@ class HttpChatClient:
                 last_error = exc
                 continue
             if response.status_code >= 500 or response.status_code == 429:
-                last_error = TransportError(f"status {response.status_code}")
+                last_error = ModelError(f"status {response.status_code}")
                 continue
             if response.status_code >= 400:
-                raise TransportError(
+                raise ModelError(
                     f"request rejected with status {response.status_code}: {response.text[:200]}"
                 )
             return self._extract_content(response)
-        raise TransportError(f"request failed after {MAX_ATTEMPTS} attempts: {last_error}")
+        raise ModelError(f"request failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
     def _extract_content(self, response) -> str:
         try:
             payload = response.json()
             content = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise GenerationError(f"malformed completion response: {exc}") from None
+            raise ModelError(f"malformed completion response: {exc}") from None
         log.debug("response: %s", content)
         if not content:
-            raise GenerationError("empty completion response")
+            raise ModelError("empty completion response")
         if not isinstance(content, str):
-            raise GenerationError(f"non-text completion response: {type(content).__name__}")
+            raise ModelError(f"non-text completion response: {type(content).__name__}")
         return content

@@ -39,8 +39,7 @@ from ..backends.executor import execute
 from ..backends.outcomes import TestOutcome
 from ..corpus import SeedTest, load_corpus, mine_seeds
 from ..diffcore import DiffVerdict, VerdictStatus, dedup, make_verdict
-from ..llm.client import GenerationError, HttpChatClient, LlmClient, TransportError
-from ..llm.client import prepare_request
+from ..llm.client import HttpChatClient, LlmClient, ModelError, prepare_request
 from ..llm.generation import GenerationRecord, pick_rule
 from ..llm.messages import ChatMessage
 from ..llm.mock import ReplayClient
@@ -132,7 +131,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
                 raw = reply.result()
             except _Stopped:
                 return
-            except (TransportError, GenerationError) as exc:
+            except ModelError as exc:
                 log.error("aborting run, generation %s failed: %s", task.script_id, exc)
                 return
             extraction = extract_script(raw)
@@ -250,10 +249,10 @@ def _conversations(
         try:
             summary = summaries[task.seed.script_text].result()
             if not summary:
-                raise GenerationError("empty summary response")
+                raise ModelError("empty summary response")
         except _Stopped:
             return
-        except (TransportError, GenerationError) as exc:
+        except ModelError as exc:
             stop.set()
             log.error("aborting run, summary of %s failed: %s", task.seed.id, exc)
             return

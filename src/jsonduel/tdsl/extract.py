@@ -12,8 +12,7 @@ import re
 from dataclasses import dataclass
 
 from . import ast
-from .errors import DslError
-from .parser import parse_script
+from .parser import DslError, parse_script
 
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 

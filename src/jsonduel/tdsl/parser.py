@@ -20,14 +20,15 @@ from typing import get_args
 
 from .. import jsontext
 from . import ast
-from .errors import (
-    DslError,
-    DslSyntaxError,
-    DslValidationError,
-    UnboundVariableError,
-    UnknownBeanError,
-    UnknownFeatureError,
-)
+
+
+class DslError(ValueError):
+    """A script the parser rejects; a syntax error also has its `line` and `col`."""
+
+    def __init__(self, reason: str, line: int | None = None, col: int | None = None):
+        super().__init__(reason if line is None else f"{reason} (line {line}, column {col})")
+        self.reason, self.line, self.col = reason, line, col
+
 
 # One token per match: a punctuation mark, an identifier, a JSON string or
 # number (a lone `"` or `-` where none scans, which the JSON reader then
@@ -94,13 +95,13 @@ class _Parser:
         return self.tok != "" and self.tok[0] not in _TOKEN_START
 
     def fail(self, message: str, pos: int | None = None):
-        """Raise a DslSyntaxError at offset `pos`, the current token's by
+        """Raise a syntax DslError at offset `pos`, the current token's by
         default; a current token that is no token at all raises instead."""
         if self.unreadable():
             message, pos = f"unexpected character {self.tok[0]!r}", None
         pos = self.offset(self.i) if pos is None else pos
         line, col = self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
-        raise DslSyntaxError(message, line, col) from None
+        raise DslError(message, line, col) from None
 
     def expect_punct(self, ch: str) -> None:
         if self.tok != ch:
@@ -212,7 +213,7 @@ class _Parser:
             self.fail("expected an expression")
         self.advance()
         if word not in self.bound:
-            self.checks.append(UnboundVariableError(word))
+            self.checks.append(DslError(f"variable '{word}' referenced before assignment"))
         return ast.Var(word)
 
     def call(self, node: type, depth: int):
@@ -254,7 +255,7 @@ class _Parser:
                 fname = self.expect_ident("field name")
                 self.checks.append((args[-1], fname))
                 if any(fname == name for name, _ in assignments):
-                    self.checks.append(DslValidationError(f"duplicate assignment to '{fname}'"))
+                    self.checks.append(DslError(f"duplicate assignment to '{fname}'"))
                 self.expect_punct("=")
                 assignments.append((fname, self.expr(depth)))
             args.append(tuple(assignments))
@@ -274,8 +275,8 @@ class _Parser:
                     if self.unreadable():
                         self.fail("")
                     if name not in table:
-                        raise UnknownFeatureError(name, flavor)
-                    raise DslValidationError(f"duplicate feature '{name}'")
+                        raise DslError(f"unknown {flavor} feature '{name}'")
+                    raise DslError(f"duplicate feature '{name}'")
                 features.append(table[name])
                 if self.tok != ",":
                     break
@@ -287,20 +288,20 @@ class _Parser:
 def parse_script(text: str) -> ast.Script:
     """Parse DSL source into a Script AST, the one place a script is
     validated: a syntax error comes first, then bean errors, then
-    statement errors in text order, each a DslError subclass."""
+    statement errors in text order, each a DslError."""
     parser = _Parser(text)
     script = parser.script()
     beans: dict[str, ast.BeanDef] = {}
     for bean in script.beans:
         if bean.name in ast.RESERVED_WORDS or bean.name in ast.PRIMITIVE_TYPES:
-            raise DslValidationError(f"'{bean.name}' cannot be used as a bean name")
+            raise DslError(f"'{bean.name}' cannot be used as a bean name")
         if bean.name in beans:
-            raise DslValidationError(f"duplicate bean '{bean.name}'")
+            raise DslError(f"duplicate bean '{bean.name}'")
         beans[bean.name] = bean
         seen: set[str] = set()
         for field in bean.fields:
             if field.name in seen:
-                raise DslValidationError(f"duplicate field '{field.name}' in bean '{bean.name}'")
+                raise DslError(f"duplicate field '{field.name}' in bean '{bean.name}'")
             seen.add(field.name)
     if beans:  # most scripts define none
         _check_bean_graph(beans)
@@ -310,11 +311,11 @@ def parse_script(text: str) -> ast.Script:
             raise check
         name, field = check
         if name not in beans:
-            raise UnknownBeanError(name)
+            raise DslError(f"unknown bean '{name}'")
         if field is not None and all(f.name != field for f in beans[name].fields):
-            raise DslValidationError(f"bean '{name}' has no field '{field}'")
+            raise DslError(f"bean '{name}' has no field '{field}'")
     if not parser.asserted:
-        raise DslValidationError("script contains no assertions")
+        raise DslError("script contains no assertions")
     return script
 
 
@@ -347,7 +348,7 @@ def _check_bean_graph(beans: dict[str, ast.BeanDef]) -> None:
         refs[name] = [ftype.name for ftype in inner if isinstance(ftype, ast.BeanRef)]
         for ref in refs[name]:
             if ref not in beans:
-                raise UnknownBeanError(ref)
+                raise DslError(f"unknown bean '{ref}'")
     if not any(refs.values()):  # `field_type` caps list levels alone at MAX_BEAN_DEPTH
         return
     depths: dict[str, int] = {}
@@ -355,6 +356,6 @@ def _check_bean_graph(beans: dict[str, ast.BeanDef]) -> None:
         for name in graphlib.TopologicalSorter(refs).static_order():  # held beans first
             depths[name] = _bean_depth(beans[name], depths)
             if depths[name] > MAX_BEAN_DEPTH:
-                raise DslValidationError(f"bean '{name}' nests more than {MAX_BEAN_DEPTH} levels")
+                raise DslError(f"bean '{name}' nests more than {MAX_BEAN_DEPTH} levels")
     except graphlib.CycleError as exc:
-        raise DslValidationError(f"recursive bean cycle through '{exc.args[1][0]}'") from None
+        raise DslError(f"recursive bean cycle through '{exc.args[1][0]}'") from None

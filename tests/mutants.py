@@ -113,6 +113,22 @@ MUTANTS = [
         "silently dropping the table it was asked for",
     ),
     Mutant(
+        "assertion-index-any-number",
+        "backends/outcomes.py",
+        "if type(index) is not int or index < 0:",
+        "if index < 0:",
+        "a triage case's assertion index may be any number again: 1.5 and `true` are "
+        "taken as they are, and 1e999 reaches the prompt as `inf`",
+    ),
+    Mutant(
+        "model-error-not-aborted",
+        "classify/voting.py",
+        "isinstance(failure, ModelError)",
+        "isinstance(failure, ())",
+        "a failed vote request escapes triage as the client's own exception, not "
+        "`ClassificationAborted`, so `classify` ends in a traceback instead of exit 2",
+    ),
+    Mutant(
         "path-index-18-digits",
         "backends/reference.py",
         'int(index.lstrip("0")[:19] or 0)',

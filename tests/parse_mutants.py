@@ -21,8 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from jsonduel.tdsl.errors import DslError
-from jsonduel.tdsl.parser import parse_script
+from jsonduel.tdsl.parser import DslError, parse_script
 from jsonduel.tdsl.printer import print_script
 
 from scriptgen import ScriptGen, WideScriptGen
@@ -57,8 +56,7 @@ def outcome(text: str) -> dict:
     try:
         return {"ast_sha256": _digest(repr(parse_script(text)))}
     except DslError as exc:
-        reason = getattr(exc, "reason", str(exc))
-        return {"error": [type(exc).__name__, reason, getattr(exc, "line", None), getattr(exc, "col", None)]}
+        return {"error": [type(exc).__name__, exc.reason, exc.line, exc.col]}
 
 
 def record(gen: str, index: int, op: str, pos: int, char: str, text: str) -> dict:

@@ -36,7 +36,7 @@ from jsonduel.classify.voting import (
     parse_verdict,
     tally_votes,
 )
-from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
+from jsonduel.llm.client import HttpChatClient, ModelError
 from jsonduel.llm.generation import GenParams
 from jsonduel.llm.mock import ReplayClient
 from jsonduel.pipeline.cli import main
@@ -171,7 +171,7 @@ class TestClassify:
         assert len(set(recorder.seen)) == 1
 
     def test_transport_failure_carries_partial_votes(self):
-        responses = ["good test.", "good test.", TransportError("down")]
+        responses = ["good test.", "good test.", ModelError("down")]
         with pytest.raises(ClassificationAborted) as info:
             classify_fs(make_case(), ScriptedClient(responses))
         assert info.value.votes == (Verdict.GOOD, Verdict.GOOD)
@@ -233,8 +233,8 @@ def _outcome(fn):
 
 def _sequential_reference(client, case, mode):
     """Send the vote requests one after another, then apply the failure
-    rule: the first failed slot decides; a TransportError or
-    GenerationError aborts with the votes of every slot that succeeded."""
+    rule: the first failed slot decides; a ModelError aborts with the
+    votes of every slot that succeeded."""
     prompt = tuple(build_classify_prompt(case, mode))
     responses, failures = [], []
     for _ in range(VOTE_COUNT):
@@ -243,7 +243,7 @@ def _sequential_reference(client, case, mode):
         except Exception as exc:
             failures.append(exc)
     votes = tuple(parse_verdict(r) for r in responses)
-    if failures and isinstance(failures[0], (TransportError, GenerationError)):
+    if failures and isinstance(failures[0], ModelError):
         raise ClassificationAborted(failures[0], votes)
     if failures:
         raise failures[0]
@@ -259,7 +259,7 @@ class TestConcurrentVotes:
 
     def test_evaluation_starts_one_pool_for_every_case(self):
         client = _BarrierClient()
-        case = dataclasses.replace(make_case(), category=Category.E_GOOD)
+        case = dataclasses.replace(make_case(), category=Category.F_GOOD)
         count = CASES_IN_FLIGHT + 2
         report = evaluate_accuracy([case] * count, ClassifyMode.FS, client, PARAMS)
         assert report.average() == 100.0
@@ -290,7 +290,7 @@ class TestConcurrentVotes:
             assert result.votes == (Verdict.GOOD,) * 4 + (Verdict.BAD,) * 2
 
     def test_abort_carries_the_votes_of_later_slots(self):
-        responses = [GOOD, GOOD, TransportError("down"), BAD, GOOD, BAD]
+        responses = [GOOD, GOOD, ModelError("down"), BAD, GOOD, BAD]
         client = ScriptedClient(responses)
         with pytest.raises(ClassificationAborted) as info:
             classify_fs(make_case(), client)
@@ -299,14 +299,14 @@ class TestConcurrentVotes:
         assert client.calls == VOTE_COUNT
 
     def test_first_failed_slot_decides(self):
-        responses = [GOOD, RuntimeError("boom"), GOOD, TransportError("down"), GOOD, GOOD]
+        responses = [GOOD, RuntimeError("boom"), GOOD, ModelError("down"), GOOD, GOOD]
         with pytest.raises(RuntimeError, match="boom"):
             classify_fs(make_case(), ScriptedClient(responses))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(
         st.sampled_from([
-            GOOD, BAD, "No verdict here.", TransportError("down"), GenerationError("empty"),
+            GOOD, BAD, "No verdict here.", ModelError("down"), ModelError("empty completion response"),
         ]),
         max_size=8,
     ))
@@ -358,7 +358,7 @@ def _sequential_cases(client, cases, mode):
             raise
 
 
-_FAILURES = [TransportError("down"), GenerationError("empty"), RuntimeError("boom")]
+_FAILURES = [ModelError("down"), ModelError("empty completion response"), RuntimeError("boom")]
 
 
 @st.composite
@@ -446,7 +446,7 @@ class TestPipelinedCases:
 
     def test_no_request_is_sent_after_an_abort(self):
         cases = _labelled(3 * CASES_IN_FLIGHT)
-        entries = [GOOD] * (VOTE_COUNT + 2) + [TransportError("down")] + [GOOD] * 100
+        entries = [GOOD] * (VOTE_COUNT + 2) + [ModelError("down")] + [GOOD] * 100
         client = ScriptedClient(entries)
         with pytest.raises(ClassificationAborted) as info:
             list(classify_cases(cases, ClassifyMode.FS, client, PARAMS))
@@ -487,7 +487,7 @@ class TestClassifyCli:
     def test_transport_failure_exits_aborted(self, tmp_path, monkeypatch, capsys):
         cases_path = build_case_fixture(tmp_path / "cases")
         responses = confusion_responses()
-        responses[VOTE_COUNT + 2] = TransportError("endpoint down")
+        responses[VOTE_COUNT + 2] = ModelError("endpoint down")
         monkeypatch.setattr(
             "jsonduel.pipeline.cli.HttpChatClient", lambda **_: ScriptedClient(responses)
         )

@@ -108,6 +108,46 @@ class TestLoadCases:
                 "backend is not a string",
                 id="backend-null",
             ),
+            *[
+                pytest.param(
+                    f'"outcome": {{"result": "fail", "assertion_index": {index}, "expected": "1", "actual": "2"}}',
+                    f"assertion_index is not a non-negative integer: {shown}",
+                    id=f"assertion-index-{index}",
+                )
+                for index, shown in [("1e999", "inf"), ("1.5", "1.5"), ("true", "True"), ('"3"', "'3'"),
+                                     ("-4", "-4"), ("null", "None")]
+            ],
+            pytest.param(
+                '"outcome": {"result": "fail", "assertion_index": 0, "expected": 1, "actual": "2"}',
+                "expected is not a string",
+                id="expected-not-a-string",
+            ),
+            pytest.param(
+                '"outcome": {"result": "fail", "assertion_index": 0, "expected": "1", "actual": ["2"]}',
+                "actual is not a string",
+                id="actual-not-a-string",
+            ),
+            pytest.param(
+                '"outcome": {"result": "error", "kind": "ParseError", "message": null}',
+                "message is not a string",
+                id="message-not-a-string",
+            ),
+            pytest.param(
+                '"outcome": {"result": "fail", "assertion_index": NaN, "expected": "1", "actual": "2"}',
+                "malformed JSON: NaN is not JSON",
+                id="assertion-index-NaN",
+            ),
+            pytest.param(
+                '"outcome": {"result": "fail", "assertion_index": 0, "expected": "1", "actual": "2"}, '
+                '"category": "E_bad"',
+                "category E_bad needs an error outcome",
+                id="errored-category-with-fail-outcome",
+            ),
+            pytest.param(
+                '"outcome": {"result": "error", "kind": "ParseError"}, "category": "F_good"',
+                "category F_good needs a fail outcome",
+                id="failed-category-with-error-outcome",
+            ),
         ],
     )
     def test_bad_case_fields_report_position(self, tmp_path, fields, message):
@@ -133,6 +173,17 @@ class TestLoadCases:
         path.write_text('{"script_path": "a.t", "outcome": [1]}\n')
         assert main(["classify", "--cases", str(path), "--mock", str(tmp_path / "none.json")]) == 1
         assert capsys.readouterr().err == f"error: {path}:1: outcome is not an object\n"
+
+    def test_cli_reports_an_out_of_range_assertion_index_and_exits_1(self, tmp_path, capsys):
+        """1e999 is valid JSON that decodes to an infinite float."""
+        (tmp_path / "a.t").write_text("assert_eq(1, 1);\n")
+        path = tmp_path / "cases.jsonl"
+        outcome = '{"result": "fail", "assertion_index": 1e999, "expected": "1", "actual": "2"}'
+        path.write_text('{"script_path": "a.t", "outcome": ' + outcome + "}\n")
+        assert main(["classify", "--cases", str(path), "--mock", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: assertion_index is not a non-negative integer: inf\n"
+        )
 
 
 class TestEvaluate:

@@ -24,9 +24,8 @@ from jsonduel.backends.outcomes import (
 )
 from jsonduel.jsontext import MAX_DEPTH
 from jsonduel.tdsl import ast
-from jsonduel.tdsl.errors import DslError
 from jsonduel.tdsl.extract import PARSE_FAILURE, ExtractionFailure, extract_script
-from jsonduel.tdsl.parser import MAX_BEAN_DEPTH, MAX_EXPR_DEPTH, parse_script
+from jsonduel.tdsl.parser import MAX_BEAN_DEPTH, MAX_EXPR_DEPTH, DslError, parse_script
 
 import outcome_golden
 from outcome_golden import bean_chain, serialize_chain

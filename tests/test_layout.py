@@ -2,14 +2,15 @@
 files hold no re-exports beyond the few callers rely on, the printer
 does not import the parser, only a live model client loads the HTTP
 stack, every input file is read by `corpus.read_text` and every JSON
-input decoded in `corpus`, and no production code is there only for
-the tests.
+input decoded in `corpus`, no production code is there only for the
+tests, and every exception class is one that some handler acts on.
 
 Every module under `src/jsonduel` is parsed with `ast`; imports inside
 functions count too, since they close a cycle just the same.
 """
 
 import ast
+import builtins
 import graphlib
 import os
 import subprocess
@@ -271,6 +272,47 @@ def test_no_production_code_only_tests_use():
         and not any(name in names for j, names in enumerate(loads) if j != i)
     ]
     assert unread == []
+
+
+def _checked_names(tree: ast.Module) -> set[str]:
+    """The names an `except` clause or an `isinstance` check in `tree` tests
+    against, as names or as attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            checked = node.type
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            checked = node.args[1]
+        else:
+            continue
+        names.update(sub.id if isinstance(sub, ast.Name) else sub.attr
+                      for sub in ast.walk(checked) if isinstance(sub, (ast.Name, ast.Attribute)))
+    return names
+
+
+def test_every_exception_class_is_acted_on():
+    """Each exception class defined under `src/jsonduel` is named by an
+    `except` clause or an `isinstance` check in `src/`. A subclass that no
+    handler tells apart from its base is a distinction only the tests read."""
+    trees = [tree for tree, _ in _modules().values()]
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    exceptions = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    defined: set[str] = set()
+    while True:  # a class is an exception class once one of its bases is
+        found = {
+            node.name for node in classes
+            if {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases} & exceptions
+        } - exceptions
+        if not found:
+            break
+        exceptions |= found
+        defined |= found
+    assert {"DslError", "JsonTextError", "BackendError"} <= defined
+    checked = set().union(*map(_checked_names, trees))
+    assert sorted(defined - checked) == []
 
 
 _HTTP_STACK_PROBE = """

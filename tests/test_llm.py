@@ -6,7 +6,7 @@ import random
 import pytest
 import requests
 
-from jsonduel.llm.client import GenerationError, HttpChatClient, TransportError
+from jsonduel.llm.client import HttpChatClient, ModelError
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import ChatMessage, Role, conversation_hash
 from jsonduel.llm.mock import ReplayClient, ReplayScenario
@@ -134,7 +134,7 @@ class TestHttpClient:
     def test_gives_up_after_three_attempts(self):
         session = FakeSession([requests.ConnectionError("x")] * 3)
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
-        with pytest.raises(TransportError):
+        with pytest.raises(ModelError, match="request failed after 3 attempts"):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
         assert len(session.requests) == 3
 
@@ -145,7 +145,7 @@ class TestHttpClient:
 
         session = FakeSession([FakeResponse(401, text="no auth")])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
-        with pytest.raises(TransportError, match="401"):
+        with pytest.raises(ModelError, match="rejected with status 401"):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
         assert len(session.requests) == 1
 
@@ -160,7 +160,7 @@ class TestHttpClient:
     def test_empty_content_is_generation_error(self):
         session = FakeSession([completion("")])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
-        with pytest.raises(GenerationError):
+        with pytest.raises(ModelError, match="empty completion response"):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
     @pytest.mark.parametrize("content", [["x"], {}, 7, True, None, [], 0])
@@ -169,7 +169,7 @@ class TestHttpClient:
         assume text."""
         session = FakeSession([completion(content)])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
-        with pytest.raises(GenerationError, match="completion response"):
+        with pytest.raises(ModelError, match="completion response"):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
     def test_own_session_keeps_a_connection_per_open_request(self):
@@ -250,8 +250,8 @@ class TestMocks:
             client.complete(messages, PARAMS)
 
     def test_scripted_exception_entries_raise(self):
-        client = ScriptedClient([TransportError("down")])
-        with pytest.raises(TransportError):
+        client = ScriptedClient([ModelError("down")])
+        with pytest.raises(ModelError, match="down"):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
 

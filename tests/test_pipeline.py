@@ -13,7 +13,7 @@ import pytest
 from jsonduel.backends.outcomes import describe
 from jsonduel.corpus import load_corpus, mine_seeds
 from jsonduel.diffcore import VerdictStatus
-from jsonduel.llm.client import TransportError
+from jsonduel.llm.client import ModelError
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import Role, conversation_hash
 from jsonduel.llm.mock import ReplayClient, ReplayScenario
@@ -302,7 +302,7 @@ class _GenerationBarrierClient:
             return "summary"
         self.barrier.wait()
         if any(self.failing_text in m.content for m in messages):
-            raise TransportError("endpoint down")
+            raise ModelError("endpoint down")
         return wrap_response("assert_eq(1, 1);\n")
 
 
@@ -514,7 +514,7 @@ class TestFailureModes:
             out_dir=tmp_path / "out",
             in_flight=1,
         )
-        report = run(config, client=ScriptedClient([TransportError("endpoint down")]))
+        report = run(config, client=ScriptedClient([ModelError("endpoint down")]))
         assert not report.complete
         assert report.records == []
         header = json.loads((tmp_path / "out" / "bugs.jsonl").read_text().splitlines()[0])
@@ -525,7 +525,7 @@ class TestFailureModes:
         responses = (
             ["summary"]
             + [wrap_response("assert_eq(1, 1);\n")] * 9
-            + [TransportError("endpoint down")]
+            + [ModelError("endpoint down")]
         )
         client = ScriptedClient(responses)
         config = PipelineConfig(
@@ -553,14 +553,14 @@ class TestFailureModes:
     ):
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
         script = wrap_response("assert_eq(1, 1);\n")
-        client = ScriptedClient(["summary"] + [script] * 9 + [TransportError("down")] + [script] * 390)
+        client = ScriptedClient(["summary"] + [script] * 9 + [ModelError("down")] + [script] * 390)
         prepared_at_failure = []
         guarded = runner._guarded
 
         def spy(stop, fn):
             try:
                 return guarded(stop, fn)
-            except TransportError:
+            except ModelError:
                 prepared_at_failure.append(client.reserved)
                 raise
 
@@ -594,7 +594,7 @@ class TestFailureModes:
         (seeds_dir / "issue2.t").write_text(f'assert_eq("{"x" * 2000}", "x");\n')
         fits = sum(len(m.content) for m in build_context("assert_eq(1, 1);\n", "s1", None))
         script = wrap_response("assert_eq(1, 1);\n")
-        client = ScriptedClient(["s1", "s2", script, script, TransportError("down")])
+        client = ScriptedClient(["s1", "s2", script, script, ModelError("down")])
         config = PipelineConfig(
             corpus=CorpusSource(root=seeds_dir),
             backends=("reference", "reference-copy"),
@@ -621,8 +621,6 @@ class TestFailureModes:
         assert f"lost:          {40 - len(ids)} of 40 planned generations" in text
 
     def test_empty_completion_aborts_like_transport_failure(self, tmp_path, seeds_dir):
-        from jsonduel.llm.client import GenerationError
-
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
         config = PipelineConfig(
             corpus=CorpusSource(root=seeds_dir),
@@ -631,7 +629,7 @@ class TestFailureModes:
             out_dir=tmp_path / "out",
             in_flight=1,
         )
-        report = run(config, client=ScriptedClient([GenerationError("empty")]))
+        report = run(config, client=ScriptedClient([ModelError("empty completion response")]))
         assert not report.complete
 
     @pytest.mark.parametrize("ids, manifest", [(("issue 1", "issue_1"), False), (("a b", "a_b"), True)])
@@ -1153,18 +1151,18 @@ class TestCli:
         [
             pytest.param(target, how, id=f"{target}-{how.replace(' ', '-')}")
             for target in ("config", "manifest", "scenario")
-            for how in ("not JSON", "not an object", "repeated key", "too deep")
+            for how in ("not JSON", "not an object", "repeated key", "too deep", "NaN", "-Infinity")
         ]
         + [
             pytest.param("cases file", how, id=f"cases-line-{how.replace(' ', '-')}")
-            for how in ("repeated key", "too deep")
+            for how in ("repeated key", "too deep", "NaN", "Infinity", "-Infinity")
         ],
     )
     def test_input_that_does_not_decode_is_named(self, tmp_path, fixture_corpus, capsys, target, how):
-        """A JSON input that is not JSON, not an object, repeats a key or
-        nests too deep for the decoder is one usage error naming what it is,
-        its path and the cause; such a cases line is named by its file and
-        line."""
+        """A JSON input that is not JSON (`NaN` and `Infinity` are not), not
+        an object, repeats a key or nests too deep for the decoder is one
+        usage error naming what it is, its path and the cause; such a cases
+        line is named by its file and line."""
         config = self._config_file(tmp_path, fixture_corpus)
         repeated, key = {
             "config": ('{"in_flight": 1, "in_flight": 64}', "in_flight"),
@@ -1177,7 +1175,7 @@ class TestCli:
             "not an object": ("[]", "not a JSON object"),
             "repeated key": (repeated, f"repeated key '{key}'"),
             "too deep": ("[" * 100_000, "nesting too deep"),
-        }[how]
+        }.get(how, (f'{{"a": [1, {how}]}}', f"{how} is not JSON"))
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         expected = f"error: cannot read {target} {bad}: {cause}"
