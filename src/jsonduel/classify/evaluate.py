@@ -104,12 +104,11 @@ def load_cases(path: Path | str) -> list[FailedCase]:
 @dataclass(frozen=True)
 class CaseResult:
     category: Category
-    expected: Verdict
     result: ClassificationResult
 
     @property
     def correct(self) -> bool:
-        return self.result.final is self.expected
+        return self.result.final is self.category.expected_verdict
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def evaluate_accuracy(
     if any(case.category is Category.UNKNOWN for case in cases):
         raise ValueError("evaluation requires ground-truth categories")
     results = tuple(
-        CaseResult(case.category, case.category.expected_verdict, result)
+        CaseResult(case.category, result)
         for result, case in zip(classify_cases(cases, mode, client, params), cases)
     )
     return AccuracyReport(mode=mode, case_results=results)
@@ -169,15 +168,19 @@ def classify_cases(
     The first case in list order with a failed slot decides an abort
     (see `classify`); `ClassificationAborted.case_index` names that case,
     and no request is sent after it.
+    Whether the generator returns, raises or is closed, it does so without
+    joining the pool: idle workers exit on their own, and the votes of
+    later cases that are still running finish unread.
     """
-    with ThreadPoolExecutor(max_workers=OPEN_REQUESTS) as pool:
+    pool = ThreadPoolExecutor(max_workers=OPEN_REQUESTS)
 
-        def send(case: FailedCase):
-            prompt = tuple(build_classify_prompt(case, mode))
-            return [
-                pool.submit(prepare_request(client, prompt, params)) for _ in range(VOTE_COUNT)
-            ]
+    def send(case: FailedCase):
+        prompt = tuple(build_classify_prompt(case, mode))
+        return [
+            pool.submit(prepare_request(client, prompt, params)) for _ in range(VOTE_COUNT)
+        ]
 
+    try:
         sent = deque(map(send, cases[:CASES_IN_FLIGHT]))
         for index in range(len(cases)):
             try:
@@ -187,6 +190,8 @@ def classify_cases(
                 raise
             if index + CASES_IN_FLIGHT < len(cases):
                 sent.append(send(cases[index + CASES_IN_FLIGHT]))
+    finally:
+        pool.shutdown(wait=False)
 
 
 def render_accuracy_text(report: AccuracyReport) -> str:

@@ -62,8 +62,9 @@ class ClassificationAborted(Exception):
     `votes` holds every vote of the case that did arrive, in slot order;
     the failed slot and any other failed slot are missing from it.
     `case_index` is the case's position when it came from
-    `classify_cases`, which raises this for the first case in list order
-    with a failed slot and sends no request after it.
+    `classify_cases`, which raises this as soon as it collects the first
+    case in list order with a failed slot, sends no request after it, and
+    does not wait for the votes of later cases that are still running.
     """
 
     def __init__(self, cause: Exception, votes: tuple[Verdict, ...]):

@@ -86,7 +86,7 @@ def _cmd_run(args) -> int:
     report = run(config)
     print(f"report written to {config.out_dir}")
     if not report.complete:
-        print("run aborted: transport failed; partial report flagged incomplete")
+        print("run aborted: a model request failed; partial report flagged incomplete")
         return EXIT_ABORTED
     if report.bug_reports:
         print(f"{len(report.bug_reports)} unique candidate bugs found")

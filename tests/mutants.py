@@ -73,6 +73,14 @@ MUTANTS = [
         "are in flight at once",
     ),
     Mutant(
+        "triage-joins-workers",
+        "classify/evaluate.py",
+        "pool.shutdown(wait=False)",
+        "pool.shutdown(wait=True)",
+        "triage joins its idle workers before it returns, and an abort or a close "
+        "waits for the votes of later cases that are still running and unread",
+    ),
+    Mutant(
         "429-fails-fast",
         "llm/client.py",
         " or response.status_code == 429:",

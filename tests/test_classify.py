@@ -210,6 +210,49 @@ class _BarrierClient:
         return GOOD
 
 
+class _GatedClient(ScriptedClient):
+    """A scripted client that holds every vote of cases 2 and later until
+    `gate` opens. A timer opens it after `SAFETY_S`, so code that waits
+    for those votes fails its checks instead of hanging.
+    `finished` counts the requests whose worker is done with them."""
+
+    SAFETY_S = 5.0
+
+    def __init__(self, responses):
+        super().__init__(responses)
+        self.gate = threading.Event()
+        self.finished = 0
+        self.all_finished = threading.Condition()
+        self.timer = threading.Timer(self.SAFETY_S, self.gate.set)
+        self.timer.start()
+
+    def reserve(self, messages):
+        hand_over = super().reserve(messages)
+        held = self.reserved > 2 * VOTE_COUNT  # reserve runs on one thread
+
+        def gated():
+            try:
+                if held:
+                    self.gate.wait()
+                return hand_over()
+            finally:
+                with self.all_finished:
+                    self.finished += 1
+                    self.all_finished.notify_all()
+
+        return gated
+
+    def release(self) -> bool:
+        """Open the gate and wait until every reserved request is done;
+        whether they all finished in time."""
+        self.timer.cancel()
+        self.gate.set()
+        with self.all_finished:
+            return self.all_finished.wait_for(
+                lambda: self.finished == self.reserved, timeout=self.SAFETY_S
+            )
+
+
 def _repeat_under_fast_switching(times, fn):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -433,11 +476,16 @@ class TestPipelinedCases:
         results.close()
 
     def test_a_caller_that_stops_asking_sends_nothing_more(self):
-        client = ScriptedClient([GOOD] * 100)
+        client = _GatedClient([GOOD] * 100)
         results = classify_cases(_labelled(3 * CASES_IN_FLIGHT), ClassifyMode.FS, client, PARAMS)
         next(results)
         results.close()
-        assert client.calls == client.reserved == CASES_IN_FLIGHT * VOTE_COUNT
+        # The close returned while the votes of cases 2 and later are held.
+        assert not client.gate.is_set()
+        assert VOTE_COUNT <= client.calls <= 2 * VOTE_COUNT
+        assert client.reserved == CASES_IN_FLIGHT * VOTE_COUNT
+        assert client.release()
+        assert client.calls == CASES_IN_FLIGHT * VOTE_COUNT
 
     def test_no_cases_send_nothing(self):
         client = ScriptedClient([])
@@ -447,11 +495,16 @@ class TestPipelinedCases:
     def test_no_request_is_sent_after_an_abort(self):
         cases = _labelled(3 * CASES_IN_FLIGHT)
         entries = [GOOD] * (VOTE_COUNT + 2) + [ModelError("down")] + [GOOD] * 100
-        client = ScriptedClient(entries)
+        client = _GatedClient(entries)
         with pytest.raises(ClassificationAborted) as info:
             list(classify_cases(cases, ClassifyMode.FS, client, PARAMS))
         assert info.value.case_index == 1
+        # The abort came while the votes of cases 2 and later are held.
+        assert not client.gate.is_set()
+        assert client.calls == 2 * VOTE_COUNT
         # Collecting case 0 sent case CASES_IN_FLIGHT; nothing after that.
+        assert client.reserved == (CASES_IN_FLIGHT + 1) * VOTE_COUNT
+        assert client.release()
         assert client.calls == (CASES_IN_FLIGHT + 1) * VOTE_COUNT
 
     @settings(max_examples=150, deadline=None)

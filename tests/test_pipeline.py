@@ -13,7 +13,7 @@ import pytest
 from jsonduel.backends.outcomes import describe
 from jsonduel.corpus import load_corpus, mine_seeds
 from jsonduel.diffcore import VerdictStatus
-from jsonduel.llm.client import ModelError
+from jsonduel.llm.client import HttpChatClient, ModelError
 from jsonduel.llm.generation import GenParams, MutationMode, pick_rule
 from jsonduel.llm.messages import Role, conversation_hash
 from jsonduel.llm.mock import ReplayClient, ReplayScenario
@@ -39,7 +39,7 @@ from jsonduel.tdsl.extract import ExtractionFailure
 from jsonduel.tdsl.parser import parse_script
 
 import artifact_golden
-from clientfix import RecordingScenario, ScriptedClient, connection_pool_size
+from clientfix import RecordingScenario, ScriptedClient, completion, connection_pool_size
 from conftest import SEEDS_DIR
 from scenariofix import (
     BUGGY_SCRIPTS,
@@ -1018,6 +1018,21 @@ def test_bad_input_is_a_plain_value_error(tmp_path, bad_input):
     assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
+class _SummaryThenEmptySession:
+    """Answers the first post (the seed's summary) with text and every
+    later one with an empty completion."""
+
+    def __init__(self):
+        self.posts = 0
+        self.lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            self.posts += 1
+            first = self.posts == 1
+        return completion("A summary." if first else "")
+
+
 class TestCli:
     def _config_file(self, tmp_path, fixture_corpus) -> Path:
         scenario = write_planted_scenario(fixture_corpus, tmp_path / "scenario.json")
@@ -1044,6 +1059,31 @@ class TestCli:
         payload["backends"] = ["reference", "reference-copy"]
         config.write_text(json.dumps(payload))
         assert main(["run", "--config", str(config)]) == 0
+
+    def test_run_aborted_by_an_empty_completion_exits_2(
+        self, tmp_path, seeds_dir, monkeypatch, capsys, caplog
+    ):
+        """The abort line names no cause: the run stops on an empty reply
+        as it does on a transport failure, and the log names the cause."""
+        (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
+        session = _SummaryThenEmptySession()
+        monkeypatch.setattr(
+            "jsonduel.pipeline.runner.HttpChatClient",
+            lambda **_: HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None),
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"root": str(seeds_dir)},
+            "backends": ["reference", "reference-copy"],
+            "out_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().out == (
+            f"report written to {tmp_path / 'out'}\n"
+            "run aborted: a model request failed; partial report flagged incomplete\n"
+        )
+        assert "aborting run, generation issue1" in caplog.text
+        assert "failed: empty completion response" in caplog.text
 
     def test_run_usage_error_exit_1(self, tmp_path):
         missing = tmp_path / "missing.json"
