@@ -18,12 +18,12 @@ from typing import Iterator
 
 from ..backends.outcomes import Error, Pass, TestOutcome, outcome_from_dict
 from ..corpus import decode_json, read_text
-from ..llm.client import LlmClient, prepare_request
+from ..llm.client import LlmClient, ModelError, prepare_request
 from ..llm.generation import GenParams
 from ..tdsl.ast import Script
 from ..tdsl.parser import DslError, parse_script
 from .prompts import ClassifyMode, build_classify_prompt
-from .voting import VOTE_COUNT, ClassificationAborted, ClassificationResult, Verdict, classify
+from .voting import VOTE_COUNT, ClassificationResult, Verdict, classify
 
 # Cases whose votes `classify_cases` keeps open at once, and the most
 # model requests that are open at once as a result.
@@ -166,8 +166,8 @@ def classify_cases(
     (`prepare_request`) in case order, then slot order, so an offline
     client's replies land in the same slots on every run.
     The first case in list order with a failed slot decides an abort
-    (see `classify`); `ClassificationAborted.case_index` names that case,
-    and no request is sent after it.
+    (see `classify`): its `ModelError` is raised again with the case's
+    index in front of its text, and no request is sent after it.
     Whether the generator returns, raises or is closed, it does so without
     joining the pool: idle workers exit on their own, and the votes of
     later cases that are still running finish unread.
@@ -185,9 +185,8 @@ def classify_cases(
         for index in range(len(cases)):
             try:
                 yield classify(sent.popleft())
-            except ClassificationAborted as exc:
-                exc.case_index = index
-                raise
+            except ModelError as exc:
+                raise ModelError(f"case {index}: {exc}") from exc
             if index + CASES_IN_FLIGHT < len(cases):
                 sent.append(send(cases[index + CASES_IN_FLIGHT]))
     finally:

@@ -1,4 +1,5 @@
-"""Verdict parsing and majority voting over repeated generations."""
+"""Verdict parsing and majority voting over repeated generations. A vote
+request that gives no usable reply aborts its case with a `ModelError`."""
 
 from __future__ import annotations
 
@@ -56,37 +57,18 @@ class ClassificationResult:
     final: Verdict
 
 
-class ClassificationAborted(Exception):
-    """A vote's request failed in transport or got an unusable reply.
-
-    `votes` holds every vote of the case that did arrive, in slot order;
-    the failed slot and any other failed slot are missing from it.
-    `case_index` is the case's position when it came from
-    `classify_cases`, which raises this as soon as it collects the first
-    case in list order with a failed slot, sends no request after it, and
-    does not wait for the votes of later cases that are still running.
-    """
-
-    def __init__(self, cause: Exception, votes: tuple[Verdict, ...]):
-        super().__init__(f"classification aborted with {len(votes)} votes: {cause}")
-        self.votes = votes
-        self.case_index: int | None = None
-
-
 def classify(sent: Sequence[Future]) -> ClassificationResult:
     """Wait for one case's vote requests, given in slot order, and
     majority-vote their replies.
 
-    Votes are kept in slot order. If any slot fails, the first failed
-    slot in slot order decides: a `ModelError` becomes
-    `ClassificationAborted` carrying the votes of every slot that
-    succeeded, and any other exception propagates unchanged.
+    Votes are kept in slot order, and read in that order, so the first
+    failed slot decides: a `ModelError` is raised again as a `ModelError`
+    whose text gives how many slots succeeded, and any other exception
+    propagates unchanged.
     """
-    responses = [f.result() for f in sent if f.exception() is None]
-    votes = tuple(parse_verdict(response) for response in responses)
-    failure = next((f.exception() for f in sent if f.exception() is not None), None)
-    if isinstance(failure, ModelError):
-        raise ClassificationAborted(failure, votes) from failure
-    if failure is not None:
-        raise failure
+    try:
+        votes = tuple(parse_verdict(f.result()) for f in sent)
+    except ModelError as exc:
+        arrived = sum(f.exception() is None for f in sent)
+        raise ModelError(f"classification aborted with {arrived} votes: {exc}") from exc
     return ClassificationResult(votes=votes, final=tally_votes(votes))

@@ -29,12 +29,6 @@ class SeedTest:
 
 
 @dataclass(frozen=True)
-class SeedLoadError:
-    path: Path
-    error: str
-
-
-@dataclass(frozen=True)
 class Corpus:
     seeds: tuple[SeedTest, ...]
     manifest_hash: str
@@ -95,30 +89,29 @@ def read_json(path: Path | str, what: str) -> dict:
     return data
 
 
-def _build(entries: list[tuple[str, Path]], where: str) -> tuple[Corpus, list[SeedLoadError]]:
+def _build(entries: list[tuple[str, Path]], where: str) -> tuple[Corpus, list[str]]:
     seeds: list[SeedTest] = []
-    errors: list[SeedLoadError] = []
+    errors: list[str] = []
     for seed_id, path in entries:
         try:  # a seed that cannot be read or parsed is reported and left out
             text = read_text(path, "seed")
             parse_script(text)
-        except ValueError as exc:  # the report names the path, so only the cause
-            errors.append(SeedLoadError(path, str(exc.__cause__ or exc)))
+        except ValueError as exc:  # the line names the path once, so only the cause
+            errors.append(f"{path}: {exc.__cause__ or exc}")
         else:
             seeds.append(SeedTest(seed_id, path, text))
     if not seeds:
-        raise ValueError(f"no seed {where} could be loaded: "
-                         + "; ".join(f"{e.path}: {e.error}" for e in errors))
+        raise ValueError(f"no seed {where} could be loaded: " + "; ".join(errors))
     seeds.sort(key=lambda s: s.id)
     return Corpus(tuple(seeds), _hash_seeds(seeds)), errors
 
 
-def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadError]]:
+def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[str]]:
     """Collect every `.t` file under `root` whose name contains `keyword`.
 
     Matching is a case-insensitive substring test on the base filename.
-    Returns the corpus (ordered by id) and the list of files that
-    matched but could not be read or parsed.
+    Returns the corpus (ordered by id) and a `"<path>: <cause>"` line for
+    each file that matched but could not be read or parsed.
     """
     if not keyword:
         raise ValueError("mining keyword must be non-empty")
@@ -143,7 +136,7 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[SeedLoadErr
     return _build(entries, where)
 
 
-def load_corpus(manifest: Path | str) -> tuple[Corpus, list[SeedLoadError]]:
+def load_corpus(manifest: Path | str) -> tuple[Corpus, list[str]]:
     """Load seeds from a JSON manifest: {"seeds": [{"id", "path"}, ...]}.
 
     Paths are resolved relative to the manifest's directory. A listed

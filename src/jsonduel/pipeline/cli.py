@@ -24,13 +24,12 @@ from ..classify.evaluate import (
     render_accuracy_text,
 )
 from ..classify.prompts import ClassifyMode
-from ..classify.voting import ClassificationAborted
 from ..corpus import mine_seeds, read_text, write_manifest
-from ..llm.client import HttpChatClient
+from ..llm.client import HttpChatClient, ModelError
 from ..llm.generation import GenParams
 from ..llm.mock import ReplayClient
 from ..tdsl.parser import parse_script
-from .config import load_config, with_overrides
+from .config import CorpusSource, load_config, with_overrides
 from .runner import run
 
 log = logging.getLogger(__name__)
@@ -58,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mine = sub.add_parser("mine", help="mine seed scripts into a manifest")
     p_mine.add_argument("--root", required=True, type=Path)
-    p_mine.add_argument("--keyword", default="issue")
+    p_mine.add_argument("--keyword", default=CorpusSource.keyword)
     p_mine.add_argument("--out", required=True, type=Path)
 
     p_cls = sub.add_parser("classify", help="triage failing tests as good or bad")
@@ -100,7 +99,7 @@ def _cmd_mine(args) -> int:
     write_manifest(corpus, args.out)
     print(f"{len(corpus.seeds)} seeds -> {args.out}")
     for error in errors:
-        print(f"load error: {error.path}: {error.error}", file=sys.stderr)
+        print(f"load error: {error}", file=sys.stderr)
     return EXIT_CLEAN
 
 
@@ -149,8 +148,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ClassificationAborted as exc:
-        print(f"error: case {exc.case_index}: {exc}", file=sys.stderr)
+    except ModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORTED
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

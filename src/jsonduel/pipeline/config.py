@@ -125,7 +125,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     manifest = _get(corpus_raw, "manifest", str, prefix="corpus.")
     corpus = CorpusSource(
         root=rel(root) if root else None,
-        keyword=_get(corpus_raw, "keyword", str, "issue", "corpus."),
+        keyword=_get(corpus_raw, "keyword", str, CorpusSource.keyword, "corpus."),
         manifest=rel(manifest) if manifest else None,
     )
 
@@ -142,13 +142,13 @@ def load_config(path: Path | str) -> PipelineConfig:
         corpus=corpus,
         backends=tuple(_get(data, "backends", list, [])),
         params=params,
-        mutation=parse_mutation(_get(data, "mutation", str, "random_one")),
+        mutation=parse_mutation(_get(data, "mutation", str, PipelineConfig.mutation.value)),
         suppress=frozenset(_get(data, "suppress", list, [])),
-        out_dir=rel(_get(data, "out_dir", str, "out")),
+        out_dir=rel(_get(data, "out_dir", str, str(PipelineConfig.out_dir))),
         endpoint=_get(data, "endpoint", str),
         mock_scenario=rel(mock_scenario) if mock_scenario else None,
-        in_flight=_get(data, "in_flight", int, 4),
-        context_limit_chars=_get(data, "context_limit_chars", int, 0),
+        in_flight=_get(data, "in_flight", int, PipelineConfig.in_flight),
+        context_limit_chars=_get(data, "context_limit_chars", int, PipelineConfig.context_limit_chars),
     )
     for raw, prefix in ((data, ""), (corpus_raw, "corpus.")):
         if raw:

@@ -213,7 +213,7 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
         bug_reports=bug_reports,
         suppressed_signatures=suppressed,
         op_counts=op_counts,
-        seed_load_errors=[f"{e.path}: {e.error}" for e in load_errors],
+        seed_load_errors=load_errors,
         planned=len(tasks),
         complete=len(records) == len(tasks),
     )

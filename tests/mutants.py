@@ -15,7 +15,10 @@ part of tier-1 itself):
 
 Each mutant is applied alone to a temporary copy of `src/`, tier-1 runs
 against that copy, and one line per mutant says `killed` or `survived`.
-The exit status is 1 if a mutant that is not equivalent survives.
+The exit status is 1 if a mutant that is not equivalent survives. A run
+without pytest arguments also writes those lines to `data/mutants.txt`,
+the committed kill table; a run on a subset leaves it as it is. A tier-1
+test checks that the table names exactly the mutants listed here.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+TABLE = ROOT / "tests" / "data" / "mutants.txt"
 
 
 class Mutant(NamedTuple):
@@ -129,12 +133,20 @@ MUTANTS = [
         "taken as they are, and 1e999 reaches the prompt as `inf`",
     ),
     Mutant(
-        "model-error-not-aborted",
+        "case-not-named",
+        "classify/evaluate.py",
+        'f"case {index}: {exc}"',
+        "str(exc)",
+        "an aborted triage no longer names the case whose vote request failed: "
+        "`classify` exits 2 with `error: classification aborted ...` and no `case <i>:`",
+    ),
+    Mutant(
+        "votes-not-counted",
         "classify/voting.py",
-        "isinstance(failure, ModelError)",
-        "isinstance(failure, ())",
-        "a failed vote request escapes triage as the client's own exception, not "
-        "`ClassificationAborted`, so `classify` ends in a traceback instead of exit 2",
+        "sum(f.exception() is None for f in sent)",
+        "len(sent)",
+        "an aborted case's message counts the failed slot as a vote that arrived, so "
+        "`classify` reports six votes where five came back",
     ),
     Mutant(
         "path-index-18-digits",
@@ -175,14 +187,17 @@ def killed(mutant: Mutant, pytest_args: list[str]) -> bool:
 
 
 def main(pytest_args: list[str]) -> int:
-    missed = 0
+    missed, lines = 0, []
     for mutant in MUTANTS:
         if occurrences(mutant) != 1:
             raise SystemExit(f"{mutant.file}: old text does not occur exactly once: {mutant.old!r}")
         status = "killed" if killed(mutant, pytest_args) else "survived"
         missed += status == "survived" and not mutant.equivalent
         label = f"{status} (equivalent)" if mutant.equivalent else status
-        print(f"{label:<22} {mutant.name} ({mutant.file}): {mutant.reason}", flush=True)
+        lines.append(f"{label:<22} {mutant.name} ({mutant.file}): {mutant.reason}")
+        print(lines[-1], flush=True)
+    if not pytest_args:
+        TABLE.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return 1 if missed else 0
 
 

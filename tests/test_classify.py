@@ -4,6 +4,7 @@ import dataclasses
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,9 @@ from jsonduel.classify.prompts import (
 )
 from jsonduel.classify.voting import (
     VOTE_COUNT,
-    ClassificationAborted,
     ClassificationResult,
     Verdict,
+    classify,
     parse_verdict,
     tally_votes,
 )
@@ -172,9 +173,9 @@ class TestClassify:
 
     def test_transport_failure_carries_partial_votes(self):
         responses = ["good test.", "good test.", ModelError("down")]
-        with pytest.raises(ClassificationAborted) as info:
+        # The three slots past the list's end fail with another error.
+        with pytest.raises(ModelError, match="^case 0: classification aborted with 2 votes: down$"):
             classify_fs(make_case(), ScriptedClient(responses))
-        assert info.value.votes == (Verdict.GOOD, Verdict.GOOD)
 
     def test_case_rejects_pass_outcome(self):
         script = parse_script("assert_eq(1, 1);")
@@ -264,11 +265,9 @@ def _repeat_under_fast_switching(times, fn):
 
 def _outcome(fn):
     """What a classification gives: its result fields, or the exception's
-    type, message and carried votes."""
+    type and message."""
     try:
         result = fn()
-    except ClassificationAborted as exc:
-        return ("aborted", str(exc), exc.votes)
     except Exception as exc:
         return (type(exc), str(exc))
     return (result.votes, result.final)
@@ -276,8 +275,8 @@ def _outcome(fn):
 
 def _sequential_reference(client, case, mode):
     """Send the vote requests one after another, then apply the failure
-    rule: the first failed slot decides; a ModelError aborts with the
-    votes of every slot that succeeded."""
+    rule: the first failed slot decides; a ModelError aborts with a
+    ModelError that counts every slot that succeeded."""
     prompt = tuple(build_classify_prompt(case, mode))
     responses, failures = [], []
     for _ in range(VOTE_COUNT):
@@ -287,7 +286,7 @@ def _sequential_reference(client, case, mode):
             failures.append(exc)
     votes = tuple(parse_verdict(r) for r in responses)
     if failures and isinstance(failures[0], ModelError):
-        raise ClassificationAborted(failures[0], votes)
+        raise ModelError(f"classification aborted with {len(votes)} votes: {failures[0]}")
     if failures:
         raise failures[0]
     return ClassificationResult(votes=votes, final=tally_votes(votes))
@@ -335,10 +334,8 @@ class TestConcurrentVotes:
     def test_abort_carries_the_votes_of_later_slots(self):
         responses = [GOOD, GOOD, ModelError("down"), BAD, GOOD, BAD]
         client = ScriptedClient(responses)
-        with pytest.raises(ClassificationAborted) as info:
+        with pytest.raises(ModelError, match="^case 0: classification aborted with 5 votes: down$"):
             classify_fs(make_case(), client)
-        g, b = Verdict.GOOD, Verdict.BAD
-        assert info.value.votes == (g, g, b, g, b)
         assert client.calls == VOTE_COUNT
 
     def test_first_failed_slot_decides(self):
@@ -359,7 +356,7 @@ class TestConcurrentVotes:
             lambda: classify_fs(case, ScriptedClient(entries))
         )
         sequential = _outcome(
-            lambda: _sequential_reference(ScriptedClient(entries), case, ClassifyMode.FS)
+            lambda: next(_sequential_cases(ScriptedClient(entries), [case], ClassifyMode.FS))
         )
         assert concurrent == sequential
 
@@ -377,14 +374,11 @@ def _labelled(count: int) -> list[FailedCase]:
 
 def _case_outcomes(run):
     """Each yielded result's fields in order, then how the run ended: the
-    abort's case index, message and votes, or another exception's type
-    and message."""
+    exception's type and message."""
     outcomes = []
     try:
         for result in run():
             outcomes.append((result.votes, result.final))
-    except ClassificationAborted as exc:
-        outcomes.append(("aborted", exc.case_index, str(exc), exc.votes))
     except Exception as exc:
         outcomes.append((type(exc), str(exc)))
     return outcomes
@@ -396,9 +390,8 @@ def _sequential_cases(client, cases, mode):
     for index, case in enumerate(cases):
         try:
             yield _sequential_reference(client, case, mode)
-        except ClassificationAborted as exc:
-            exc.case_index = index
-            raise
+        except ModelError as exc:
+            raise ModelError(f"case {index}: {exc}") from exc
 
 
 _FAILURES = [ModelError("down"), ModelError("empty completion response"), RuntimeError("boom")]
@@ -496,9 +489,9 @@ class TestPipelinedCases:
         cases = _labelled(3 * CASES_IN_FLIGHT)
         entries = [GOOD] * (VOTE_COUNT + 2) + [ModelError("down")] + [GOOD] * 100
         client = _GatedClient(entries)
-        with pytest.raises(ClassificationAborted) as info:
+        message = "^case 1: classification aborted with 5 votes: down$"
+        with pytest.raises(ModelError, match=message):
             list(classify_cases(cases, ClassifyMode.FS, client, PARAMS))
-        assert info.value.case_index == 1
         # The abort came while the votes of cases 2 and later are held.
         assert not client.gate.is_set()
         assert client.calls == 2 * VOTE_COUNT
@@ -518,6 +511,44 @@ class TestPipelinedCases:
             lambda: _sequential_cases(ScriptedClient(entries), cases, ClassifyMode.FS)
         )
         assert pipelined == sequential
+
+
+def _settled(*entries) -> list[Future]:
+    """Futures already done: a string is a reply, an exception a failure."""
+    futures = []
+    for entry in entries:
+        future = Future()
+        if isinstance(entry, Exception):
+            future.set_exception(entry)
+        else:
+            future.set_result(entry)
+        futures.append(future)
+    return futures
+
+
+class TestAbortMessage:
+    """An aborted classification is a `ModelError` whose text counts the
+    votes that arrived and, from `classify_cases`, names the case."""
+
+    ENTRIES = [GOOD] * (VOTE_COUNT + 2) + [ModelError("down")] + [GOOD] * 100
+
+    def test_classify_counts_the_votes_that_arrived(self):
+        down = ModelError("down")
+        with pytest.raises(ModelError, match="^classification aborted with 5 votes: down$") as info:
+            classify(_settled(GOOD, down, BAD, GOOD, UNPARSEABLE, GOOD))
+        assert info.value.__cause__ is down
+
+    def test_classify_cases_names_the_case(self):
+        client = ScriptedClient(self.ENTRIES)
+        results = classify_cases(_labelled(3), ClassifyMode.FS, client, PARAMS)
+        assert next(results).final is Verdict.GOOD
+        with pytest.raises(ModelError, match="^case 1: classification aborted with 5 votes: down$"):
+            next(results)
+
+    def test_evaluate_accuracy_names_the_case(self):
+        client = ScriptedClient(self.ENTRIES)
+        with pytest.raises(ModelError, match="^case 1: classification aborted with 5 votes: down$"):
+            evaluate_accuracy(_labelled(3), ClassifyMode.FS, client, PARAMS)
 
 
 class _OneEmptyReplySession:

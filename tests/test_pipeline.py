@@ -122,6 +122,17 @@ class TestRun:
         assert len(flagged) == 3
         assert sorted(p.stem for p in (out / "scripts").iterdir()) == sorted(flagged)
 
+    def test_report_lists_each_seed_left_out(self, tmp_path, fixture_corpus):
+        seeds = shutil.copytree(SEEDS_DIR, tmp_path / "seeds")
+        (seeds / "issue9.t").write_text("let a = ;\n")
+        config = dataclasses.replace(
+            planted_config(tmp_path, fixture_corpus), corpus=CorpusSource(root=seeds)
+        )
+        assert run(config).complete
+        text = (config.out_dir / "report.txt").read_text()
+        cause = "expected an expression (line 1, column 9)"
+        assert f"seed load errors: 1\n  - {seeds / 'issue9.t'}: {cause}\n" in text
+
     def test_flagged_scripts_exec_to_their_recorded_outcomes(self, tmp_path, fixture_corpus, capsys):
         config = planted_config(tmp_path, fixture_corpus)
         report = run(config)
@@ -858,6 +869,18 @@ class TestConfig:
         assert config.params.seed == 7
         assert (config.params.temperature, config.endpoint) == (1, None)
         assert config.mutation is MutationMode.NONE
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = self._write(tmp_path, {"corpus": {"root": "."}, "backends": ["reference", "planted:L2"]})
+        config = load_config(path)
+        expected = PipelineConfig(
+            corpus=CorpusSource(root=tmp_path / "."), backends=("reference", "planted:L2")
+        )
+        for field in dataclasses.fields(PipelineConfig):
+            got, want = getattr(config, field.name), getattr(expected, field.name)
+            if field.name == "out_dir":  # relative, so it resolves against the config's directory
+                want = tmp_path / want
+            assert got == want, field.name
 
     def test_fewer_than_two_backends_rejected(self, tmp_path):
         path = self._write(
