@@ -25,8 +25,8 @@ from ..tdsl.parser import DslError, parse_script
 from .prompts import ClassifyMode, build_classify_prompt
 from .voting import VOTE_COUNT, ClassificationResult, Verdict, classify
 
-# Cases whose votes `classify_cases` keeps open at once, and the most
-# model requests that are open at once as a result.
+# Cases whose votes `classify_cases` keeps open at once, so the most requests
+# open at once (the pool's size); one more case waits in the pool's queue.
 CASES_IN_FLIGHT = 8
 OPEN_REQUESTS = VOTE_COUNT * CASES_IN_FLIGHT
 
@@ -158,19 +158,18 @@ def classify_cases(
 ) -> Iterator[ClassificationResult]:
     """Classify each case, yielding one result per case in list order.
 
-    Up to `CASES_IN_FLIGHT` cases have their votes open at once, so at
-    most `OPEN_REQUESTS` requests are, on one pool of that many workers
-    that serves every case. Case k + `CASES_IN_FLIGHT` is sent once case
-    k's result is taken, so a caller that stops asking sends nothing
-    more. Every request is prepared on the calling thread
-    (`prepare_request`) in case order, then slot order, so an offline
-    client's replies land in the same slots on every run.
-    The first case in list order with a failed slot decides an abort
-    (see `classify`): its `ModelError` is raised again with the case's
-    index in front of its text, and no request is sent after it.
-    Whether the generator returns, raises or is closed, it does so without
-    joining the pool: idle workers exit on their own, and the votes of
-    later cases that are still running finish unread.
+    One pool of `OPEN_REQUESTS` workers serves every case, so at most that
+    many requests are open: the votes of `CASES_IN_FLIGHT` cases. One more
+    case waits prepared in the pool's queue, so a worker freed by a finished
+    vote takes up the next request at once. Case k + `CASES_IN_FLIGHT` + 1
+    is queued as case k is yielded: a caller that stops asking sends at most
+    that case, and a close or an abort cancels it while it is queued.
+    Requests are prepared on the calling thread (`prepare_request`) in case
+    order, then slot order, so an offline client's replies land in the same
+    slots on every run. The first case with a failed slot decides an abort
+    (see `classify`): its `ModelError` is raised again with the case's index
+    in front. The generator returns, raises or is closed without joining the
+    pool: idle workers exit on their own, and running votes finish unread.
     """
     pool = ThreadPoolExecutor(max_workers=OPEN_REQUESTS)
 
@@ -181,16 +180,17 @@ def classify_cases(
         ]
 
     try:
-        sent = deque(map(send, cases[:CASES_IN_FLIGHT]))
+        sent = deque(map(send, cases[: CASES_IN_FLIGHT + 1]))
         for index in range(len(cases)):
             try:
-                yield classify(sent.popleft())
+                result = classify(sent.popleft())
             except ModelError as exc:
                 raise ModelError(f"case {index}: {exc}") from exc
-            if index + CASES_IN_FLIGHT < len(cases):
-                sent.append(send(cases[index + CASES_IN_FLIGHT]))
+            if (later := index + 1 + len(sent)) < len(cases):
+                sent.append(send(cases[later]))
+            yield result
     finally:
-        pool.shutdown(wait=False)
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def render_accuracy_text(report: AccuracyReport) -> str:

@@ -120,15 +120,15 @@ def mine_seeds(root: Path | str, keyword: str) -> tuple[Corpus, list[str]]:
         raise ValueError(f"corpus root is not a readable directory: {root}")
     needle = keyword.lower()
     top, entries = str(root), []
-    # Like `rglob`: unreadable directories are skipped, links to
-    # directories are not followed, and links to files are kept.
+    # As `rglob` does: skip unreadable directories and links to them, keep links to files.
     for dirpath, _, filenames in os.walk(top):
+        folder = Path(dirpath)  # one per directory: `folder / name` costs half a `Path(path)`
         prefix = "" if dirpath == top else os.path.relpath(dirpath, top).replace(os.sep, "/") + "/"
         for name in filenames:
             path = os.path.join(dirpath, name)
             if name.endswith(SEED_EXTENSION) and needle in name.lower() and os.path.isfile(path):
                 # as in `Path.with_suffix`, a name that is all extension keeps it
-                entries.append((prefix + (name[: -len(SEED_EXTENSION)] or name), Path(path)))
+                entries.append((prefix + (name[: -len(SEED_EXTENSION)] or name), folder / name))
     entries.sort()
     where = f"matching '*{keyword}*{SEED_EXTENSION}' under {root}"
     if not entries:

@@ -79,10 +79,26 @@ MUTANTS = [
     Mutant(
         "triage-joins-workers",
         "classify/evaluate.py",
-        "pool.shutdown(wait=False)",
-        "pool.shutdown(wait=True)",
+        "pool.shutdown(wait=False,",
+        "pool.shutdown(wait=True,",
         "triage joins its idle workers before it returns, and an abort or a close "
         "waits for the votes of later cases that are still running and unread",
+    ),
+    Mutant(
+        "no-case-queued",
+        "classify/evaluate.py",
+        "cases[: CASES_IN_FLIGHT + 1]",
+        "cases[:CASES_IN_FLIGHT]",
+        "triage keeps only the open window sent, with no case waiting in the pool's "
+        "queue, so the workers a finished case frees sit idle until the next case is sent",
+    ),
+    Mutant(
+        "queued-case-not-cancelled",
+        "classify/evaluate.py",
+        ", cancel_futures=True)",
+        ")",
+        "a close or an abort leaves the queued case in the pool's queue, so its votes "
+        "are still sent once a worker is free",
     ),
     Mutant(
         "429-fails-fast",

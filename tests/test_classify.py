@@ -212,46 +212,59 @@ class _BarrierClient:
 
 
 class _GatedClient(ScriptedClient):
-    """A scripted client that holds every vote of cases 2 and later until
-    `gate` opens. A timer opens it after `SAFETY_S`, so code that waits
-    for those votes fails its checks instead of hanging.
-    `finished` counts the requests whose worker is done with them."""
+    """A scripted client that answers the votes of the first `answered`
+    cases at once and holds every later vote until `gate` opens. A timer
+    opens it after `SAFETY_S`, so code that waits for those votes fails
+    its checks instead of hanging. `started` holds the reservation index
+    of each request that a worker has taken up."""
 
     SAFETY_S = 5.0
 
-    def __init__(self, responses):
+    def __init__(self, responses, answered: int = 2):
         super().__init__(responses)
+        self.answered = answered
         self.gate = threading.Event()
-        self.finished = 0
-        self.all_finished = threading.Condition()
+        self.started: set[int] = set()
+        self.workers: set[threading.Thread] = set()
+        self.progress = threading.Condition()
         self.timer = threading.Timer(self.SAFETY_S, self.gate.set)
         self.timer.start()
 
     def reserve(self, messages):
         hand_over = super().reserve(messages)
-        held = self.reserved > 2 * VOTE_COUNT  # reserve runs on one thread
+        index = self.reserved - 1  # reserve runs on one thread
 
         def gated():
-            try:
-                if held:
-                    self.gate.wait()
-                return hand_over()
-            finally:
-                with self.all_finished:
-                    self.finished += 1
-                    self.all_finished.notify_all()
+            with self.progress:
+                self.started.add(index)
+                self.workers.add(threading.current_thread())
+                self.progress.notify_all()
+            if index >= self.answered * VOTE_COUNT:
+                self.gate.wait()
+            return hand_over()
 
         return gated
 
+    def wait_until_started(self, indices) -> bool:
+        """Wait until workers have taken up every request in `indices`;
+        whether they did in time."""
+        with self.progress:
+            return self.progress.wait_for(
+                lambda: self.started >= set(indices), timeout=self.SAFETY_S
+            )
+
     def release(self) -> bool:
-        """Open the gate and wait until every reserved request is done;
-        whether they all finished in time."""
+        """Open the gate and wait until every worker that took up a request
+        has exited, so that no request can start later; whether they all
+        did in time."""
         self.timer.cancel()
         self.gate.set()
-        with self.all_finished:
-            return self.all_finished.wait_for(
-                lambda: self.finished == self.reserved, timeout=self.SAFETY_S
-            )
+        deadline = time.monotonic() + self.SAFETY_S
+        with self.progress:
+            workers = list(self.workers)
+        for worker in workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
+        return not any(worker.is_alive() for worker in workers)
 
 
 def _repeat_under_fast_switching(times, fn):
@@ -463,22 +476,51 @@ class TestPipelinedCases:
         client = ScriptedClient([GOOD] * 100)
         results = classify_cases(_labelled(3 * CASES_IN_FLIGHT), ClassifyMode.FS, client, PARAMS)
         next(results)
-        assert client.reserved == CASES_IN_FLIGHT * VOTE_COUNT
+        # Cases 0 to CASES_IN_FLIGHT were sent at once; taking case 0 queued one more.
+        assert client.reserved == (CASES_IN_FLIGHT + 2) * VOTE_COUNT
         next(results)
-        assert client.reserved == (CASES_IN_FLIGHT + 1) * VOTE_COUNT
+        assert client.reserved == (CASES_IN_FLIGHT + 3) * VOTE_COUNT
         results.close()
 
-    def test_a_caller_that_stops_asking_sends_nothing_more(self):
+    def test_freed_workers_take_up_the_queued_case_before_the_next_ask(self):
         client = _GatedClient([GOOD] * 100)
         results = classify_cases(_labelled(3 * CASES_IN_FLIGHT), ClassifyMode.FS, client, PARAMS)
         next(results)
+        # Cases 0 and 1 are answered, so the workers they free take up case
+        # CASES_IN_FLIGHT's votes while the caller still holds case 0.
+        queued = range(CASES_IN_FLIGHT * VOTE_COUNT, (CASES_IN_FLIGHT + 1) * VOTE_COUNT)
+        assert client.wait_until_started(queued)
+        results.close()
+        assert client.release()
+
+    def test_a_caller_that_stops_asking_sends_at_most_the_queued_case(self):
+        client = _GatedClient([GOOD] * 100)
+        results = classify_cases(_labelled(3 * CASES_IN_FLIGHT), ClassifyMode.FS, client, PARAMS)
+        next(results)
+        # The twelve workers that cases 0 and 1 free take up the votes of
+        # case CASES_IN_FLIGHT and of the case queued as case 0 was taken.
+        assert client.wait_until_started(range((CASES_IN_FLIGHT + 2) * VOTE_COUNT))
         results.close()
         # The close returned while the votes of cases 2 and later are held.
         assert not client.gate.is_set()
-        assert VOTE_COUNT <= client.calls <= 2 * VOTE_COUNT
-        assert client.reserved == CASES_IN_FLIGHT * VOTE_COUNT
+        assert client.calls == 2 * VOTE_COUNT
+        assert client.reserved == (CASES_IN_FLIGHT + 2) * VOTE_COUNT
         assert client.release()
-        assert client.calls == CASES_IN_FLIGHT * VOTE_COUNT
+        assert client.calls == (CASES_IN_FLIGHT + 2) * VOTE_COUNT
+
+    def test_a_close_cancels_the_queued_case(self):
+        client = _GatedClient([GOOD] * 100, answered=1)
+        results = classify_cases(_labelled(3 * CASES_IN_FLIGHT), ClassifyMode.FS, client, PARAMS)
+        next(results)
+        # Cases 1 to CASES_IN_FLIGHT hold every worker, so the case queued
+        # as case 0 was taken cannot start.
+        assert client.wait_until_started(range((CASES_IN_FLIGHT + 1) * VOTE_COUNT))
+        assert client.reserved == (CASES_IN_FLIGHT + 2) * VOTE_COUNT
+        results.close()
+        assert not client.gate.is_set()
+        assert client.release()
+        assert client.started == set(range((CASES_IN_FLIGHT + 1) * VOTE_COUNT))
+        assert client.calls == (CASES_IN_FLIGHT + 1) * VOTE_COUNT
 
     def test_no_cases_send_nothing(self):
         client = ScriptedClient([])
@@ -489,16 +531,21 @@ class TestPipelinedCases:
         cases = _labelled(3 * CASES_IN_FLIGHT)
         entries = [GOOD] * (VOTE_COUNT + 2) + [ModelError("down")] + [GOOD] * 100
         client = _GatedClient(entries)
+        results = classify_cases(cases, ClassifyMode.FS, client, PARAMS)
+        next(results)
+        # Let the workers that cases 0 and 1 free take up both later cases
+        # before the abort, so none is still queued when it comes.
+        assert client.wait_until_started(range((CASES_IN_FLIGHT + 2) * VOTE_COUNT))
         message = "^case 1: classification aborted with 5 votes: down$"
         with pytest.raises(ModelError, match=message):
-            list(classify_cases(cases, ClassifyMode.FS, client, PARAMS))
+            next(results)
         # The abort came while the votes of cases 2 and later are held.
         assert not client.gate.is_set()
         assert client.calls == 2 * VOTE_COUNT
-        # Collecting case 0 sent case CASES_IN_FLIGHT; nothing after that.
-        assert client.reserved == (CASES_IN_FLIGHT + 1) * VOTE_COUNT
+        # Taking case 0 queued case CASES_IN_FLIGHT + 1; nothing after that.
+        assert client.reserved == (CASES_IN_FLIGHT + 2) * VOTE_COUNT
         assert client.release()
-        assert client.calls == (CASES_IN_FLIGHT + 1) * VOTE_COUNT
+        assert client.calls == (CASES_IN_FLIGHT + 2) * VOTE_COUNT
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6), _scripted_entries())
