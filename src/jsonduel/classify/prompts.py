@@ -8,6 +8,7 @@ in chain-of-thought mode), then the case under judgment.
 from __future__ import annotations
 
 import enum
+from functools import cache
 
 from ..backends.outcomes import describe
 from ..llm.messages import ChatMessage, system, user
@@ -46,8 +47,9 @@ class ClassifyMode(enum.Enum):
     FS_COT = "fs-cot"
 
 
-def build_classify_prompt(case, mode: ClassifyMode) -> list[ChatMessage]:
-    """Messages asking for a good/bad verdict on one failed case."""
+@cache
+def _lead(mode: ClassifyMode) -> str:
+    """Everything before the case under judgment, built once per mode."""
     parts = [PREAMBLE, DEFINITION_GOOD, DEFINITION_BAD, "", TASK, ""]
     for i, exemplar in enumerate(EXEMPLARS, start=1):
         answer = exemplar.answer_cot if mode is ClassifyMode.FS_COT else exemplar.answer_plain
@@ -62,11 +64,10 @@ def build_classify_prompt(case, mode: ClassifyMode) -> list[ChatMessage]:
             answer,
             "",
         ]
-    parts += [
-        "[test case to judge]",
-        case.script_text.rstrip("\n"),
-        "",
-        "[result]",
-        describe(case.outcome),
-    ]
-    return [system(SYSTEM_PROMPT), user("\n".join(parts))]
+    return "\n".join([*parts, "[test case to judge]", ""])
+
+
+def build_classify_prompt(case, mode: ClassifyMode) -> list[ChatMessage]:
+    """Messages asking for a good/bad verdict on one failed case."""
+    script, result = case.script_text.rstrip("\n"), describe(case.outcome)
+    return [system(SYSTEM_PROMPT), user(f"{_lead(mode)}{script}\n\n[result]\n{result}")]

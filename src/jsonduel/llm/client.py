@@ -122,8 +122,8 @@ class HttpChatClient:
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ModelError(f"malformed completion response: {exc}") from None
         log.debug("response: %s", content)
+        if content is not None and not isinstance(content, str):
+            raise ModelError(f"non-text completion response: {type(content).__name__}")
         if not content:
             raise ModelError("empty completion response")
-        if not isinstance(content, str):
-            raise ModelError(f"non-text completion response: {type(content).__name__}")
         return content

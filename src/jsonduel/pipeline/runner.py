@@ -1,11 +1,11 @@
 """The full loop: corpus -> summarize -> generate -> execute -> diff -> report.
 
 Summaries and generations share one pool of `in_flight` request slots.
-The calling thread builds every request and prepares it with
-`prepare_request`, in request order, so worker threads only wait on the
-model: one summary per distinct seed text first, then each task's
-generation, in task order, once its seed's summary is in, with at most
-`OPEN_PER_SLOT * in_flight` generations sent but not yet handled.
+The calling thread builds and prepares (`prepare_request`) every request
+in request order, so worker threads only wait on the model: one summary
+per distinct seed text first, then, in task order once its seed's summary
+is in, each task's generation, led by that summary request's messages,
+with at most `OPEN_PER_SLOT * in_flight` generations sent but not yet handled.
 It handles each reply as it arrives, while later requests are still
 out: extracts, executes and judges it, and writes `scripts/<id>.t` if
 the engines disagree. Each record and verdict is stored at its task's
@@ -171,10 +171,10 @@ def run(config: PipelineConfig, client: LlmClient | None = None) -> RunReport:
         try:
             # One summary per distinct seed text, queued first: the pool takes
             # work in submission order, so they go out before any generation.
-            summaries: dict[str, Future] = {}
-            for seed in corpus.seeds:
-                if seed.script_text not in summaries:
-                    summaries[seed.script_text] = send(build_summary_request(seed.script_text))
+            summaries: dict[str, tuple[list[ChatMessage], Future]] = {}  # text -> request, reply
+            for text in dict.fromkeys(seed.script_text for seed in corpus.seeds):
+                request = build_summary_request(text)
+                summaries[text] = request, send(request)
             conversations = _conversations(tasks, summaries, config.context_limit_chars, stop)
             arrived: SimpleQueue[Future] = SimpleQueue()
             pending: dict[Future, tuple[int, _Task, tuple]] = {}  # sent, not yet handled
@@ -237,17 +237,18 @@ def _guarded(stop: threading.Event, fn):
 
 
 def _conversations(
-    tasks: list[_Task], summaries: dict[str, Future], limit: int, stop: threading.Event
+    tasks: list[_Task], summaries: dict[str, tuple], limit: int, stop: threading.Event
 ) -> Iterator[tuple[_Task, tuple[ChatMessage, ...], ExtractionFailure | None]]:
-    """Each task with its generation request, in task order, once its seed's
-    summary is in. Tasks with the same seed text and rule share one message
-    tuple. A prompt over `limit` chars comes with a context-overflow
+    """Each task with its conversation, in task order, once its seed's summary
+    is in: one tuple per seed text and rule, led by the messages the summary
+    request sent. A prompt over `limit` chars comes with a context-overflow
     failure, as it is not to be sent; once the run stops, only those come.
     A failed or empty summary stops the run."""
     prompts: dict[tuple[str, MutationRule | None], tuple] = {}
     for task in tasks:
+        request, reply = summaries[task.seed.script_text]
         try:
-            summary = summaries[task.seed.script_text].result()
+            summary = reply.result()
             if not summary:
                 raise ModelError("empty summary response")
         except _Stopped:
@@ -258,7 +259,7 @@ def _conversations(
             return
         key = (task.seed.script_text, task.rule)
         if key not in prompts:
-            messages = tuple(build_context(task.seed.script_text, summary, task.rule))
+            messages = tuple(build_context(request, summary, task.rule))
             chars = sum(len(m.content) for m in messages)
             failure = None
             if limit and chars > limit:

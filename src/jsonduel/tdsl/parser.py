@@ -9,7 +9,7 @@ are JSON as the engines' own reader (`jsontext`) reads it: RFC 8259 with
 one nesting cap (`jsontext.MAX_DEPTH`). A character no token takes
 raises only once it is current, so the first error in the text, lexical
 or syntactic, is the one reported. Parsing is deterministic: identical
-bytes always yield the identical AST.
+bytes always yield the identical AST, with every name in it interned.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ _LITERAL_START = _JSON_START | {"[", "{"}
 _TOKEN_START = _IDENT_START | _LITERAL_START | frozenset("}()],;:=<>")
 _WORDS = {"true": True, "false": False, "null": None}
 _READ_FROM_TEXT = frozenset('[{"-')  # an array, an object, a lone `"` or `-`: read from the text
+# Each name a node keeps, once. Not `sys.intern`: its table churns as names die.
+_NAMES: dict[str, str] = {}
 
 _AS_TYPES = {t.value: t for t in ast.AsType}
 _READER_FEATURES = {f.value: f for f in ast.ReaderFeature}
@@ -109,10 +111,13 @@ class _Parser:
         self.i += 1
         self.tok = self.tokens[self.i]
 
-    def expect_ident(self, what: str = "identifier") -> str:
-        if self.tok[:1] not in _IDENT_START:
+    def expect_ident(self, what: str, kept: bool = True) -> str:
+        name = self.tok
+        if name[:1] not in _IDENT_START:
             self.fail(f"expected {what}")
-        return self.advance()
+        self.i += 1
+        self.tok = self.tokens[self.i]
+        return _NAMES.setdefault(name, name) if kept else name
 
     def json_value(self, allowed: type | tuple = object, what: str = ""):
         """Read the JSON value at the current token; given `what`, it must
@@ -209,12 +214,10 @@ class _Parser:
             return self.call(node, depth + 1)
         if word[:1] in _LITERAL_START or word in _WORDS:
             return ast.Lit(self.json_value())
-        if word[:1] not in _IDENT_START:
-            self.fail("expected an expression")
-        self.advance()
-        if word not in self.bound:
-            self.checks.append(DslError(f"variable '{word}' referenced before assignment"))
-        return ast.Var(word)
+        name = self.expect_ident("an expression")
+        if name not in self.bound:
+            self.checks.append(DslError(f"variable '{name}' referenced before assignment"))
+        return ast.Var(name)
 
     def call(self, node: type, depth: int):
         """A call or an assert statement from its keyword to its closing
@@ -239,7 +242,7 @@ class _Parser:
             self.expect_punct(",")
             args.append(self.json_value((str, int), "a key string or integer index"))
             self.expect_punct(",")
-            as_type = self.expect_ident("result type")
+            as_type = self.expect_ident("result type", kept=False)
             if as_type not in _AS_TYPES:
                 self.fail(f"unknown result type '{as_type}'", self.offset(self.i - 1))
             args.append(_AS_TYPES[as_type])
@@ -270,7 +273,7 @@ class _Parser:
         features: list = []
         if self.tok != "]":
             while True:
-                name = self.expect_ident("feature name")
+                name = self.expect_ident("feature name", kept=False)
                 if name not in table or table[name] in features:
                     if self.unreadable():
                         self.fail("")

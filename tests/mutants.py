@@ -14,16 +14,19 @@ part of tier-1 itself):
     python tests/mutants.py [pytest arguments, e.g. a subset of tests]
 
 Each mutant is applied alone to a temporary copy of `src/`, tier-1 runs
-against that copy, and one line per mutant says `killed` or `survived`.
-The exit status is 1 if a mutant that is not equivalent survives. A run
-without pytest arguments also writes those lines to `data/mutants.txt`,
-the committed kill table; a run on a subset leaves it as it is. A tier-1
-test checks that the table names exactly the mutants listed here.
+against that copy, and one line per mutant says `killed` or `survived`;
+a killed mutant's line names the first test that failed, so a flaky
+failure can be told from a kill. The exit status is 1 if a mutant that is
+not equivalent survives. A run without pytest arguments also writes those
+lines to `data/mutants.txt`, the committed kill table; a run on a subset
+leaves it as it is. A tier-1 test checks that the table names exactly the
+mutants listed here, and a test for each killed one.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -165,6 +168,22 @@ MUTANTS = [
         "`classify` reports six votes where five came back",
     ),
     Mutant(
+        "summary-request-rebuilt",
+        "pipeline/runner.py",
+        "build_context(request, summary, task.rule)",
+        "build_context(build_summary_request(task.seed.script_text), summary, task.rule)",
+        "each conversation rebuilds its seed's summary request instead of holding the "
+        "messages that request sent, so a run keeps one more copy of the seed text per rule",
+    ),
+    Mutant(
+        "names-not-interned",
+        "tdsl/parser.py",
+        "return _NAMES.setdefault(name, name) if kept else name",
+        "return name",
+        "names are no longer interned, so every AST keeps its own copy of each bean, "
+        "field and variable name",
+    ),
+    Mutant(
         "path-index-18-digits",
         "backends/reference.py",
         'int(index.lstrip("0")[:19] or 0)',
@@ -184,22 +203,31 @@ def occurrences(mutant: Mutant) -> int:
     )
 
 
-def killed(mutant: Mutant, pytest_args: list[str]) -> bool:
-    """Whether tier-1 (or the given subset) fails with `mutant` applied to
-    a temporary copy of `src/`."""
+def first_failure(mutant: Mutant, pytest_args: list[str]) -> str | None:
+    """The node id of the first test that fails in tier-1 (or the given
+    subset) with `mutant` applied to a temporary copy of `src/`, or None
+    if every test passes. A failing run that names no test is described
+    by its exit status."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "jsonduel" / mutant.file
         text = target.read_text(encoding="utf-8")
         target.write_text(text.replace(mutant.old, mutant.new, 1), encoding="utf-8")
+        # `test_mutants.py` checks this list and the committed table, not the
+        # copy, so it cannot tell a mutant; while the table is out of date it
+        # fails under every mutant, which would count each one as killed.
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors", "-o", f"pythonpath={src}", *pytest_args],
-            cwd=ROOT, capture_output=True,
+             "--continue-on-collection-errors", "--ignore=tests/test_mutants.py",
+             "-o", f"pythonpath={src}", *pytest_args],
+            cwd=ROOT, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         )
-        return proc.returncode != 0
+        if proc.returncode == 0:
+            return None
+        named = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, re.M)
+        return named[1] if named else f"no test named, exit status {proc.returncode}"
 
 
 def main(pytest_args: list[str]) -> int:
@@ -207,10 +235,12 @@ def main(pytest_args: list[str]) -> int:
     for mutant in MUTANTS:
         if occurrences(mutant) != 1:
             raise SystemExit(f"{mutant.file}: old text does not occur exactly once: {mutant.old!r}")
-        status = "killed" if killed(mutant, pytest_args) else "survived"
+        failure = first_failure(mutant, pytest_args)
+        status = "killed" if failure else "survived"
         missed += status == "survived" and not mutant.equivalent
         label = f"{status} (equivalent)" if mutant.equivalent else status
-        lines.append(f"{label:<22} {mutant.name} ({mutant.file}): {mutant.reason}")
+        by = f" by {failure}" if failure else ""
+        lines.append(f"{label:<22} {mutant.name} ({mutant.file}){by}: {mutant.reason}")
         print(lines[-1], flush=True)
     if not pytest_args:
         TABLE.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

@@ -104,7 +104,7 @@ def build_planted_scenario(
     for seed in corpus.seeds:
         for replicate in range(n_per_seed):
             rule = pick_rule(rng, mutation)
-            context = build_context(seed.script_text, SUMMARIES[seed.id], rule)
+            context = build_context(build_summary_request(seed.script_text), SUMMARIES[seed.id], rule)
             script = BUGGY_SCRIPTS[seed.id] if replicate == 0 else next(benign)
             scenario.record(context, wrap_response(script))
     return scenario

@@ -121,7 +121,7 @@ def test_c4_prompt_fidelity_goldens():
     """Golden transcripts byte-for-byte, plus every pinned phrase."""
     from jsonduel.classify.evaluate import FailedCase
     from jsonduel.classify.prompts import build_classify_prompt
-    from jsonduel.llm.prompts import build_context
+    from jsonduel.llm.prompts import build_context, build_summary_request
     from jsonduel.llm.rules import MutationRule
 
     seed_text = (SEEDS_DIR / "issue1874.t").read_text(encoding="utf-8")
@@ -129,9 +129,9 @@ def test_c4_prompt_fidelity_goldens():
         "This unit test focuses on serializing a bean whose boolean field is "
         "written as a number, asserting the exact JSON output."
     )
-    plain = render_transcript(build_context(seed_text, summary, None))
+    plain = render_transcript(build_context(build_summary_request(seed_text), summary, None))
     with_rule = render_transcript(
-        build_context(seed_text, summary, MutationRule.SERIALIZATION_CONFIGURATIONS)
+        build_context(build_summary_request(seed_text), summary, MutationRule.SERIALIZATION_CONFIGURATIONS)
     )
     assert plain == read_golden("context_plain.txt")
     assert with_rule == read_golden("context_rule4.txt")
@@ -156,7 +156,7 @@ def test_c4_prompt_fidelity_goldens():
     assert GENERATE_SUFFIX in plain
     for rule in ALL_RULES:
         assert rule.sentence in render_transcript(
-            build_context(seed_text, summary, rule)
+            build_context(build_summary_request(seed_text), summary, rule)
         )
     assert "due to intrinsic bugs in the library" in DEFINITION_GOOD
     assert "incorrect test code or improper usage of the library" in DEFINITION_BAD

@@ -35,6 +35,7 @@ SUMMARY = (
     "This unit test focuses on serializing a bean whose boolean field is "
     "written as a number, asserting the exact JSON output."
 )
+SUMMARY_REQUEST = build_summary_request(SEED_TEXT)
 PARAMS = GenParams()
 
 
@@ -60,7 +61,7 @@ class TestContextTemplate:
         assert messages[1].content.endswith(SUMMARIZE_PROMPT)
 
     def test_context_without_rule_has_no_mutation_clause(self):
-        messages = build_context(SEED_TEXT, SUMMARY, None)
+        messages = build_context(SUMMARY_REQUEST, SUMMARY, None)
         assert [m.role for m in messages] == [
             Role.SYSTEM, Role.USER, Role.ASSISTANT, Role.USER,
         ]
@@ -70,20 +71,20 @@ class TestContextTemplate:
 
     def test_context_with_rule_inserts_the_sentence_verbatim(self):
         rule = MutationRule.SERIALIZATION_CONFIGURATIONS
-        request = build_context(SEED_TEXT, SUMMARY, rule)[3].content
+        request = build_context(SUMMARY_REQUEST, SUMMARY, rule)[3].content
         assert f" Write a new test that {rule.sentence}. " in request
 
     def test_empty_summary_rejected(self):
         with pytest.raises(ValueError):
-            build_context(SEED_TEXT, "", None)
+            build_context(SUMMARY_REQUEST, "", None)
 
     def test_golden_transcript_plain(self):
-        transcript = render_transcript(build_context(SEED_TEXT, SUMMARY, None))
+        transcript = render_transcript(build_context(SUMMARY_REQUEST, SUMMARY, None))
         assert transcript == read_golden("context_plain.txt")
 
     def test_golden_transcript_with_rule(self):
         transcript = render_transcript(
-            build_context(SEED_TEXT, SUMMARY, MutationRule.SERIALIZATION_CONFIGURATIONS)
+            build_context(SUMMARY_REQUEST, SUMMARY, MutationRule.SERIALIZATION_CONFIGURATIONS)
         )
         assert transcript == read_golden("context_rule4.txt")
 
@@ -160,17 +161,21 @@ class TestHttpClient:
     def test_empty_content_is_generation_error(self):
         session = FakeSession([completion("")])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
-        with pytest.raises(ModelError, match="empty completion response"):
+        with pytest.raises(ModelError, match="^empty completion response$"):
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
 
-    @pytest.mark.parametrize("content", [["x"], {}, 7, True, None, [], 0])
+    @pytest.mark.parametrize("content", [["x"], {}, 7, True, None, [], 0, False])
     def test_non_text_content_is_generation_error(self, content):
         """Only a non-empty string reaches extraction and voting, which
-        assume text."""
+        assume text. A null content reads as empty, as "" does; any other
+        non-string, falsy or not, is named by its type."""
         session = FakeSession([completion(content)])
         client = HttpChatClient(endpoint="http://x", session=session, sleep=lambda s: None)
-        with pytest.raises(ModelError, match="completion response"):
+        with pytest.raises(ModelError) as raised:
             client.complete(build_summary_request(SEED_TEXT), PARAMS)
+        expected = ("empty completion response" if content is None
+                    else f"non-text completion response: {type(content).__name__}")
+        assert str(raised.value) == expected
 
     def test_own_session_keeps_a_connection_per_open_request(self):
         client = HttpChatClient(endpoint="https://example/chat", open_requests=24)

@@ -1,5 +1,6 @@
 """The committed mutant list in `mutants.py` still applies to `src/`, and
-its committed kill table names exactly the listed mutants."""
+its committed kill table names exactly the listed mutants, and the test
+that killed each killed one."""
 
 import re
 
@@ -19,3 +20,9 @@ def test_kill_table_names_every_mutant_in_order():
     lines = mutants.TABLE.read_text(encoding="utf-8").splitlines()
     names = [re.match(r"(killed|survived)( \(equivalent\))? +(\S+) \(", line)[3] for line in lines]
     assert names == [m.name for m in mutants.MUTANTS]
+
+
+def test_kill_table_names_the_test_that_killed_each_mutant():
+    for line in mutants.TABLE.read_text(encoding="utf-8").splitlines():
+        if line.startswith("killed"):
+            assert re.match(r"killed +\S+ \(\S+\) by tests/\S+\.py", line), line

@@ -210,6 +210,50 @@ class TestRun:
         assert calls["n"] == 3 + 9  # 3 summaries + 9 generations
 
 
+class SentRequests:
+    """Wraps a client that reserves replies and keeps each conversation it
+    is asked for, in request order."""
+
+    def __init__(self, inner):
+        self.inner, self.sent = inner, []
+
+    def reserve(self, messages):
+        self.sent.append(messages)
+        return self.inner.reserve(messages)
+
+
+class TestSharedPromptParts:
+    """A run builds each prompt part once, and every conversation holds it."""
+
+    def _run(self, tmp_path, corpus):
+        client = SentRequests(ReplayClient(build_planted_scenario(corpus)))
+        report = run(planted_config(tmp_path, corpus), client=client)
+        assert report.complete
+        return [record for _, record in report.records], client.sent
+
+    def test_a_seeds_conversations_hold_the_messages_its_summary_request_sent(
+        self, tmp_path, fixture_corpus
+    ):
+        records, sent = self._run(tmp_path, fixture_corpus)
+        mixed = 0  # seeds whose tasks drew more than one rule
+        for seed in fixture_corpus.seeds:
+            request = next(m for m in sent if m == build_summary_request(seed.script_text))
+            own = [record for record in records if record.seed_id == seed.id]
+            for record in own:
+                assert all(a is b for a, b in zip(record.messages[:2], request, strict=True))
+            mixed += len({record.rule for record in own}) > 1
+        assert mixed
+
+    def test_seeds_with_one_rule_share_its_request_message(self, tmp_path, fixture_corpus):
+        records, _ = self._run(tmp_path, fixture_corpus)
+        shared = 0  # rules drawn for more than one seed
+        for rule in {record.rule for record in records}:
+            drawn = [record for record in records if record.rule is rule]
+            assert all(record.messages[3] is drawn[0].messages[3] for record in drawn)
+            shared += len({record.seed_id for record in drawn}) > 1
+        assert shared
+
+
 class TestGenerationRecords:
     SEED = "assert_eq(1, 1);\n"
     SUMMARY = "Tests that one equals one."
@@ -232,7 +276,7 @@ class TestGenerationRecords:
         (_, record), = report.records
         rule = pick_rule(random.Random(5), MutationMode.RANDOM_ONE)
         assert record.rule is rule
-        assert record.messages == tuple(build_context(self.SEED, self.SUMMARY, rule))
+        assert record.messages == tuple(build_context(build_summary_request(self.SEED), self.SUMMARY, rule))
         assert [m.content for m in record.messages if m.role is Role.ASSISTANT] == [self.SUMMARY]
 
     def test_record_keeps_context_and_raw_response(self, tmp_path, seeds_dir):
@@ -242,7 +286,7 @@ class TestGenerationRecords:
         )
         (script_id, record), = report.records
         assert (script_id, record.seed_id, record.rule) == ("issue1-g0", "issue1", None)
-        assert record.messages == tuple(build_context(self.SEED, self.SUMMARY, None))
+        assert record.messages == tuple(build_context(build_summary_request(self.SEED), self.SUMMARY, None))
         assert record.raw_response == response
         assert isinstance(record.extraction, Script)
 
@@ -603,7 +647,7 @@ class TestFailureModes:
     ):
         (seeds_dir / "issue1.t").write_text("assert_eq(1, 1);\n")
         (seeds_dir / "issue2.t").write_text(f'assert_eq("{"x" * 2000}", "x");\n')
-        fits = sum(len(m.content) for m in build_context("assert_eq(1, 1);\n", "s1", None))
+        fits = sum(len(m.content) for m in build_context(build_summary_request("assert_eq(1, 1);\n"), "s1", None))
         script = wrap_response("assert_eq(1, 1);\n")
         client = ScriptedClient(["s1", "s2", script, script, ModelError("down")])
         config = PipelineConfig(

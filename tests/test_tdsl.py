@@ -170,6 +170,28 @@ class TestParser:
         src = LISTING_BOOL_QUOTING
         assert parse_script(src) == parse_script(src)
 
+    def test_scripts_share_each_name(self):
+        """Every name a node keeps is interned, so two scripts parsed from
+        different texts hold one string object per name. The names are
+        longer than one character: CPython caches those strings anyway."""
+
+        def names(script):
+            (bean,), (let, check) = script.beans, script.statements
+            (field,), ((assigned, _),) = bean.fields, let.expr.assignments
+            typed = check.expr.text
+            return bean.name, field.name, let.name, let.expr.bean, assigned, typed.name, check.expr.bean
+
+        first, second = (
+            parse_script(
+                f"bean Item {{ count: integer; }}\n"
+                f"let obj0 = make_bean(Item, count = {n});\n"
+                f"assert_not_null(parse_typed(obj0, Item));\n"
+            )
+            for n in (1, 2)
+        )
+        assert names(first) == ("Item", "count", "obj0", "Item", "count", "obj0", "Item")
+        assert all(a is b for a, b in zip(names(first), names(second), strict=True))
+
     def test_expression_nesting_is_capped(self):
         assert parse_script(nested_sizes(MAX_EXPR_DEPTH)).statements[1].expected == Lit(1)
         with pytest.raises(DslError, match="expression nesting too deep"):
