@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import graphlib
 import re
+import sys
 from typing import get_args
 
 from .. import jsontext
@@ -46,8 +47,6 @@ _LITERAL_START = _JSON_START | {"[", "{"}
 _TOKEN_START = _IDENT_START | _LITERAL_START | frozenset("}()],;:=<>")
 _WORDS = {"true": True, "false": False, "null": None}
 _READ_FROM_TEXT = frozenset('[{"-')  # an array, an object, a lone `"` or `-`: read from the text
-# Each name a node keeps, once. Not `sys.intern`: its table churns as names die.
-_NAMES: dict[str, str] = {}
 
 _AS_TYPES = {t.value: t for t in ast.AsType}
 _READER_FEATURES = {f.value: f for f in ast.ReaderFeature}
@@ -111,13 +110,13 @@ class _Parser:
         self.i += 1
         self.tok = self.tokens[self.i]
 
-    def expect_ident(self, what: str, kept: bool = True) -> str:
+    def expect_ident(self, what: str) -> str:
         name = self.tok
         if name[:1] not in _IDENT_START:
             self.fail(f"expected {what}")
         self.i += 1
         self.tok = self.tokens[self.i]
-        return _NAMES.setdefault(name, name) if kept else name
+        return sys.intern(name)  # one per name across ASTs; dies with the last (3.12: never)
 
     def json_value(self, allowed: type | tuple = object, what: str = ""):
         """Read the JSON value at the current token; given `what`, it must
@@ -242,7 +241,7 @@ class _Parser:
             self.expect_punct(",")
             args.append(self.json_value((str, int), "a key string or integer index"))
             self.expect_punct(",")
-            as_type = self.expect_ident("result type", kept=False)
+            as_type = self.expect_ident("result type")
             if as_type not in _AS_TYPES:
                 self.fail(f"unknown result type '{as_type}'", self.offset(self.i - 1))
             args.append(_AS_TYPES[as_type])
@@ -273,7 +272,7 @@ class _Parser:
         features: list = []
         if self.tok != "]":
             while True:
-                name = self.expect_ident("feature name", kept=False)
+                name = self.expect_ident("feature name")
                 if name not in table or table[name] in features:
                     if self.unreadable():
                         self.fail("")

@@ -12,7 +12,7 @@ Replay makes the runs deterministic, so the file only changes when what
 a run writes does.
 To rewrite it after a deliberate change:
 
-    PYTHONPATH=src python tests/artifact_golden.py
+    python tests/artifact_golden.py
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+if __name__ == "__main__":  # check this checkout's src/; under pytest, `pythonpath` picks it
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jsonduel.corpus import mine_seeds
 from jsonduel.llm.generation import GenParams, MutationMode

@@ -178,10 +178,18 @@ MUTANTS = [
     Mutant(
         "names-not-interned",
         "tdsl/parser.py",
-        "return _NAMES.setdefault(name, name) if kept else name",
+        "return sys.intern(name)",
         "return name",
         "names are no longer interned, so every AST keeps its own copy of each bean, "
         "field and variable name",
+    ),
+    Mutant(
+        "names-kept-between-parses",
+        "tdsl/parser.py",
+        "return sys.intern(name)",
+        "return _Parser.__init__.__dict__.setdefault(name, sys.intern(name))",
+        "the parser keeps every name it has read in a table that outlives the parse, "
+        "so a long campaign holds each distinct name until the process exits",
     ),
     Mutant(
         "path-index-18-digits",

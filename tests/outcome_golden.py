@@ -10,7 +10,7 @@ order. The scripts are deterministic, so the file only changes when the
 executor's or an engine's behaviour does.
 To rewrite it after a deliberate change:
 
-    PYTHONPATH=src python tests/outcome_golden.py
+    python tests/outcome_golden.py
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+if __name__ == "__main__":  # check this checkout's src/; under pytest, `pythonpath` picks it
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jsonduel.backends import resolve_backend
 from jsonduel.backends.executor import execute

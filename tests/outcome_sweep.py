@@ -12,8 +12,8 @@ least one line. The sweep is run by hand, not by tier-1; it takes about
 5 s on a 2-vCPU machine. To compare the program with the file (exit
 status 1 on any mismatch), or to rewrite it after a deliberate change:
 
-    PYTHONPATH=src python tests/outcome_sweep.py --check
-    PYTHONPATH=src python tests/outcome_sweep.py
+    python tests/outcome_sweep.py --check
+    python tests/outcome_sweep.py
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+if __name__ == "__main__":  # check this checkout's src/; under pytest, `pythonpath` picks it
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jsonduel.backends import resolve_backend
 from jsonduel.backends.executor import DEFAULT_LIMITS, ExecutionLimits, execute

@@ -8,7 +8,7 @@ digest of the AST's `repr` (the reprs alone run to 1.7 MB). The
 mutations are deterministic, so the file only changes when the
 parser's behaviour does. To rewrite it after a deliberate change:
 
-    PYTHONPATH=src python tests/parse_mutants.py
+    python tests/parse_mutants.py
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+if __name__ == "__main__":  # check this checkout's src/; under pytest, `pythonpath` picks it
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jsonduel.tdsl.parser import DslError, parse_script
 from jsonduel.tdsl.printer import print_script

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import re
+import sys
 import time
+import uuid
 from decimal import Decimal
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -191,6 +193,19 @@ class TestParser:
         )
         assert names(first) == ("Item", "count", "obj0", "Item", "count", "obj0", "Item")
         assert all(a is b for a, b in zip(names(first), names(second), strict=True))
+
+    def test_the_parser_keeps_no_name(self):
+        """Once its script is dropped, a parsed name is held only by the
+        caller, just as a string the caller interns itself is: the parser
+        keeps no name between parses. Python 3.12 makes every interned
+        string immortal, so there the two counts match as well."""
+        tag = uuid.uuid4().hex  # a name no other test has made
+        script = parse_script(f"let fresh_{tag} = 1;\nassert_not_null(fresh_{tag});\n")
+        name = script.statements[0].name
+        del script
+        control = sys.intern(f"other_{tag}")
+        assert name == f"fresh_{tag}"
+        assert sys.getrefcount(name) == sys.getrefcount(control)
 
     def test_expression_nesting_is_capped(self):
         assert parse_script(nested_sizes(MAX_EXPR_DEPTH)).statements[1].expected == Lit(1)
